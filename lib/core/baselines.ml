@@ -1,57 +1,122 @@
-let active_jobs ~remaining ~eligible =
-  let acc = ref [] in
-  for j = Array.length remaining - 1 downto 0 do
-    if remaining.(j) && eligible.(j) then acc := j :: !acc
+(* Writes the eligible remaining jobs into [active] in index order and
+   returns their count. *)
+let active_jobs ~remaining ~eligible active =
+  let e = ref 0 in
+  for j = 0 to Array.length remaining - 1 do
+    if remaining.(j) && eligible.(j) then begin
+      active.(!e) <- j;
+      incr e
+    end
   done;
-  !acc
+  !e
 
+(* Machine [i] takes the active job of largest gain [s_j * (1 - q_ij)],
+   ties to the lower index, gain > 0.  A job no earlier machine picked
+   this step has [s_j = 1], so its gain is [1 - q_ij] exactly; the best
+   of those is the first active unpicked entry of machine [i]'s ranking
+   by [1 - q_ij] descending, then index.  Only the <= m already-picked
+   jobs need their gain recomputed, so a step costs O(n + m * (e + m))
+   over [e] active jobs and allocates nothing. *)
 let greedy_completion inst =
   let m = Instance.m inst in
   let n = Instance.n inst in
+  (* Rows of q copied out of the instance: reading them through
+     [Instance.q] in the loop boxed one float per machine. *)
+  let q = Array.init m (fun i -> Array.init n (Instance.q inst i)) in
+  let gain = Array.map (Array.map (fun qij -> 1.0 -. qij)) q in
+  let rank =
+    Array.init m (fun i ->
+        let g = gain.(i) in
+        List.init n Fun.id
+        |> List.filter (fun j -> g.(j) > 0.0)
+        |> List.sort (fun a b ->
+               match Float.compare g.(b) g.(a) with 0 -> compare a b | c -> c)
+        |> Array.of_list)
+  in
   (* Scratch lives in the stepper, not the policy value: steppers from
      one policy may run concurrently on different domains. *)
   Policy.make ~name:"greedy" ~fresh:(fun _rng ->
       let survival = Array.make n 1.0 in
+      let picked = Array.make n false in
+      let picks = Array.make m 0 in
+      let active = Array.make n 0 in
       let buf = Array.make m (-1) in
       fun ~time:_ ~remaining ~eligible ->
-        let active = active_jobs ~remaining ~eligible in
-        List.iter (fun j -> survival.(j) <- 1.0) active;
+        let e = active_jobs ~remaining ~eligible active in
+        let np = ref 0 in
         for i = 0 to m - 1 do
-          let best = ref (-1) and best_gain = ref 0.0 in
-          List.iter
-            (fun j ->
-              let gain = survival.(j) *. (1.0 -. Instance.q inst i j) in
-              if gain > !best_gain then begin
-                best_gain := gain;
+          let g = gain.(i) and r = rank.(i) in
+          (* The best unpicked job: walk the ranking while that is no
+             longer than scanning the active jobs, then scan them. *)
+          let best = ref (-1) in
+          let len = Array.length r in
+          let k = ref 0 and lim = min len e in
+          while !best < 0 && !k < lim do
+            let j = r.(!k) in
+            if remaining.(j) && eligible.(j) && not picked.(j) then best := j;
+            incr k
+          done;
+          if !best < 0 && len > e then begin
+            let best_gain = ref 0.0 in
+            for k = 0 to e - 1 do
+              let j = active.(k) in
+              if (not picked.(j)) && g.(j) > !best_gain then begin
+                best_gain := g.(j);
                 best := j
-              end)
-            active;
-          buf.(i) <- !best;
-          if !best >= 0 then
-            survival.(!best) <- survival.(!best) *. Instance.q inst i !best
+              end
+            done
+          end;
+          let best_gain = ref (if !best >= 0 then g.(!best) else 0.0) in
+          for k = 0 to !np - 1 do
+            let j = picks.(k) in
+            let gj = survival.(j) *. g.(j) in
+            if gj > !best_gain || (gj = !best_gain && gj > 0.0 && j < !best)
+            then begin
+              best_gain := gj;
+              best := j
+            end
+          done;
+          let b = !best in
+          buf.(i) <- b;
+          if b >= 0 then begin
+            if not picked.(b) then begin
+              picked.(b) <- true;
+              picks.(!np) <- b;
+              incr np
+            end;
+            survival.(b) <- survival.(b) *. q.(i).(b)
+          end
+        done;
+        for k = 0 to !np - 1 do
+          let j = picks.(k) in
+          picked.(j) <- false;
+          survival.(j) <- 1.0
         done;
         buf)
 
 let round_robin inst =
-  let m = Instance.m inst in
+  let m = Instance.m inst and n = Instance.n inst in
   Policy.make ~name:"round-robin" ~fresh:(fun _rng ->
+      let active = Array.make n 0 in
       let buf = Array.make m (-1) in
       fun ~time ~remaining ~eligible ->
-        let active = Array.of_list (active_jobs ~remaining ~eligible) in
-        let e = Array.length active in
+        let e = active_jobs ~remaining ~eligible active in
         for i = 0 to m - 1 do
           buf.(i) <- (if e = 0 then -1 else active.((time + i) mod e))
         done;
         buf)
 
 let serial inst =
-  let m = Instance.m inst in
-  let idle = Array.make m (-1) in
+  let m = Instance.m inst and n = Instance.n inst in
   Policy.make ~name:"serial" ~fresh:(fun _rng ->
+      let buf = Array.make m (-1) in
       fun ~time:_ ~remaining ~eligible ->
-        match active_jobs ~remaining ~eligible with
-        | [] -> idle
-        | j :: _ -> Array.make m j)
+        let j = ref 0 in
+        while !j < n && not (remaining.(!j) && eligible.(!j)) do
+          incr j
+        done;
+        Array.fill buf 0 m (if !j < n then !j else -1);
+        buf)
 
 (* Greedy coverage with a per-machine budget of [t] steps: feed the
    neediest job with the strongest remaining machine step until every job

@@ -10,7 +10,16 @@ val greedy_completion : Instance.t -> Policy.t
     where [s_j] is the job's survival probability under the machines
     already committed this step — the natural greedy maximizing the
     expected number of completions per step, in the spirit of
-    Lin–Rajaraman's greedy for independent jobs. *)
+    Lin–Rajaraman's greedy for independent jobs.
+
+    Ties: a strictly larger gain wins, equal gains go to the lower job
+    index, and a machine idles when no job has positive gain.  A job no
+    machine has picked yet this step has [s_j = 1], so its gain is
+    exactly [1 - q_ij]; the stepper therefore ranks each machine's
+    positive-gain jobs once by [1 - q_ij] descending then index, takes
+    the first eligible remaining unpicked entry, and compares it with
+    the (at most [m]) jobs already picked this step.  That is the same
+    choice, bit for bit, as scanning every eligible job. *)
 
 val round_robin : Instance.t -> Policy.t
 (** Per step, machine [i] takes the [(t + i) mod e]-th eligible job —

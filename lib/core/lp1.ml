@@ -80,20 +80,20 @@ let solve_revised ?basis inst ~jobs ~target =
    simplex server. *)
 let mwu_tiny_cells = 16
 
-let c_mwu_certified = lazy (Suu_obs.Registry.counter "lp1.mwu.certified")
+let c_mwu_certified = Suu_obs.Registry.memo_counter "lp1.mwu.certified"
 
 let c_mwu_fallback_cert =
-  lazy (Suu_obs.Registry.counter "lp1.mwu.fallback.cert")
+  Suu_obs.Registry.memo_counter "lp1.mwu.fallback.cert"
 
 let c_mwu_fallback_tiny =
-  lazy (Suu_obs.Registry.counter "lp1.mwu.fallback.tiny")
+  Suu_obs.Registry.memo_counter "lp1.mwu.fallback.tiny"
 
 let solve_mwu inst ~jobs ~target ~eps ~gap_limit ~guarantee =
   let m = Instance.m inst in
   let n = Instance.n inst in
   let k = Array.length jobs in
   if m * k <= mwu_tiny_cells then begin
-    Suu_obs.Counter.incr (Lazy.force c_mwu_fallback_tiny);
+    Suu_obs.Counter.incr (c_mwu_fallback_tiny ());
     solve_simplex inst ~jobs ~target
   end
   else begin
@@ -111,7 +111,7 @@ let solve_mwu inst ~jobs ~target ~eps ~gap_limit ~guarantee =
       lower_bound > 0.0 && value <= (gap_limit *. lower_bound) +. 1e-12
     in
     if not certified then begin
-      Suu_obs.Counter.incr (Lazy.force c_mwu_fallback_cert);
+      Suu_obs.Counter.incr (c_mwu_fallback_cert ());
       solve_simplex inst ~jobs ~target
     end
     else begin
@@ -122,7 +122,7 @@ let solve_mwu inst ~jobs ~target ~eps ~gap_limit ~guarantee =
       assert (
         gap_limit <> guarantee
         || value <= (guarantee *. lower_bound) +. 1e-12);
-      Suu_obs.Counter.incr (Lazy.force c_mwu_certified);
+      Suu_obs.Counter.incr (c_mwu_certified ());
       let x = Array.make_matrix m n 0.0 in
       for i = 0 to m - 1 do
         for jj = 0 to k - 1 do

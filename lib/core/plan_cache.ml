@@ -29,17 +29,17 @@ let hit_rate { hits; misses; _ } =
    over every shard and every private cache.  They live in the Obs
    registry so one [stats] scrape sees them next to the span histograms
    they explain. *)
-let g_hits = lazy (Suu_obs.Registry.counter "plan_cache.hits")
-let g_misses = lazy (Suu_obs.Registry.counter "plan_cache.misses")
-let g_evictions = lazy (Suu_obs.Registry.counter "plan_cache.evictions")
+let g_hits = Suu_obs.Registry.memo_counter "plan_cache.hits"
+let g_misses = Suu_obs.Registry.memo_counter "plan_cache.misses"
+let g_evictions = Suu_obs.Registry.memo_counter "plan_cache.evictions"
 
 (* LP-free policies (lzf, backfill, the greedy baselines) never consult
    the store; the server notes each such request here so operators can
    see the no-LP traffic share, and so the serve hit-rate gate knows the
    hit/miss denominator excludes these requests by construction. *)
-let g_bypasses = lazy (Suu_obs.Registry.counter "plan_cache.bypass")
-let note_bypass () = Suu_obs.Counter.incr (Lazy.force g_bypasses)
-let bypasses () = Suu_obs.Counter.get (Lazy.force g_bypasses)
+let g_bypasses = Suu_obs.Registry.memo_counter "plan_cache.bypass"
+let note_bypass () = Suu_obs.Counter.incr (g_bypasses ())
+let bypasses () = Suu_obs.Counter.get (g_bypasses ())
 
 type entry = { plan : Oblivious.t; mutable tick : int }
 
@@ -110,20 +110,34 @@ let global_capacity = 32_768
 (* Surfacing per-shard traffic in obs.* (registered once, on first use
    of the global store): hit/miss/eviction counts per shard, from which
    a scrape derives per-shard rates — skew across shards is how a bad
-   key distribution would show up. *)
-let global_store =
-  lazy
-    {
-      shards =
-        Array.init num_global_shards (fun i ->
-            let c what =
-              Suu_obs.Registry.counter
-                (Printf.sprintf "plan_cache.shard%d.%s" i what)
-            in
-            make_shard
-              ~capacity:(global_capacity / num_global_shards)
-              ~obs:(Some (c "hits", c "misses", c "evictions")));
-    }
+   key distribution would show up.  The store is built under a mutex
+   rather than as a [lazy]: SUU-C builds cache handles inside Runner
+   domains, and two domains forcing one [lazy] at once raise. *)
+let make_global_store () =
+  { shards =
+      Array.init num_global_shards (fun i ->
+          let c what =
+            Suu_obs.Registry.counter
+              (Printf.sprintf "plan_cache.shard%d.%s" i what)
+          in
+          make_shard
+            ~capacity:(global_capacity / num_global_shards)
+            ~obs:(Some (c "hits", c "misses", c "evictions"))) }
+
+let global_cell = Atomic.make None
+let global_lock = Mutex.create ()
+
+let global_store () =
+  match Atomic.get global_cell with
+  | Some st -> st
+  | None ->
+      Mutex.protect global_lock (fun () ->
+          match Atomic.get global_cell with
+          | Some st -> st
+          | None ->
+              let st = make_global_store () in
+              Atomic.set global_cell (Some st);
+              st)
 
 type t = {
   solver : Solver_choice.t option;
@@ -185,7 +199,7 @@ let key_prefix ?solver inst =
 let create ?solver ?max_entries inst =
   let store =
     match max_entries with
-    | None -> Lazy.force global_store
+    | None -> global_store ()
     | Some me ->
         if me <= 0 then
           invalid_arg "Plan_cache.create: max_entries must be positive";
@@ -283,7 +297,7 @@ let evict_lru_half sh =
   (match sh.obs with
   | Some (_, _, ce) -> Suu_obs.Counter.add ce drop
   | None -> ());
-  Suu_obs.Counter.add (Lazy.force g_evictions) drop;
+  Suu_obs.Counter.add (g_evictions ()) drop;
   drop
 
 (* The solve for a missing key runs under the shard lock: concurrent
@@ -307,7 +321,7 @@ let lookup t ~count ~round ~survivors =
         (match sh.obs with
         | Some (ch, _, _) -> Suu_obs.Counter.incr ch
         | None -> ());
-        Suu_obs.Counter.incr (Lazy.force g_hits)
+        Suu_obs.Counter.incr (g_hits ())
       end;
       Mutex.unlock sh.slock;
       if count then Atomic.incr t.hits;
@@ -318,7 +332,7 @@ let lookup t ~count ~round ~survivors =
         (match sh.obs with
         | Some (_, cm, _) -> Suu_obs.Counter.incr cm
         | None -> ());
-        Suu_obs.Counter.incr (Lazy.force g_misses)
+        Suu_obs.Counter.incr (g_misses ())
       end;
       let finish () =
         let resolved = Option.value t.solver ~default:Solver_choice.default in
@@ -381,9 +395,9 @@ let size t =
     0 t.store.shards
 
 let global_stats () =
-  { hits = Suu_obs.Counter.get (Lazy.force g_hits);
-    misses = Suu_obs.Counter.get (Lazy.force g_misses);
-    evictions = Suu_obs.Counter.get (Lazy.force g_evictions) }
+  { hits = Suu_obs.Counter.get (g_hits ());
+    misses = Suu_obs.Counter.get (g_misses ());
+    evictions = Suu_obs.Counter.get (g_evictions ()) }
 
 let shard_stats () =
   Array.map
@@ -395,4 +409,4 @@ let shard_stats () =
       in
       Mutex.unlock sh.slock;
       r)
-    (Lazy.force global_store).shards
+    (global_store ()).shards

@@ -23,6 +23,19 @@ let counter name =
           Hashtbl.add counters name c;
           c)
 
+(* Get-or-create already runs under the registry mutex, so racing first
+   calls from several domains all get the one interned counter; a
+   module-level [lazy] would raise [Lazy.Undefined] on that race. *)
+let memo_counter name =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some c -> c
+    | None ->
+        let c = counter name in
+        Atomic.set cell (Some c);
+        c
+
 let histogram ?bounds name =
   locked (fun () ->
       match Hashtbl.find_opt histograms name with

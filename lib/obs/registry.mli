@@ -23,6 +23,13 @@
 val counter : string -> Counter.t
 (** Intern: the counter named [name], created at zero on first use. *)
 
+val memo_counter : string -> unit -> Counter.t
+(** [memo_counter name] returns a function that yields [counter name],
+    interning it on its first call and reusing it after: a counter that
+    appears in {!snapshot} only once it is used.  Safe to call first from
+    several domains at once, unlike a module-level
+    [lazy (counter name)]. *)
+
 val histogram : ?bounds:float array -> string -> Histogram.t
 (** Intern: the histogram named [name], sharing the registry mutex.
     [bounds] applies only on first creation. *)

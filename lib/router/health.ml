@@ -6,9 +6,9 @@
    an immediate mark-down when a forwarded request fails — waiting for
    the next probe tick would send more traffic into a dead shard. *)
 
-let c_checks = lazy (Suu_obs.Registry.counter "router.health.checks")
-let c_down = lazy (Suu_obs.Registry.counter "router.health.mark_down")
-let c_up = lazy (Suu_obs.Registry.counter "router.health.mark_up")
+let c_checks = Suu_obs.Registry.memo_counter "router.health.checks"
+let c_down = Suu_obs.Registry.memo_counter "router.health.mark_down"
+let c_up = Suu_obs.Registry.memo_counter "router.health.mark_up"
 
 type entry = { mutable live : bool; mutable fails : int }
 
@@ -63,14 +63,14 @@ let transition t id up =
   if up then e.fails <- 0;
   Mutex.unlock t.lock;
   if changed then begin
-    Suu_obs.Counter.incr (Lazy.force (if up then c_up else c_down));
+    Suu_obs.Counter.incr ((if up then c_up else c_down) ());
     t.on_change id up
   end
 
 let force_down t id = transition t id false
 
 let probe_once t (id, e) =
-  Suu_obs.Counter.incr (Lazy.force c_checks);
+  Suu_obs.Counter.incr (c_checks ());
   let ok = try t.probe id with _ -> false in
   if ok then begin
     Mutex.lock t.lock;

@@ -16,11 +16,11 @@ module P = Suu_server.Protocol
 module Client = Suu_server.Client
 module Lineio = Suu_server.Lineio
 
-let c_route = lazy (Suu_obs.Registry.counter "router.route")
+let c_route = Suu_obs.Registry.memo_counter "router.route"
 let h_route = lazy (Suu_obs.Registry.histogram "router.route")
-let c_failover = lazy (Suu_obs.Registry.counter "router.failover")
-let c_respawn = lazy (Suu_obs.Registry.counter "router.respawns")
-let c_no_shard = lazy (Suu_obs.Registry.counter "router.no_live_shard")
+let c_failover = Suu_obs.Registry.memo_counter "router.failover"
+let c_respawn = Suu_obs.Registry.memo_counter "router.respawns"
+let c_no_shard = Suu_obs.Registry.memo_counter "router.no_live_shard"
 
 type shard_spec = {
   id : string;
@@ -115,7 +115,7 @@ let try_respawn s =
           s.child <- Some child;
           match Spawn.wait_ready child with
           | Result.Ok _ ->
-              Suu_obs.Counter.incr (Lazy.force c_respawn);
+              Suu_obs.Counter.incr (c_respawn ());
               s.drain_t <-
                 Some
                   (Spawn.drain
@@ -168,7 +168,7 @@ let route_request t req digest =
   let ranked = Ring.route_ranked t.ring digest in
   let rec go tried = function
     | [] ->
-        Suu_obs.Counter.incr (Lazy.force c_no_shard);
+        Suu_obs.Counter.incr (c_no_shard ());
         P.Err
           { id = req.P.id; code = P.Internal;
             message = "no live shard for request" }
@@ -176,7 +176,7 @@ let route_request t req digest =
         if not (is_live t id) then go tried rest
         else
           let s = shard_by_id t id in
-          if tried > 0 then Suu_obs.Counter.incr (Lazy.force c_failover);
+          if tried > 0 then Suu_obs.Counter.incr (c_failover ());
           (match forward s req with
           | resp ->
               count_proxied s;
@@ -272,7 +272,7 @@ let handle_request t req =
   let dt =
     Int64.to_float (Int64.sub (Suu_obs.Clock.now_ns ()) t0) /. 1e9
   in
-  Suu_obs.Registry.observe (Lazy.force c_route) (Lazy.force h_route) dt;
+  Suu_obs.Registry.observe (c_route ()) (Lazy.force h_route) dt;
   resp
 
 let handle_conn t conn =

@@ -53,7 +53,6 @@ let policy ?width ?on_event inst =
     Array.init n (fun j ->
         Array.init m (fun i -> capable inst i j))
   in
-  let emit e = match on_event with None -> () | Some f -> f e in
   Policy.make ~name:"backfill" ~fresh:(fun rng ->
       let pred =
         Predictor.create inst
@@ -66,12 +65,26 @@ let policy ?width ?on_event inst =
       let started = Array.make n (-1) in
       let prev_remaining = Array.make n false in
       let first = ref true in
+      (* Reservation scratch: the machines reserved for the head, and
+         the FCFS-running jobs (at most one per machine) sorted by
+         predicted completion, then index. *)
+      let reserved = Array.make m false in
+      let by_pc = Array.make m 0 and pcs = Array.make m 0 in
+      let listed = Array.make n false in
       let free_job j =
         for i = 0 to m - 1 do
           if machine_of.(i) = j then machine_of.(i) <- -1
         done;
         running.(j) <- false;
         bfilled.(j) <- false
+      in
+      let free i = machine_of.(i) = -1 in
+      let free_unreserved i = machine_of.(i) = -1 && not reserved.(i) in
+      (* The head's view treats machines held by backfilled jobs as
+         free: backfill must never delay it. *)
+      let virt i =
+        let j = machine_of.(i) in
+        j = -1 || bfilled.(j)
       in
       (* Pick [w] capable machines for [j] from those where [ok i],
          best (highest l_ij) first, ties to the lowest index; returns
@@ -90,6 +103,18 @@ let policy ?width ?on_event inst =
           incr p
         done;
         !count
+      in
+      (* Run [j] on the [w] machines in [out]. *)
+      let start ~time ~backfilled j w =
+        for k = 0 to w - 1 do
+          machine_of.(out.(k)) <- j
+        done;
+        running.(j) <- true;
+        bfilled.(j) <- backfilled;
+        started.(j) <- time;
+        match on_event with
+        | None -> ()
+        | Some f -> f (Started { job = j; time; backfilled })
       in
       let predicted_total j = int_of_float (Float.ceil (Predictor.predict pred j)) in
       let buf = Array.make m (-1) in
@@ -120,123 +145,109 @@ let policy ?width ?on_event inst =
           continue_passes := false;
           (* FCFS head: lowest-index eligible remaining job not
              currently running. *)
-          let h = ref (-1) in
-          (try
-             for j = 0 to n - 1 do
-               if remaining.(j) && eligible.(j) && not running.(j) then begin
-                 h := j;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          if !h >= 0 then begin
+          let h = ref 0 in
+          while
+            !h < n && not (remaining.(!h) && eligible.(!h) && not running.(!h))
+          do
+            incr h
+          done;
+          if !h < n then begin
             let h = !h in
             let w_h = widths.(h) in
-            let start_on count =
-              for k = 0 to count - 1 do
-                machine_of.(out.(k)) <- h
+            if pick h w_h free = w_h || pick h w_h virt = w_h then begin
+              (* Preempt the backfilled jobs holding the chosen
+                 machines; there are none when enough were free. *)
+              for k = 0 to w_h - 1 do
+                let j = machine_of.(out.(k)) in
+                if j >= 0 && bfilled.(j) then begin
+                  (match on_event with
+                  | None -> ()
+                  | Some f -> f (Preempted { job = j; time }));
+                  free_job j
+                end
               done;
-              running.(h) <- true;
-              bfilled.(h) <- false;
-              started.(h) <- time;
-              emit (Started { job = h; time; backfilled = false });
+              start ~time ~backfilled:false h w_h;
               continue_passes := true
-            in
-            let free i = machine_of.(i) = -1 in
-            if pick h w_h free = w_h then start_on w_h
+            end
             else begin
-              (* The head's view treats machines held by backfilled
-                 jobs as free: backfill must never delay it. *)
-              let virt i =
-                machine_of.(i) = -1
-                || (let j = machine_of.(i) in j >= 0 && bfilled.(j))
-              in
-              if pick h w_h virt = w_h then begin
-                for k = 0 to w_h - 1 do
-                  let j = machine_of.(out.(k)) in
-                  if j >= 0 && bfilled.(j) then begin
-                    emit (Preempted { job = j; time });
-                    free_job j
-                  end
-                done;
-                start_on w_h
-              end
-              else begin
-                (* Reservation: walk FCFS-running jobs by predicted
-                   completion until the head's width is covered; the
-                   last one needed sets the shadow time. *)
-                let have = pick h m virt in
-                let reserved = Array.make m false in
-                for k = 0 to have - 1 do
-                  reserved.(out.(k)) <- true
-                done;
-                let fcfs =
-                  List.filter
-                    (fun j -> running.(j) && not bfilled.(j))
-                    (List.init n Fun.id)
-                in
-                let pc j =
+              (* Reservation: walk FCFS-running jobs by predicted
+                 completion until the head's width is covered; the
+                 last one needed sets the shadow time.  Every running
+                 job holds a machine, so [machine_of] lists them all. *)
+              let have = pick h m virt in
+              Array.fill reserved 0 m false;
+              for k = 0 to have - 1 do
+                reserved.(out.(k)) <- true
+              done;
+              let nrun = ref 0 in
+              for i = 0 to m - 1 do
+                let j = machine_of.(i) in
+                if j >= 0 && (not bfilled.(j)) && not listed.(j) then begin
+                  listed.(j) <- true;
                   let elapsed = time - started.(j) in
-                  time + max 1 (predicted_total j - elapsed)
-                in
-                let by_pc =
-                  List.sort
-                    (fun a b ->
-                      match compare (pc a) (pc b) with
-                      | 0 -> compare a b
-                      | c -> c)
-                    fcfs
-                in
-                let acc = ref have and shadow = ref max_int in
-                List.iter
-                  (fun j ->
-                    if !acc < w_h then begin
-                      let got = ref 0 in
-                      for i = 0 to m - 1 do
-                        if machine_of.(i) = j && capable_mask.(h).(i)
-                        then begin
-                          reserved.(i) <- true;
-                          incr got
-                        end
-                      done;
-                      if !got > 0 then begin
-                        acc := !acc + !got;
-                        shadow := pc j
-                      end
-                    end)
-                  by_pc;
-                let shadow = !shadow in
-                (* Conservative backfill into the hole, FCFS order:
-                   fit on non-reserved machines, or predict completion
-                   by the shadow time. *)
-                for c = 0 to n - 1 do
-                  if
-                    c <> h && remaining.(c) && eligible.(c)
-                    && not running.(c)
-                  then begin
-                    let w_c = widths.(c) in
-                    let free i = machine_of.(i) = -1 in
-                    let free_unreserved i = free i && not reserved.(i) in
-                    let chosen =
-                      if pick c w_c free_unreserved = w_c then w_c
-                      else if
-                        time + predicted_total c <= shadow
-                        && pick c w_c free = w_c
-                      then w_c
-                      else 0
-                    in
-                    if chosen = w_c then begin
-                      for k = 0 to w_c - 1 do
-                        machine_of.(out.(k)) <- c
-                      done;
-                      running.(c) <- true;
-                      bfilled.(c) <- true;
-                      started.(c) <- time;
-                      emit (Started { job = c; time; backfilled = true })
+                  let p = time + Int.max 1 (predicted_total j - elapsed) in
+                  let k = ref !nrun in
+                  while
+                    !k > 0
+                    && (pcs.(!k - 1) > p
+                       || (pcs.(!k - 1) = p && by_pc.(!k - 1) > j))
+                  do
+                    by_pc.(!k) <- by_pc.(!k - 1);
+                    pcs.(!k) <- pcs.(!k - 1);
+                    decr k
+                  done;
+                  by_pc.(!k) <- j;
+                  pcs.(!k) <- p;
+                  incr nrun
+                end
+              done;
+              let cap_h = capable_mask.(h) in
+              let acc = ref have and shadow = ref max_int in
+              for k = 0 to !nrun - 1 do
+                let j = by_pc.(k) in
+                listed.(j) <- false;
+                if !acc < w_h then begin
+                  let got = ref 0 in
+                  for i = 0 to m - 1 do
+                    if machine_of.(i) = j && cap_h.(i) then begin
+                      reserved.(i) <- true;
+                      incr got
                     end
+                  done;
+                  if !got > 0 then begin
+                    acc := !acc + !got;
+                    shadow := pcs.(k)
                   end
-                done
-              end
+                end
+              done;
+              let shadow = !shadow in
+              (* Conservative backfill into the hole, FCFS order: fit
+                 on non-reserved machines, or predict completion by the
+                 shadow time.  Every job before the head is running or
+                 ineligible, a candidate needs [w_c] free machines, and
+                 the scan ends when none is left. *)
+              let nfree = ref 0 in
+              for i = 0 to m - 1 do
+                if machine_of.(i) = -1 then incr nfree
+              done;
+              let c = ref (h + 1) in
+              while !nfree > 0 && !c < n do
+                let c' = !c in
+                if remaining.(c') && eligible.(c') && not running.(c')
+                then begin
+                  let w_c = widths.(c') in
+                  if
+                    w_c <= !nfree
+                    && (pick c' w_c free_unreserved = w_c
+                       || (time + predicted_total c' <= shadow
+                          && pick c' w_c free = w_c))
+                  then begin
+                    start ~time ~backfilled:true c' w_c;
+                    nfree := !nfree - w_c
+                  end
+                end;
+                incr c
+              done
             end
           end
         done;

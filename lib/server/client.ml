@@ -18,10 +18,10 @@ exception Protocol_failure of string
 (* Client-side resilience counters.  They live in the client process's
    own registry (the server cannot see a reply the network dropped);
    [suu client stats --full] appends them to the server snapshot. *)
-let c_retries = lazy (Suu_obs.Registry.counter "client.retries")
-let c_timeouts = lazy (Suu_obs.Registry.counter "client.timeouts")
-let c_reconnects = lazy (Suu_obs.Registry.counter "client.reconnects")
-let c_giveups = lazy (Suu_obs.Registry.counter "client.giveups")
+let c_retries = Suu_obs.Registry.memo_counter "client.retries"
+let c_timeouts = Suu_obs.Registry.memo_counter "client.timeouts"
+let c_reconnects = Suu_obs.Registry.memo_counter "client.reconnects"
+let c_giveups = Suu_obs.Registry.memo_counter "client.giveups"
 
 let dial ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -66,7 +66,7 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?timeout_ms ?(backoff_ms = 25)
     | fd -> fd
     | exception (Unix.Unix_error _ as e) ->
         if attempt < retries then begin
-          Suu_obs.Counter.incr (Lazy.force c_retries);
+          Suu_obs.Counter.incr (c_retries ());
           backoff_delay ~backoff_ms ~rng (attempt + 1);
           dial_retry (attempt + 1)
         end
@@ -90,7 +90,7 @@ let reconnect t =
   let fd = dial ~host:t.host ~port:t.port in
   t.fd <- fd;
   t.rd <- Lineio.reader fd;
-  Suu_obs.Counter.incr (Lazy.force c_reconnects)
+  Suu_obs.Counter.incr (c_reconnects ())
 
 let resp_id = function P.Ok { id; _ } -> id | P.Err { id; _ } -> id
 
@@ -151,14 +151,14 @@ let call t ?(auto_id = true) ?id ?deadline_ms body =
     let result =
       try
         if attempt > 0 then begin
-          Suu_obs.Counter.incr (Lazy.force c_retries);
+          Suu_obs.Counter.incr (c_retries ());
           backoff_delay ~backoff_ms:t.backoff_ms ~rng:t.rng attempt;
           reconnect t
         end;
         Result.Ok (call_once t ?id ?deadline_ms body)
       with
       | Lineio.Read_timeout ->
-          Suu_obs.Counter.incr (Lazy.force c_timeouts);
+          Suu_obs.Counter.incr (c_timeouts ());
           Result.Error
             (Protocol_failure
                (Printf.sprintf "no response within %dms"
@@ -169,14 +169,14 @@ let call t ?(auto_id = true) ?id ?deadline_ms body =
     | Result.Ok (P.Err { code = P.Internal | P.Overloaded; _ } as resp) ->
         if attempt < t.retries then go (attempt + 1)
         else begin
-          if t.retries > 0 then Suu_obs.Counter.incr (Lazy.force c_giveups);
+          if t.retries > 0 then Suu_obs.Counter.incr (c_giveups ());
           resp
         end
     | Result.Ok resp -> resp
     | Result.Error e ->
         if attempt < t.retries then go (attempt + 1)
         else begin
-          if t.retries > 0 then Suu_obs.Counter.incr (Lazy.force c_giveups);
+          if t.retries > 0 then Suu_obs.Counter.incr (c_giveups ());
           raise e
         end
   in

@@ -32,7 +32,7 @@ let active c =
 type point = {
   p : float;
   rng : Suu_prng.Rng.t;
-  counter : Suu_obs.Counter.t Lazy.t;
+  counter : unit -> Suu_obs.Counter.t;
 }
 
 type t = {
@@ -48,7 +48,7 @@ type t = {
 let point ~seed ~salt ~p name =
   { p;
     rng = Suu_prng.Rng.create ~seed:(seed + salt);
-    counter = lazy (Suu_obs.Registry.counter ("faults.injected." ^ name)) }
+    counter = Suu_obs.Registry.memo_counter ("faults.injected." ^ name) }
 
 let create config =
   let seed = config.seed in
@@ -69,7 +69,7 @@ let fire t pt =
   let u = Suu_prng.Rng.uniform_open pt.rng in
   Mutex.unlock t.lock;
   let hit = pt.p > 0.0 && u < pt.p in
-  if hit then Suu_obs.Counter.incr (Lazy.force pt.counter);
+  if hit then Suu_obs.Counter.incr (pt.counter ());
   hit
 
 let maybe_crash t = if fire t t.p_crash then raise Injected_crash

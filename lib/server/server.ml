@@ -173,11 +173,11 @@ let observe t ~rtype ~code ~arrival =
   Metrics.observe t.metrics ~rtype ~code
     ~latency:(Unix.gettimeofday () -. arrival)
 
-let c_worker_restarts = lazy (Suu_obs.Registry.counter "server.worker.restarts")
+let c_worker_restarts = Suu_obs.Registry.memo_counter "server.worker.restarts"
 
-let c_write_resumed = lazy (Suu_obs.Registry.counter "server.writer.resumed")
+let c_write_resumed = Suu_obs.Registry.memo_counter "server.writer.resumed"
 
-let c_read_paused = lazy (Suu_obs.Registry.counter "server.reader.paused")
+let c_read_paused = Suu_obs.Registry.memo_counter "server.reader.paused"
 
 (* Close out a request's root span: [server.request] spans (one per
    request, any outcome) carry the end-to-end latency histogram in the
@@ -320,7 +320,7 @@ let worker_loop t () =
     | Some job ->
         (try process t job
          with e ->
-           Suu_obs.Counter.incr (Lazy.force c_worker_restarts);
+           Suu_obs.Counter.incr (c_worker_restarts ());
            let rtype = P.body_type job.req.P.body in
            Printf.eprintf
              "suu-serve: worker crashed on %s request (%s); restarting\n%!"
@@ -445,7 +445,7 @@ let try_flush t cs =
       done
     with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Suu_obs.Counter.incr (Lazy.force c_write_resumed)
+        Suu_obs.Counter.incr (c_write_resumed ())
     | Unix.Unix_error _ ->
         (* Peer gone mid-write: the requests' effects are dropped, their
            spans are closed out by [close_conn]. *)
@@ -472,7 +472,7 @@ let enqueue_out t cs ?(kill = false) ?meta data =
          backlog halves; admission stops with it. *)
       if (not cs.c_paused) && cs.c_out_bytes > t.cfg.outbuf_limit then begin
         cs.c_paused <- true;
-        Suu_obs.Counter.incr (Lazy.force c_read_paused)
+        Suu_obs.Counter.incr (c_read_paused ())
       end;
       after_write t cs
     end

@@ -250,7 +250,7 @@ let stats_fields t =
    the hit/miss statistics a client later reads from [stats].
    [store.warm_start.loaded] counts the bodies that contributed to the
    caches instead. *)
-let c_warm_loaded = lazy (Suu_obs.Registry.counter "store.warm_start.loaded")
+let c_warm_loaded = Suu_obs.Registry.memo_counter "store.warm_start.loaded"
 
 let warm t body =
   let loaded =
@@ -267,7 +267,7 @@ let warm t body =
                still worth caching (entry_for ran inside get_policy). *)
             true)
   in
-  if loaded then Suu_obs.Counter.incr (Lazy.force c_warm_loaded);
+  if loaded then Suu_obs.Counter.incr (c_warm_loaded ());
   loaded
 
 let handle t ?deadline body =

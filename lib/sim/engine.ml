@@ -19,13 +19,13 @@ let completion_slack w = 1e-12 *. Float.max 1.0 w
 
 (* Telemetry is recorded per *run*, never per step: two clock reads and a
    handful of batched counter adds bound the overhead regardless of the
-   makespan.  Counters are lazy so the registry entry only appears once a
-   simulation actually ran in this process. *)
-let c_runs = lazy (Suu_obs.Registry.counter "engine.runs")
-let c_steps = lazy (Suu_obs.Registry.counter "engine.steps")
-let c_busy = lazy (Suu_obs.Registry.counter "engine.busy_steps")
-let c_wasted = lazy (Suu_obs.Registry.counter "engine.wasted_steps")
-let c_idle = lazy (Suu_obs.Registry.counter "engine.idle_steps")
+   makespan.  Counters are interned on first use, so the registry entry
+   only appears once a simulation actually ran in this process. *)
+let c_runs = Suu_obs.Registry.memo_counter "engine.runs"
+let c_steps = Suu_obs.Registry.memo_counter "engine.steps"
+let c_busy = Suu_obs.Registry.memo_counter "engine.busy_steps"
+let c_wasted = Suu_obs.Registry.memo_counter "engine.wasted_steps"
+let c_idle = Suu_obs.Registry.memo_counter "engine.idle_steps"
 
 let run ?(cap = 4_000_000) ?on_step inst policy ~trace ~rng =
   let obs = Suu_obs.Registry.enabled () in
@@ -130,11 +130,11 @@ let run ?(cap = 4_000_000) ?on_step inst policy ~trace ~rng =
       ();
     Suu_obs.Span.record ~name:"engine.exec" ~start_ns:t_init ~stop_ns:t_done
       ();
-    Suu_obs.Counter.incr (Lazy.force c_runs);
-    Suu_obs.Counter.add (Lazy.force c_steps) !time;
-    Suu_obs.Counter.add (Lazy.force c_busy) !busy;
-    Suu_obs.Counter.add (Lazy.force c_wasted) !wasted;
-    Suu_obs.Counter.add (Lazy.force c_idle) !idle
+    Suu_obs.Counter.incr (c_runs ());
+    Suu_obs.Counter.add (c_steps ()) !time;
+    Suu_obs.Counter.add (c_busy ()) !busy;
+    Suu_obs.Counter.add (c_wasted ()) !wasted;
+    Suu_obs.Counter.add (c_idle ()) !idle
   end;
   { makespan = !time; busy_steps = !busy; wasted_steps = !wasted;
     idle_steps = !idle }

@@ -14,7 +14,7 @@ let default_jobs () =
    worker-private state per domain (policies are not domain-safe to
    share mid-execution); the body writes only to disjoint result slots,
    so no further synchronization is needed. *)
-let c_items = lazy (Suu_obs.Registry.counter "parallel.items")
+let c_items = Suu_obs.Registry.memo_counter "parallel.items"
 
 let run_chunks ~jobs ~chunk ~n ~local body =
   if n > 0 then begin
@@ -27,7 +27,7 @@ let run_chunks ~jobs ~chunk ~n ~local body =
         body st i
       done;
       if obs then begin
-        Suu_obs.Counter.add (Lazy.force c_items) n;
+        Suu_obs.Counter.add (c_items ()) n;
         Suu_obs.Span.record ~name:"parallel.worker"
           ~attrs:[ ("items", string_of_int n) ]
           ~start_ns:t0
@@ -62,7 +62,7 @@ let run_chunks ~jobs ~chunk ~n ~local body =
           in
           loop ();
           if obs then begin
-            Suu_obs.Counter.add (Lazy.force c_items) !mine;
+            Suu_obs.Counter.add (c_items ()) !mine;
             Suu_obs.Span.record ~name:"parallel.worker" ?parent
               ~attrs:[ ("items", string_of_int !mine) ]
               ~start_ns:t0

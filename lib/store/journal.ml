@@ -2,8 +2,8 @@ type entry = { seq : int; request : string; response : string option }
 
 type t = { log : Record_log.t; response_sync : bool }
 
-let c_requests = lazy (Suu_obs.Registry.counter "store.journal.requests")
-let c_responses = lazy (Suu_obs.Registry.counter "store.journal.responses")
+let c_requests = Suu_obs.Registry.memo_counter "store.journal.requests"
+let c_responses = Suu_obs.Registry.memo_counter "store.journal.responses"
 
 let kind_request = 0
 let kind_response = 1
@@ -58,12 +58,12 @@ let next_seq entries =
 
 let log_request t ~seq bytes =
   Record_log.append ~sync:true t.log (encode ~kind:kind_request ~seq bytes);
-  Suu_obs.Counter.incr (Lazy.force c_requests)
+  Suu_obs.Counter.incr (c_requests ())
 
 let log_response t ~seq bytes =
   Record_log.append ~sync:t.response_sync t.log
     (encode ~kind:kind_response ~seq bytes);
-  Suu_obs.Counter.incr (Lazy.force c_responses)
+  Suu_obs.Counter.incr (c_responses ())
 
 let path t = Record_log.path t.log
 let close t = Record_log.close t.log

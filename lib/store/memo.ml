@@ -1,7 +1,7 @@
 let default_batch = 64
 
-let c_served = lazy (Suu_obs.Registry.counter "store.memo.served")
-let c_computed = lazy (Suu_obs.Registry.counter "store.memo.computed")
+let c_served = Suu_obs.Registry.memo_counter "store.memo.served"
+let c_computed = Suu_obs.Registry.memo_counter "store.memo.computed"
 
 let instance_digest inst =
   Digest.to_hex (Digest.string (Suu_core.Instance_io.to_string inst))
@@ -23,7 +23,7 @@ let makespans ~store ?cap ?jobs ?(batch = default_batch) ?policy_name inst
   let have_n = min (Array.length have) reps in
   let results = Array.make reps 0.0 in
   Array.blit have 0 results 0 have_n;
-  Suu_obs.Counter.add (Lazy.force c_served) have_n;
+  Suu_obs.Counter.add (c_served ()) have_n;
   if have_n < reps then begin
     (* Same derivation as Runner.makespans: replication [k]'s pair
        depends only on (seed, k), so starting mid-sweep replays the
@@ -45,6 +45,6 @@ let makespans ~store ?cap ?jobs ?(batch = default_batch) ?policy_name inst
         (Array.sub results base (hi - base));
       lo := hi
     done;
-    Suu_obs.Counter.add (Lazy.force c_computed) (reps - have_n)
+    Suu_obs.Counter.add (c_computed ()) (reps - have_n)
   end;
   results

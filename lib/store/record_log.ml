@@ -2,8 +2,8 @@ let header = "suu-record-log v1\n"
 let header_len = String.length header
 let max_record_bytes = 64 * 1024 * 1024
 
-let c_recovered = lazy (Suu_obs.Registry.counter "store.recovered")
-let c_truncated = lazy (Suu_obs.Registry.counter "store.truncated")
+let c_recovered = Suu_obs.Registry.memo_counter "store.recovered"
+let c_truncated = Suu_obs.Registry.memo_counter "store.truncated"
 
 type t = {
   fpath : string;
@@ -132,13 +132,13 @@ let open_log ?(sync = true) path =
      if torn then begin
        Unix.ftruncate fd good_end;
        Unix.fsync fd;
-       Suu_obs.Counter.incr (Lazy.force c_truncated)
+       Suu_obs.Counter.incr (c_truncated ())
      end;
      ignore (Unix.lseek fd 0 Unix.SEEK_END : int)
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  Suu_obs.Counter.add (Lazy.force c_recovered) (List.length records);
+  Suu_obs.Counter.add (c_recovered ()) (List.length records);
   ( { fpath = path; fd; default_sync = sync; lock = Mutex.create ();
       closed = false },
     records )
