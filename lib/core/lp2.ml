@@ -93,9 +93,8 @@ let solve_impl ?top_machines ~solver inst ~chains =
     jobs;
   (* (LP2) has chain-length and coupling rows (LP1 does not), so it is
      not a min-load cover: MWU does not apply and maps to the dense
-     default.  [Revised] routes to the revised simplex — same exact
-     optimum, independent pivoting — chiefly so differential tests can
-     drive both backends through the full (LP2) shape. *)
+     default.  [Revised] routes to the revised simplex — same optimal
+     value, independent pivoting, possibly another optimal vertex. *)
   let value, sol =
     match solver with
     | Solver_choice.Revised -> Suu_lp.Revised_simplex.solve_exn p

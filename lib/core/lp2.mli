@@ -36,8 +36,10 @@ val solve :
 (** [solve inst ~chains] solves the relaxation over the jobs mentioned in
     [chains].  [solver] picks the exact backend: [Revised] uses the
     revised simplex, anything else (including [Mwu _], whose min-load
-    cover shape does not fit the chain-length rows) the dense tableau —
-    both exact, so the optimum is the same either way.  Raises
+    cover shape does not fit the chain-length rows) the dense tableau.
+    Both are exact, so [value] agrees, but they can stop at different
+    optimal vertices (measured on LP2 blocks of the benchmark's forest
+    instance), and so round to different plans.  Raises
     [Invalid_argument] when chains repeat a job or mention one out of
     range. *)
 

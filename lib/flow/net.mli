@@ -3,8 +3,8 @@
     The rounding step of the paper's Lemma 2 (and Lemma 6) needs an
     *integral* maximum flow — Ford–Fulkerson's integrality theorem is what
     makes the rounded assignment integral.  This module stores a residual
-    graph; {!Dinic.max_flow} and {!Edmonds_karp.max_flow} operate on it in
-    place. *)
+    graph; {!Dinic.max_flow} operates on it in place (so does the test
+    suite's Edmonds–Karp oracle). *)
 
 type t
 (** A flow network over nodes [0 .. num_nodes - 1]. *)

@@ -2,8 +2,19 @@
 
     Solves the minimization problems built with {!Problem}.  Uses Dantzig
     pricing with an automatic switch to Bland's rule to guarantee
-    termination under degeneracy, and a full-tableau implementation — ample
-    for the (LP1)/(LP2) relaxations, whose tableaux have [n + m] rows.
+    termination under degeneracy, and a full-tableau implementation: one
+    row per constraint, one column per variable, slack, surplus and
+    artificial.  (LP1) has [n + m] rows; (LP2) has [n + m + z + |pairs| + n]
+    (coverage, load, one per chain, [x <= d] per allowed job–machine pair,
+    [d >= 1]), which at [n = 256, m = 16] is 4,656 rows by ~9.5k columns.
+
+    A pivot costs one pass over the entering column (ratio test), one over
+    the pivot row, and an update of only the rows with a nonzero in the
+    entering column at only the pivot row's nonzero columns.  Every entry
+    it updates sees the same floating-point operations, in the same order,
+    as a sweep of the whole tableau; the skipped updates would subtract
+    [f *. 0.0], which can at most flip the sign of a zero.  So the pivot
+    sequence, the optimum, [x] and the duals are those of the full sweep.
 
     All comparisons use an absolute tolerance of [1e-9]; callers should
     treat returned values as accurate to roughly [1e-7] relative. *)

@@ -1,3 +1,5 @@
+module Net = Suu_flow.Net
+
 let max_flow net ~s ~t =
   let n = Net.num_nodes net in
   if s < 0 || s >= n || t < 0 || t >= n then

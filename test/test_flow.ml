@@ -4,7 +4,7 @@
 
 module Net = Suu_flow.Net
 module Dinic = Suu_flow.Dinic
-module Ek = Suu_flow.Edmonds_karp
+module Ek = Edmonds_karp
 module Matching = Suu_flow.Matching
 
 let test_single_edge () =

@@ -620,6 +620,262 @@ let test_mwu_single () =
     true
     (value >= 4.0 -. 1e-9 && value <= 4.0 *. 1.3)
 
+(* --- the tableau against its pre-sparse-pivot oracle --- *)
+
+(* {!Oracle_simplex} is the dense tableau whose pivot sweeps every
+   column of every row.  The production pivot touches only nonzeros and
+   promises the same floating-point operations on every nonzero entry,
+   so the results must agree exactly: same constructor and, on an
+   optimum, objective, [x] and duals equal under [=] (which identifies
+   -0 and +0). *)
+
+module O = Oracle_simplex
+
+let same_result a b =
+  match (a, b) with
+  | S.Optimal { objective = oa; x = xa }, O.Optimal { objective = ob; x = xb }
+    ->
+      oa = ob && xa = xb
+  | S.Infeasible, O.Infeasible
+  | S.Unbounded, O.Unbounded
+  | S.Iteration_limit, O.Iteration_limit ->
+      true
+  | _, _ -> false
+
+let same_detailed a b =
+  match (a, b) with
+  | Some (a : S.detailed), Some (b : O.detailed) ->
+      a.objective = b.objective && a.x = b.x && a.duals = b.duals
+  | None, None -> true
+  | _, _ -> false
+
+let agrees_with_oracle ?max_iters p =
+  same_result (S.solve ?max_iters p) (O.solve ?max_iters p)
+  && same_detailed (S.solve_detailed ?max_iters p)
+       (O.solve_detailed ?max_iters p)
+
+(* Problems as plain data, so rows can be duplicated before the
+   problem is built. *)
+type lp = {
+  obj : float array;
+  rows : ((int * float) list * P.sense * float) list;
+}
+
+let to_problem lp =
+  let p = P.create () in
+  Array.iter (fun c -> ignore (P.add_var ~obj:c p)) lp.obj;
+  List.iter (fun (terms, sense, rhs) -> P.add_constraint p terms sense rhs)
+    lp.rows;
+  p
+
+(* Small integers make exact cancellations, ties and degenerate
+   vertices common; the rest are arbitrary floats. *)
+let coeff rng =
+  if Suu_prng.Rng.bool rng then float_of_int (Suu_prng.Rng.int rng 7 - 3)
+  else Suu_prng.Rng.range rng ~lo:(-3.0) ~hi:3.0
+
+let sparse_lp seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let nv = 2 + Suu_prng.Rng.int rng 14 in
+  let nc = 1 + Suu_prng.Rng.int rng 14 in
+  let density = [| 0.15; 0.3; 0.6 |].(Suu_prng.Rng.int rng 3) in
+  let obj = Array.init nv (fun _ -> coeff rng) in
+  (* Most problems get right-hand sides that keep a random integer
+     point [x0] feasible, negative wherever the row is negative at
+     [x0]; the rest get arbitrary ones and are mostly infeasible. *)
+  let x0 =
+    if Suu_prng.Rng.int rng 5 = 0 then None
+    else Some (Array.init nv (fun _ -> float_of_int (Suu_prng.Rng.int rng 4)))
+  in
+  let row () =
+    let terms =
+      List.filter_map
+        (fun v ->
+          if Suu_prng.Rng.float rng 1.0 < density then Some (v, coeff rng)
+          else None)
+        (List.init nv Fun.id)
+    in
+    let terms =
+      if terms = [] then [ (Suu_prng.Rng.int rng nv, 1.0) ] else terms
+    in
+    let sense =
+      match Suu_prng.Rng.int rng 3 with 0 -> P.Le | 1 -> P.Ge | _ -> P.Eq
+    in
+    let rhs =
+      match x0 with
+      | None -> float_of_int (Suu_prng.Rng.int rng 9 - 3)
+      | Some x0 ->
+          let at =
+            List.fold_left (fun acc (v, c) -> acc +. (c *. x0.(v))) 0.0 terms
+          in
+          let slack = float_of_int (Suu_prng.Rng.int rng 3) in
+          match sense with
+          | P.Le -> at +. slack
+          | P.Ge -> at -. slack
+          | P.Eq -> at
+    in
+    (terms, sense, rhs)
+  in
+  let rows = List.init nc (fun _ -> row ()) in
+  (* Half the time, a budget row keeps most of them bounded. *)
+  let rows =
+    if Suu_prng.Rng.bool rng then
+      (List.init nv (fun v -> (v, 1.0)), P.Le, 10.0) :: rows
+    else rows
+  in
+  (rng, { obj; rows })
+
+(* Copies and sums of existing rows leave artificial basics at level
+   zero after phase 1, which is what [expel_artificials] pivots out. *)
+let redundant_lp seed =
+  let rng, lp = sparse_lp seed in
+  let rows = Array.of_list lp.rows in
+  let pick () = rows.(Suu_prng.Rng.int rng (Array.length rows)) in
+  let extra =
+    List.init
+      (1 + Suu_prng.Rng.int rng 4)
+      (fun _ ->
+        let terms, sense, rhs = pick () in
+        match Suu_prng.Rng.int rng 3 with
+        | 0 -> (terms, sense, rhs)
+        | 1 -> (List.map (fun (v, c) -> (v, 2.0 *. c)) terms, sense, 2.0 *. rhs)
+        | _ ->
+            let terms', _, rhs' = pick () in
+            (terms @ terms', P.Eq, rhs +. rhs'))
+  in
+  let all = Array.of_list (lp.rows @ extra) in
+  Suu_prng.Rng.shuffle rng all;
+  { lp with rows = Array.to_list all }
+
+(* LP1: min t s.t. sum_i a_ij x_ij >= target_j, sum_j x_ij <= t, with
+   some machines unable to run some jobs. *)
+let lp1_lp seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let m = 1 + Suu_prng.Rng.int rng 5 in
+  let n = 1 + Suu_prng.Rng.int rng 8 in
+  let a =
+    Array.init m (fun _ ->
+        Array.init n (fun _ ->
+            match Suu_prng.Rng.int rng 4 with
+            | 0 -> 0.0
+            | 1 -> 1.0
+            | _ -> Suu_prng.Rng.range rng ~lo:0.05 ~hi:1.0))
+  in
+  for j = 0 to n - 1 do
+    if a.(0).(j) = 0.0 then a.(Suu_prng.Rng.int rng m).(j) <- 0.5
+  done;
+  let x i j = 1 + (i * n) + j in
+  let obj = Array.init (1 + (m * n)) (fun v -> if v = 0 then 1.0 else 0.0) in
+  let cover =
+    List.init n (fun j ->
+        ( List.filter_map
+            (fun i -> if a.(i).(j) > 0.0 then Some (x i j, a.(i).(j)) else None)
+            (List.init m Fun.id),
+          P.Ge,
+          if Suu_prng.Rng.bool rng then 1.0
+          else Suu_prng.Rng.range rng ~lo:0.5 ~hi:2.0 ))
+  in
+  let load =
+    List.init m (fun i ->
+        ((0, -1.0) :: List.init n (fun j -> (x i j, 1.0)), P.Le, 0.0))
+  in
+  { obj; rows = cover @ load }
+
+(* LP2 (Section 4): LP1's rows plus one length row per chain, x <= d
+   coupling rows and d >= 1, laid out as {!Suu_core.Lp2} does. *)
+let lp2_lp seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let m = 1 + Suu_prng.Rng.int rng 4 in
+  let n = 1 + Suu_prng.Rng.int rng 7 in
+  let allowed =
+    Array.init n (fun _ ->
+        let l =
+          List.filter (fun _ -> Suu_prng.Rng.int rng 4 > 0) (List.init m Fun.id)
+        in
+        if l = [] then [ Suu_prng.Rng.int rng m ] else l)
+  in
+  let nvars = ref 1 in
+  let fresh () =
+    let v = !nvars in
+    incr nvars;
+    v
+  in
+  let d = Array.make n 0 in
+  let x = Array.make_matrix m n (-1) in
+  for j = 0 to n - 1 do
+    d.(j) <- fresh ();
+    List.iter (fun i -> x.(i).(j) <- fresh ()) allowed.(j)
+  done;
+  let pairs =
+    List.concat_map (fun j -> List.map (fun i -> (i, j)) allowed.(j))
+      (List.init n Fun.id)
+  in
+  let l () =
+    if Suu_prng.Rng.bool rng then 1.0
+    else Suu_prng.Rng.range rng ~lo:0.05 ~hi:1.0
+  in
+  let cover =
+    List.init n (fun j ->
+        (List.map (fun i -> (x.(i).(j), l ())) allowed.(j), P.Ge, 1.0))
+  in
+  let load =
+    List.init m (fun i ->
+        ( (0, -1.0)
+          :: List.filter_map
+               (fun (i', j) -> if i' = i then Some (x.(i).(j), 1.0) else None)
+               pairs,
+          P.Le,
+          0.0 ))
+  in
+  (* Cut the jobs into consecutive chains. *)
+  let chains = ref [] and cur = ref [] in
+  for j = 0 to n - 1 do
+    cur := j :: !cur;
+    if j = n - 1 || Suu_prng.Rng.int rng 3 = 0 then begin
+      chains := List.rev !cur :: !chains;
+      cur := []
+    end
+  done;
+  let length =
+    List.rev_map
+      (fun chain ->
+        ((0, -1.0) :: List.map (fun j -> (d.(j), 1.0)) chain, P.Le, 0.0))
+      !chains
+  in
+  let coupling =
+    List.map
+      (fun (i, j) -> ([ (x.(i).(j), 1.0); (d.(j), -1.0) ], P.Le, 0.0))
+      pairs
+  in
+  let unit = List.init n (fun j -> ([ (d.(j), 1.0) ], P.Ge, 1.0)) in
+  let obj = Array.init !nvars (fun v -> if v = 0 then 1.0 else 0.0) in
+  { obj; rows = cover @ load @ length @ coupling @ unit }
+
+let oracle_prop ~count ~name gen =
+  QCheck.Test.make ~count ~name QCheck.small_int (fun seed ->
+      agrees_with_oracle (to_problem (gen seed)))
+
+let prop_oracle_sparse =
+  oracle_prop ~count:500 ~name:"tableau = oracle on sparse LPs" (fun seed ->
+      snd (sparse_lp seed))
+
+let prop_oracle_redundant =
+  oracle_prop ~count:500 ~name:"tableau = oracle with redundant rows"
+    redundant_lp
+
+let prop_oracle_lp1 =
+  oracle_prop ~count:200 ~name:"tableau = oracle on LP1 shapes" lp1_lp
+
+let prop_oracle_lp2 =
+  oracle_prop ~count:200 ~name:"tableau = oracle on LP2 shapes" lp2_lp
+
+let prop_oracle_iteration_limit =
+  QCheck.Test.make ~count:300 ~name:"tableau = oracle under a tiny max_iters"
+    QCheck.(pair small_int (int_bound 6))
+    (fun (seed, max_iters) ->
+      let lp = if seed mod 2 = 0 then redundant_lp seed else lp2_lp seed in
+      agrees_with_oracle ~max_iters (to_problem lp))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "lp"
@@ -673,5 +929,10 @@ let () =
           q prop_warm_matches_cold_lp2_shape;
           q prop_warm_garbage_basis_harmless;
           q prop_mwu_feasible_and_near_optimal;
+          q prop_oracle_sparse;
+          q prop_oracle_redundant;
+          q prop_oracle_lp1;
+          q prop_oracle_lp2;
+          q prop_oracle_iteration_limit;
         ] );
     ]
