@@ -1,25 +1,72 @@
+(* The primitive [Printf]'s [%g] conversions end in.  Calling it
+   directly skips the format interpretation and the per-call rebuild of
+   the C format string, about a third of the cost of a cell. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float17 x = format_float "%.17g" x
+
 let to_string inst =
   let m = Instance.m inst and n = Instance.n inst in
   let buf = Buffer.create (64 + (m * n * 12)) in
-  Buffer.add_string buf "suu-instance v1\n";
-  Buffer.add_string buf ("name " ^ Instance.name inst ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "machines %d\n" m);
-  Buffer.add_string buf (Printf.sprintf "jobs %d\n" n);
-  Buffer.add_string buf "q\n";
+  let line s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
+  line "suu-instance v1";
+  line ("name " ^ Instance.name inst);
+  line ("machines " ^ string_of_int m);
+  line ("jobs " ^ string_of_int n);
+  line "q";
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       if j > 0 then Buffer.add_char buf ' ';
-      Buffer.add_string buf (Printf.sprintf "%.17g" (Instance.q inst i j))
+      Buffer.add_string buf (float17 (Instance.q inst i j))
     done;
     Buffer.add_char buf '\n'
   done;
   let edges = Suu_dag.Dag.edges (Instance.dag inst) in
-  Buffer.add_string buf (Printf.sprintf "edges %d\n" (List.length edges));
+  line ("edges " ^ string_of_int (List.length edges));
   List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "%d %d\n" a b))
+    (fun (a, b) -> line (string_of_int a ^ " " ^ string_of_int b))
     edges;
-  Buffer.add_string buf "end\n";
+  line "end";
   Buffer.contents buf
+
+(* [to_string] plus [Digest.string] walk the whole instance, and the
+   same value is digested over and over: the server keys its instance
+   cache by it on every request, and SUU-C (and SUU-T's stages) build
+   an inner SUU-I-SEM policy value, hence a plan-cache handle, at every
+   segment boundary of every replication.  The digest is therefore
+   memoized by physical identity.  Structural hashing is capped by
+   [Hashtbl.hash] (a bounded prefix walk), equality is [==], and the
+   memo is reset when it outgrows the server's instance cache rather
+   than kept weak: worst case it re-digests, never leaks unboundedly. *)
+module Id_tbl = Hashtbl.Make (struct
+  type t = Instance.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let digest_lock = Mutex.create ()
+let digest_memo : Digest.t Id_tbl.t = Id_tbl.create 16
+let digest_memo_cap = 128
+
+let digest inst =
+  Mutex.lock digest_lock;
+  match Id_tbl.find_opt digest_memo inst with
+  | Some d ->
+      Mutex.unlock digest_lock;
+      d
+  | None ->
+      Mutex.unlock digest_lock;
+      let d = Digest.string (to_string inst) in
+      Mutex.lock digest_lock;
+      if Id_tbl.length digest_memo >= digest_memo_cap then
+        Id_tbl.reset digest_memo;
+      Id_tbl.replace digest_memo inst d;
+      Mutex.unlock digest_lock;
+      d
 
 (* A tiny line cursor with located error messages. *)
 type cursor = { lines : string array; mutable pos : int }

@@ -18,6 +18,21 @@
     Floats are printed with full round-trip precision ([%.17g]). *)
 
 val to_string : Instance.t -> string
+(** The canonical rendering: instances with equal renderings are the
+    same instance. *)
+
+val float17 : float -> string
+(** [float17 x] is [Printf.sprintf "%.17g" x], byte for byte, without
+    [Printf]'s format interpretation: the rendering of every q cell,
+    and of the floats in server replies. *)
+
+val digest : Instance.t -> Digest.t
+(** [digest inst] is [Digest.string (to_string inst)], the canonical
+    digest: it keys the server's instance cache, the plan cache, the
+    result store (as hex), the backfill predictor's seed and shard
+    routing, so its value must never change for a given instance.
+    Memoized by physical identity over a bounded table, so digesting
+    one value again costs a lookup, not a render.  Thread-safe. *)
 
 val of_string : string -> Instance.t
 (** Raises [Failure] with a line-numbered message on malformed input, or

@@ -153,44 +153,8 @@ type t = {
   evictions : int Atomic.t;
 }
 
-(* [Instance_io.to_string] plus [Digest.string] walk the whole
-   instance, and handles are not always long-lived: SUU-C (and SUU-T's
-   stages) build an inner SUU-I-SEM policy value — hence a cache
-   handle — at every segment boundary of every replication.  The digest
-   is therefore memoized by physical identity.  Structural hashing is
-   capped by [Hashtbl.hash] (a bounded prefix walk), equality is [==],
-   and the memo is reset when it outgrows the server's instance cache
-   rather than kept weak — worst case it re-digests, never leaks
-   unboundedly. *)
-module Id_tbl = Hashtbl.Make (struct
-  type t = Instance.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let digest_lock = Mutex.create ()
-let digest_memo : string Id_tbl.t = Id_tbl.create 16
-let digest_memo_cap = 128
-
-let instance_digest inst =
-  Mutex.lock digest_lock;
-  match Id_tbl.find_opt digest_memo inst with
-  | Some d ->
-      Mutex.unlock digest_lock;
-      d
-  | None ->
-      Mutex.unlock digest_lock;
-      let d = Digest.string (Instance_io.to_string inst) in
-      Mutex.lock digest_lock;
-      if Id_tbl.length digest_memo >= digest_memo_cap then
-        Id_tbl.reset digest_memo;
-      Id_tbl.replace digest_memo inst d;
-      Mutex.unlock digest_lock;
-      d
-
 let key_prefix ?solver inst =
-  let digest = instance_digest inst in
+  let digest = Instance_io.digest inst in
   let solver = Option.value solver ~default:Solver_choice.default in
   (* The digest is fixed-width and the solver name never contains a NUL,
      so the prefix is decodable and the whole key injective. *)

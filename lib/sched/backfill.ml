@@ -20,9 +20,7 @@ let default_width inst j =
 
 let policy ?width ?on_event inst =
   let m = Instance.m inst and n = Instance.n inst in
-  let digest =
-    Digest.string (Suu_core.Instance_io.to_string inst)
-  in
+  let digest = Suu_core.Instance_io.digest inst in
   let widths =
     Array.init n (fun j ->
         let cap = capable_count inst j in

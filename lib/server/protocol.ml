@@ -160,24 +160,78 @@ let parse_int cur s what =
       fail ~line:cur.line
         (Printf.sprintf "%s: expected an integer, got %S" what s)
 
-(* Read the embedded Instance_io block: the [instance] marker was just
-   consumed at [marker] (frame-relative), so block line [k] is frame
-   line [marker + k].  Failures inside {!Instance_io.of_string} carry
-   their own block-relative line, which we relocate into the frame. *)
-let read_instance cur =
-  let marker = cur.line in
-  let buf = Buffer.create 512 in
-  let lines = ref 0 in
-  let rec collect () =
-    let l = next_or_fail cur "inside instance block (missing 'end')" in
-    incr lines;
-    if !lines > max_instance_lines then
-      fail ~line:cur.line "instance block too large";
-    Buffer.add_string buf l;
-    Buffer.add_char buf '\n';
-    if String.trim l <> "end" then collect ()
+(* The parse memo: a resident server sees the same instance blocks over
+   and over, and parsing one costs a [float_of_string] per q cell.  Keys
+   are the raw block bytes compared by string equality, never a digest
+   of them (MD5 collisions can be constructed, and the bytes are
+   untrusted); only blocks that parsed and passed the caps are entered,
+   so errors always take the parse below and keep their locations.  A
+   hit returns the shared, immutable instance value, whose canonical
+   digest is then memoized by identity too ({!Instance_io.digest}).
+   Bounded by FIFO eviction over the bytes of the keys; a parsed q cell
+   takes 16 bytes against at least 2 of text, so the instances held
+   stay within about 8 times the budget. *)
+let instance_memo_budget = 4 * 1024 * 1024
+
+type instance_memo = {
+  mlock : Mutex.t;
+  table : (string, Instance.t) Hashtbl.t;
+  order : string Queue.t; (* insertion order, FIFO eviction *)
+  mutable bytes : int; (* total length of the keys in [table] *)
+}
+
+let memo =
+  { mlock = Mutex.create (); table = Hashtbl.create 64;
+    order = Queue.create (); bytes = 0 }
+
+let c_memo_hits = Suu_obs.Registry.memo_counter "protocol.instance_memo.hits"
+
+let c_memo_misses =
+  Suu_obs.Registry.memo_counter "protocol.instance_memo.misses"
+
+let c_memo_evictions =
+  Suu_obs.Registry.memo_counter "protocol.instance_memo.evictions"
+
+let memo_find block =
+  let r =
+    Mutex.protect memo.mlock (fun () -> Hashtbl.find_opt memo.table block)
   in
-  collect ();
+  Suu_obs.Counter.incr
+    (match r with Some _ -> c_memo_hits () | None -> c_memo_misses ());
+  r
+
+(* Returns the value to hand out: the one already entered when another
+   parse of the same block won the race, so equal blocks stay shared. *)
+let memo_add block inst =
+  let len = String.length block in
+  if len > instance_memo_budget then inst
+  else
+    Mutex.protect memo.mlock (fun () ->
+        match Hashtbl.find_opt memo.table block with
+        | Some shared -> shared
+        | None ->
+            while memo.bytes + len > instance_memo_budget do
+              let old = Queue.take memo.order in
+              Hashtbl.remove memo.table old;
+              memo.bytes <- memo.bytes - String.length old;
+              Suu_obs.Counter.incr (c_memo_evictions ())
+            done;
+            Hashtbl.add memo.table block inst;
+            Queue.add block memo.order;
+            memo.bytes <- memo.bytes + len;
+            inst)
+
+let reset_instance_memo_for_testing () =
+  Mutex.protect memo.mlock (fun () ->
+      Hashtbl.reset memo.table;
+      Queue.clear memo.order;
+      memo.bytes <- 0)
+
+(* Parse one embedded Instance_io block whose [instance] marker was
+   frame line [marker], so block line [k] is frame line [marker + k].
+   Failures inside {!Instance_io.of_string} carry their own
+   block-relative line, which we relocate into the frame. *)
+let parse_block ~marker block =
   let relocate msg =
     let prefix = "Instance_io: line " in
     let plen = String.length prefix in
@@ -204,7 +258,7 @@ let read_instance cur =
     | None -> fail ~line:(marker + 1) msg
   in
   let inst =
-    match Instance_io.of_string (Buffer.contents buf) with
+    match Instance_io.of_string block with
     | inst -> inst
     | exception Failure msg -> relocate msg
     | exception Invalid_argument msg -> relocate msg
@@ -215,6 +269,26 @@ let read_instance cur =
       (Printf.sprintf "instance too large (m=%d n=%d; caps: m<=%d n<=%d m*n<=%d)"
          m n max_machines max_jobs max_cells);
   inst
+
+(* Read the embedded block; the [instance] marker was just consumed. *)
+let read_instance cur =
+  let marker = cur.line in
+  let buf = Buffer.create 512 in
+  let lines = ref 0 in
+  let rec collect () =
+    let l = next_or_fail cur "inside instance block (missing 'end')" in
+    incr lines;
+    if !lines > max_instance_lines then
+      fail ~line:cur.line "instance block too large";
+    Buffer.add_string buf l;
+    Buffer.add_char buf '\n';
+    if String.trim l <> "end" then collect ()
+  in
+  collect ();
+  let block = Buffer.contents buf in
+  match memo_find block with
+  | Some inst -> inst
+  | None -> memo_add block (parse_block ~marker block)
 
 let request_types =
   [ "describe"; "lower_bound"; "plan"; "simulate"; "stats" ]
@@ -433,4 +507,4 @@ let instance_digest body =
          two textually different frames describing the same instance
          hash alike, which is what keys the plan cache, the result
          store and shard routing consistently. *)
-      Some (Digest.string (Suu_core.Instance_io.to_string inst))
+      Some (Instance_io.digest inst)

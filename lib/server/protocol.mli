@@ -91,7 +91,25 @@ val read_request : next_line:(unit -> string option) -> request option
     malformed input (including a stream truncated mid-frame).
     Oversized payloads are rejected at parse time: [reps] above
     [1_000_000], instances beyond [1024] machines, [65536] jobs or
-    [1_000_000] matrix entries. *)
+    [1_000_000] matrix entries.  Byte-identical instance blocks parse
+    to one shared instance value (see {!instance_memo_budget}). *)
+
+val instance_memo_budget : int
+(** Bytes of instance-block text (4 MiB) the parse memo behind
+    {!read_request} holds.  Requests whose embedded blocks are
+    byte-identical get the {e same} {!Suu_core.Instance.t} value: the
+    memo is keyed by the raw block bytes (compared by string equality,
+    not by a hash), maps them to the parsed instance, and evicts the
+    oldest blocks first once their total size would pass this budget.
+    A block larger than the budget is never memoized.  Only blocks that
+    parsed and passed the caps are entered, so malformed blocks always
+    fail with their located error.  Hits, misses and evictions count
+    into [protocol.instance_memo.{hits,misses,evictions}] in the obs
+    registry. *)
+
+val reset_instance_memo_for_testing : unit -> unit
+(** Forget every memoized block, so the next parse of any block is a
+    cold one.  Tests only. *)
 
 val read_response : next_line:(unit -> string option) -> response option
 (** Read one response frame; same conventions as {!read_request}. *)
@@ -111,8 +129,8 @@ val response_of_string : string -> response option
     {!request_of_string}. *)
 
 val instance_digest : body -> string option
-(** MD5 of the embedded instance's canonical {!Suu_core.Instance_io}
-    rendering; [None] for [Stats].  This is the digest the service
-    keys its instance cache by and the router hashes onto the shard
-    ring, so "same digest" means "same cache entry" means "same
+(** {!Suu_core.Instance_io.digest} of the embedded instance: MD5 of its
+    canonical rendering; [None] for [Stats].  This is the digest the
+    service keys its instance cache by and the router hashes onto the
+    shard ring, so "same digest" means "same cache entry" means "same
     shard". *)

@@ -2,12 +2,16 @@
 
     One service value is shared by every worker: it owns the
     instance-level cache that makes the daemon worth running — parsed
-    instances are keyed by the digest of their canonical serialization,
+    instances are keyed by their canonical digest
+    ({!Suu_core.Instance_io.digest}),
     and each cached instance lazily materializes the policies requested
     against it, so repeated [plan]/[simulate] requests reuse the policy
     values and (for the SUU-I family) the LP plans memoized inside their
-    {!Suu_core.Plan_cache}.  The cache is bounded with FIFO eviction,
-    like the plan caches underneath it.
+    {!Suu_core.Plan_cache}.  Each cached instance also keeps its
+    [lower_bound] reply once computed: the bound depends only on the
+    instance and the service's fixed solver, so later requests for it
+    solve no LP and get the same bytes.  The cache is bounded with FIFO
+    eviction, like the plan caches underneath it.
 
     Deadlines are enforced cooperatively: the deadline is checked
     before each phase of work, between replication batches of

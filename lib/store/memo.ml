@@ -4,7 +4,7 @@ let c_served = Suu_obs.Registry.memo_counter "store.memo.served"
 let c_computed = Suu_obs.Registry.memo_counter "store.memo.computed"
 
 let instance_digest inst =
-  Digest.to_hex (Digest.string (Suu_core.Instance_io.to_string inst))
+  Digest.to_hex (Suu_core.Instance_io.digest inst)
 
 let makespans ~store ?cap ?jobs ?(batch = default_batch) ?policy_name inst
     policy ~seed ~reps =

@@ -14,13 +14,23 @@ SERVE_PID=$!
 track "$SERVE_PID"
 PORT=$(scripts/wait_ready.sh "$SCRATCH/serve.log" "$CLI" client stats)
 
-"$CLI" client simulate \
-  --port "$PORT" -n 8 -m 3 --reps 5 --policy greedy | tee "$SCRATCH/sim.out"
-grep -q '^mean ' "$SCRATCH/sim.out"
+# The same request twice: the second parse of its instance block must
+# be a hit in the server's parse memo.
+for _ in 1 2; do
+  "$CLI" client simulate \
+    --port "$PORT" -n 8 -m 3 --reps 5 --policy greedy | tee "$SCRATCH/sim.out"
+  grep -q '^mean ' "$SCRATCH/sim.out"
+done
 
 # The stats endpoint must expose per-phase quantiles with --full.
 "$CLI" client stats --port "$PORT" --full | tee "$SCRATCH/stats.out"
 grep -q '^obs\.phase\.server\.execute\.p95_ms ' "$SCRATCH/stats.out"
+HITS=$(awk '$1 == "obs.counter.protocol.instance_memo.hits" { print $2 }' \
+  "$SCRATCH/stats.out")
+if [ "${HITS:-0}" -lt 1 ]; then
+  echo "smoke_server: no parse-memo hit after a repeated request" >&2
+  exit 1
+fi
 
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID"

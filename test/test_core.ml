@@ -702,6 +702,57 @@ let prop_io_roundtrip_random =
       in
       instances_equal inst back)
 
+(* The canonical digest keys router placement and persisted result-store
+   entries, so its value for a fixed instance is pinned: a change here
+   would move every shard assignment and orphan every stored result. *)
+let pinned_instance () =
+  Instance.make ~name:"pinned"
+    ~dag:(Dag.of_edges ~n:3 [ (0, 2); (1, 2) ])
+    [| [| 0.5; 0.125; 0.0 |]; [| 1.0 /. 3.0; 0.9999; 1.0 |] |]
+
+let test_io_digest_pinned () =
+  let inst = pinned_instance () in
+  let pinned = "9843ee60d6d2fcca32c069348adb67af" in
+  Alcotest.(check string) "digest" pinned
+    (Digest.to_hex (Suu_core.Instance_io.digest inst));
+  Alcotest.(check string) "memoized digest" pinned
+    (Digest.to_hex (Suu_core.Instance_io.digest inst));
+  Alcotest.(check string) "equal instance, other value" pinned
+    (Digest.to_hex (Suu_core.Instance_io.digest (pinned_instance ())))
+
+let prop_io_digest_is_render_digest =
+  QCheck.Test.make ~count:100 ~name:"digest = MD5 of the rendering"
+    QCheck.small_int (fun seed ->
+      let inst =
+        Suu_workload.Workload.forest
+          (Suu_workload.Workload.Uniform { lo = 0.05; hi = 0.99 })
+          ~n:(1 + (seed mod 13)) ~trees:1 ~orientation:`Mixed
+          ~m:(1 + (seed mod 4)) ~seed
+      in
+      let d = Suu_core.Instance_io.digest inst in
+      d = Digest.string (Suu_core.Instance_io.to_string inst)
+      && Suu_core.Instance_io.digest inst = d)
+
+(* [float17] must render every double exactly as [Printf]'s [%.17g]. *)
+let prop_float17_is_printf =
+  let special =
+    [ 0.0; -0.0; 1.0; -1.0; Float.succ 1.0; Float.pred 1.0;
+      Float.min_float; Float.pred Float.min_float; Float.succ 0.0;
+      Float.max_float; Float.infinity; Float.neg_infinity; Float.nan;
+      0.1; 1.0 /. 3.0; 1e-300; 5e-324 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl special);
+          (3, map Int64.float_of_bits ui64);
+          (2, float_range 0.0 1.0);
+          (1, map (fun k -> Float.succ (float_of_int k)) small_nat) ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"float17 = Printf %.17g"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x -> Suu_core.Instance_io.float17 x = Printf.sprintf "%.17g" x)
+
 (* --- exact DP --- *)
 
 let test_dp_single_geometric () =
@@ -946,6 +997,9 @@ let () =
           Alcotest.test_case "garbage" `Quick test_io_rejects_garbage;
           Alcotest.test_case "located errors" `Quick test_io_located_errors;
           Alcotest.test_case "files" `Quick test_io_files;
+          Alcotest.test_case "pinned digest" `Quick test_io_digest_pinned;
+          q prop_io_digest_is_render_digest;
+          q prop_float17_is_printf;
         ] );
       ( "exact-dp",
         [

@@ -507,6 +507,257 @@ let test_faults_spec () =
       let f2 = List.init 200 (fun _ -> F.reply_fate t2) in
       Alcotest.(check bool) "fates deterministic per seed" true (f1 = f2)
 
+(* --- the per-instance memos: parse, digest, lower bound --- *)
+
+module Service = Suu_server.Service
+module Instance_io = Suu_core.Instance_io
+
+let counter_get name = Suu_obs.Counter.get (Suu_obs.Registry.counter name)
+
+(* A random valid instance: dimensions, q (with the exact values 0 and 1),
+   edges and a printable one-line name all drawn from [seed]. *)
+let random_instance seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let m = 1 + Suu_prng.Rng.int rng 4 and n = 1 + Suu_prng.Rng.int rng 8 in
+  let q =
+    Array.init m (fun _ ->
+        Array.init n (fun _ ->
+            match Suu_prng.Rng.int rng 5 with
+            | 0 -> 0.0
+            | 1 -> 1.0
+            | _ -> Suu_prng.Rng.float rng 1.0))
+  in
+  for j = 0 to n - 1 do
+    if Array.for_all (fun row -> row.(j) = 1.0) q then
+      q.(0).(j) <- Suu_prng.Rng.float rng 0.99
+  done;
+  let edges = ref [] in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      if Suu_prng.Rng.int rng 4 = 0 then edges := (a, b) :: !edges
+    done
+  done;
+  let name =
+    String.init (Suu_prng.Rng.int rng 12) (fun _ ->
+        Char.chr (32 + Suu_prng.Rng.int rng 95))
+  in
+  Instance.make ~name ~dag:(Suu_dag.Dag.of_edges ~n !edges) q
+
+let bodies_for inst =
+  [ P.Describe inst; P.Lower_bound inst;
+    P.Plan { inst; policy = "auto"; seed = 3 };
+    P.Simulate { inst; policy = "greedy"; reps = 3; seed = 4 } ]
+
+let frame_of body =
+  P.request_to_string { P.id = Some "m"; deadline_ms = None; body }
+
+let parse_frame frame =
+  match P.read_request ~next_line:(feed frame) with
+  | Some r -> r
+  | None -> Alcotest.fail "no frame parsed"
+
+let body_instance = function
+  | P.Describe i | P.Lower_bound i | P.Plan { inst = i; _ }
+  | P.Simulate { inst = i; _ } -> i
+  | P.Stats -> Alcotest.fail "stats has no instance"
+
+let with_instance body inst =
+  match body with
+  | P.Describe _ -> P.Describe inst
+  | P.Lower_bound _ -> P.Lower_bound inst
+  | P.Plan p -> P.Plan { p with inst }
+  | P.Simulate s -> P.Simulate { s with inst }
+  | P.Stats -> P.Stats
+
+(* The instance block of a frame: from the line after [instance] to the
+   end of its [end] line. *)
+let block_bounds frame =
+  let marker = "\ninstance\n" in
+  let rec find s sub i =
+    if String.sub s i (String.length sub) = sub then i else find s sub (i + 1)
+  in
+  let lo = find frame marker 0 + String.length marker in
+  let hi = find frame "\nend\n" lo + String.length "\nend\n" in
+  (lo, hi)
+
+let reply svc body =
+  let resp =
+    match Service.handle svc body with
+    | Result.Ok fields ->
+        P.Ok { id = None; rtype = P.body_type body; fields }
+    | Result.Error (code, message) -> P.Err { id = None; code; message }
+  in
+  P.response_to_string resp
+
+let solvers =
+  Suu_core.Solver_choice.[ ("exact", Simplex); ("revised", Revised);
+                           ("mwu", Mwu 0.1) ]
+
+(* One long-lived service per solver, as a server holds: its entries
+   (and their cached bounds) persist across the property's cases. *)
+let warm_services =
+  List.map
+    (fun (label, solver) ->
+      ( label, solver,
+        Service.create ~sim_jobs:1 ~solver ~metrics:(Metrics.create ()) () ))
+    solvers
+
+let prop_memo_same_results =
+  QCheck.Test.make ~count:60 ~name:"memoized parse serves cold-parse bytes"
+    QCheck.small_int (fun seed ->
+      let inst = random_instance seed in
+      List.for_all
+        (fun body ->
+          let frame = frame_of body in
+          let first = (parse_frame frame).P.body in
+          let again = (parse_frame frame).P.body in
+          let lo, hi = block_bounds frame in
+          let cold = Instance_io.of_string (String.sub frame lo (hi - lo)) in
+          let mi = body_instance first in
+          if body_instance again != mi then
+            QCheck.Test.fail_report "second parse is not the shared value";
+          if Instance_io.to_string mi <> Instance_io.to_string cold then
+            QCheck.Test.fail_report "memoized instance differs from cold parse";
+          if Instance_io.digest mi <> Digest.string (Instance_io.to_string cold)
+          then QCheck.Test.fail_report "digest differs from the rendering's";
+          List.for_all
+            (fun (label, solver, warm) ->
+              let fresh =
+                Service.create ~sim_jobs:1 ~solver
+                  ~metrics:(Metrics.create ()) ()
+              in
+              let expect = reply fresh (with_instance body cold) in
+              let got = reply warm first and got_again = reply warm again in
+              if got <> expect || got_again <> expect then
+                QCheck.Test.fail_reportf
+                  "%s reply under %s differs:\n%s\nvs\n%s"
+                  (P.body_type body) label got expect;
+              true)
+            warm_services)
+        (bodies_for inst))
+
+(* What parsing a frame yields, comparable across memo states: the
+   request re-rendered, or the located error. *)
+let outcome frame =
+  match P.read_request ~next_line:(feed frame) with
+  | Some r -> Ok (P.request_to_string r, Some r.P.body)
+  | None -> Ok ("<end of stream>", None)
+  | exception P.Parse_error { line; msg } ->
+      Error (P.parse_error_message ~line ~msg)
+
+let test_memo_mutations () =
+  let inst = W.forest uniform ~n:5 ~trees:2 ~orientation:`Mixed ~m:2 ~seed:9 in
+  let frame = frame_of (P.Lower_bound inst) in
+  let lo, hi = block_bounds frame in
+  let mutants = ref 0 in
+  let check_mutant mutated =
+    incr mutants;
+    P.reset_instance_memo_for_testing ();
+    let memoised = body_instance (parse_frame frame).P.body in
+    let warm = outcome mutated in
+    (match warm with
+    | Ok (_, Some (P.Lower_bound i)) when i == memoised ->
+        Alcotest.failf "mutant %d returned the memoized instance" !mutants
+    | _ -> ());
+    P.reset_instance_memo_for_testing ();
+    let cold = outcome mutated in
+    let show = function Ok (s, _) -> "ok " ^ s | Error e -> "error " ^ e in
+    Alcotest.(check string)
+      (Printf.sprintf "mutant %d: warm = cold" !mutants)
+      (show cold) (show warm)
+  in
+  let edit off del ins =
+    String.concat ""
+      [ String.sub frame 0 off; ins;
+        String.sub frame (off + del) (String.length frame - off - del) ]
+  in
+  for off = lo to hi - 1 do
+    let flipped = Char.chr (Char.code frame.[off] lxor 1) in
+    check_mutant (edit off 1 (String.make 1 flipped));
+    check_mutant (edit off 1 "");
+    check_mutant (edit off 0 "7")
+  done;
+  check_mutant (edit hi 0 "7");
+  Alcotest.(check bool) "every offset mutated" true (!mutants > 3 * (hi - lo))
+
+let test_memo_eviction () =
+  P.reset_instance_memo_for_testing ();
+  (* Three blocks of a bit under half the budget each: the third entry
+     pushes the first out. *)
+  let big k =
+    let m = 100 in
+    let n = P.instance_memo_budget / 2 / (m * 24) in
+    Instance.make ~name:(Printf.sprintf "big-%d" k) ~dag:(Suu_dag.Dag.empty n)
+      (Array.init m (fun i ->
+           Array.init n (fun j ->
+               float_of_int (1 + ((k + i + j) mod 97)) /. 100.1)))
+  in
+  let frames = List.map (fun k -> frame_of (P.Describe (big k))) [ 0; 1; 2 ] in
+  List.iter
+    (fun f ->
+      let lo, hi = block_bounds f in
+      Alcotest.(check bool) "block under half the budget" true
+        (hi - lo < P.instance_memo_budget / 2
+         && hi - lo > P.instance_memo_budget / 3))
+    frames;
+  let parse f = body_instance (parse_frame f).P.body in
+  let ev0 = counter_get "protocol.instance_memo.evictions" in
+  let first = List.map parse frames in
+  Alcotest.(check int) "one eviction" (ev0 + 1)
+    (counter_get "protocol.instance_memo.evictions");
+  let misses0 = counter_get "protocol.instance_memo.misses" in
+  let hits0 = counter_get "protocol.instance_memo.hits" in
+  let newest = parse (List.nth frames 2) in
+  Alcotest.(check bool) "newest still shared" true (newest == List.nth first 2);
+  Alcotest.(check int) "newest hits" (hits0 + 1)
+    (counter_get "protocol.instance_memo.hits");
+  let oldest = parse (List.hd frames) in
+  Alcotest.(check bool) "oldest re-parsed" true (oldest != List.hd first);
+  Alcotest.(check int) "oldest misses" (misses0 + 1)
+    (counter_get "protocol.instance_memo.misses");
+  Alcotest.(check string) "same instance"
+    (Instance_io.to_string (List.hd first)) (Instance_io.to_string oldest);
+  P.reset_instance_memo_for_testing ()
+
+let test_memo_domain_race () =
+  P.reset_instance_memo_for_testing ();
+  let frames =
+    Array.init 6 (fun k ->
+        frame_of (List.nth (bodies_for (random_instance (100 + k))) (k mod 4)))
+  in
+  let expected =
+    Array.map
+      (fun f ->
+        let lo, hi = block_bounds f in
+        Digest.string (Instance_io.to_string
+          (Instance_io.of_string (String.sub f lo (hi - lo)))))
+      frames
+  in
+  let run d () =
+    Array.init 40 (fun r ->
+        let k = (r + d) mod Array.length frames in
+        let i = body_instance (parse_frame frames.(k)).P.body in
+        (k, i, Instance_io.digest i))
+  in
+  let results =
+    List.concat_map
+      (fun d -> Array.to_list (Domain.join d))
+      (List.init 4 (fun d -> Domain.spawn (run d)))
+  in
+  List.iter
+    (fun (k, _, d) ->
+      Alcotest.(check string) "digest"
+        (Digest.to_hex expected.(k)) (Digest.to_hex d))
+    results;
+  Array.iteri
+    (fun k _ ->
+      match List.filter (fun (k', _, _) -> k' = k) results with
+      | [] -> ()
+      | (_, i, _) :: rest ->
+          Alcotest.(check bool) "one shared value per frame" true
+            (List.for_all (fun (_, i', _) -> i' == i) rest))
+    frames
+
 (* --- monotonic deadlines --- *)
 
 let test_service_deadline_monotonic () =
@@ -962,6 +1213,16 @@ let () =
             test_located_parse_errors;
           Alcotest.test_case "skip_frame resyncs" `Quick
             test_skip_frame_resyncs;
+        ] );
+      ( "instance-memo",
+        [
+          QCheck_alcotest.to_alcotest prop_memo_same_results;
+          Alcotest.test_case "mutated blocks parse cold" `Quick
+            test_memo_mutations;
+          Alcotest.test_case "FIFO eviction under the byte budget" `Quick
+            test_memo_eviction;
+          Alcotest.test_case "four domains share one parse" `Quick
+            test_memo_domain_race;
         ] );
       ( "bqueue",
         [

@@ -317,6 +317,26 @@ let test_memo_kill_resume () =
     "only the tail recomputed" (reps - 7)
     (counter_get "store.memo.computed" - computed0)
 
+(* Persisted results are found again only if the key's digest stays put:
+   pin the key a fixed instance's results are committed under. *)
+let test_memo_key_pinned () =
+  let inst =
+    Suu_core.Instance.make ~name:"pinned"
+      ~dag:(Suu_dag.Dag.of_edges ~n:3 [ (0, 2); (1, 2) ])
+      [| [| 0.5; 0.125; 0.0 |]; [| 1.0 /. 3.0; 0.9999; 1.0 |] |]
+  in
+  let policy = Suu_core.Baselines.greedy_completion inst in
+  let st = Result_store.open_store (fresh_dir ()) in
+  let got = Memo.makespans ~store:st inst policy ~seed:3 ~reps:5 in
+  let key =
+    { Result_store.digest = "9843ee60d6d2fcca32c069348adb67af";
+      policy = Suu_core.Policy.name policy; seed = 3; cap = None }
+  in
+  let stored = Result_store.committed st key in
+  Result_store.close st;
+  Alcotest.(check (array int64)) "committed under the pinned key"
+    (bits got) (bits stored)
+
 (* --- journal --- *)
 
 let test_journal_pairing () =
@@ -518,6 +538,7 @@ let () =
             test_memo_matches_runner;
           Alcotest.test_case "kill-resume determinism" `Quick
             test_memo_kill_resume;
+          Alcotest.test_case "store key pinned" `Quick test_memo_key_pinned;
         ] );
       ( "journal",
         [ Alcotest.test_case "pairing and next_seq" `Quick test_journal_pairing ]
