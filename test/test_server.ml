@@ -1214,7 +1214,7 @@ let () =
           Alcotest.test_case "skip_frame resyncs" `Quick
             test_skip_frame_resyncs;
         ] );
-      ( "instance-memo",
+      ( "inst-memo",
         [
           QCheck_alcotest.to_alcotest prop_memo_same_results;
           Alcotest.test_case "mutated blocks parse cold" `Quick
