@@ -2,13 +2,14 @@
 
    Modes:
      gate.exe regression CURRENT.json BASELINE.json
-       Compare a fresh tiny-scale BENCH_perf.json / BENCH_serve.json
-       against the committed bench/baseline.json entry of the same
-       experiment.  Tolerances are deliberately generous (2.5x): shared
-       CI runners jitter wildly, and the gate exists to catch
-       order-of-magnitude regressions (an accidentally quadratic loop, a
-       lock on the hot path), not 10% drifts.  Also asserts the absolute
-       instrumentation-overhead budget (obs_overhead_pct < 5).
+       Run the checks [checks] declares for the artifact's experiment
+       (perf, serve, chaos, shard, replay, table1).  Baseline bands
+       compare with that experiment's entry in bench/baseline.json and
+       are deliberately generous (2.5x): shared CI runners jitter
+       wildly, and the gate exists to catch order-of-magnitude
+       regressions (an accidentally quadratic loop, a lock on the hot
+       path), not 10% drifts.  Every other check is a within-run
+       correctness flag or ratio floor, immune to runner speed.
 
      gate.exe trace-coverage TRACE.jsonl
        Validate a SUU_TRACE capture: every line parses as JSON, and at
@@ -26,71 +27,286 @@ let failf fmt =
 
 let okf fmt = Printf.ksprintf (fun s -> Printf.printf "ok: %s\n" s) fmt
 
-(* --- regression mode --- *)
+(* --- the checks --- *)
+
+type step =
+  | K of string  (** object member *)
+  | Each  (** every row of a list; a list without rows fails *)
+  | Where of string * string  (** the row whose member [key] is [value] *)
+
+type limit =
+  | V of float
+  | Scaled of float * float  (** full scale, tiny scale *)
+  | Field of string * float  (** the artifact's own number, or a default *)
+
+type rule =
+  | Band of [ `Higher | `Lower ] * float option
+      (** Within [tolerance]x of the baseline.  Under a noise floor, a
+          baseline below it or a value missing on either side is
+          skipped. *)
+  | At_least of limit
+  | Above of limit
+  | Below of limit
+  | At_most of limit
+  | Equals of J.t  (** a number or a bool *)
+  | Within of float * float
+  | Ratio_at_least of step list * limit
+      (** this value over the one at that path, which must be > 0 *)
+  | Optional of check list
+      (** A null or absent section is skipped; otherwise its checks run
+          with paths relative to it. *)
+
+and check = { name : string; path : step list; rule : rule }
 
 let tolerance = 2.5
+let c name path rule = { name; path = List.map (fun k -> K k) path; rule }
+let higher = Band (`Higher, None)
+let lower = Band (`Lower, None)
+let is_true = Equals (J.Bool true)
+let zero = Equals (J.Float 0.0)
+let positive = Above (V 0.0)
+let non_negative = At_least (V 0.0)
 
-let obs_overhead_budget_pct = 5.0
+(* Sub-0.1ms phases on a noisy runner are coin flips. *)
+let phase p =
+  c ("phase " ^ p ^ " p50") [ "phases"; p; "p50_ms" ] (Band (`Lower, Some 0.1))
 
-(* LP hot-path floors (see ISSUE/DESIGN "LP pipeline"): the warm-vs-cold
-   speedup and the plan-cache hit rate are within-run measurements, so
-   they get hard floors instead of the 2.5x jitter band.  The 5x floor
-   is the acceptance criterion on the full doubling-sequence workload;
-   tiny CI runs solve a shorter sequence (fewer rounds amortizing each
-   factorization), so the floor drops to 3x there. *)
-let warm_speedup_floor ~scale =
-  match scale with Some "tiny" -> 3.0 | _ -> 5.0
-let parity_tolerance = 1.25
-let hit_rate_floor = 0.8
-let connection_floor = 500.0
-
-(* Table-1 online-policy floors.  The cold speedup (policy construction
-   plus one uncached execution, LZF vs SUU-I-SEM) is a within-run ratio;
-   5x is the acceptance criterion at full scale.  Tiny CI instances
-   (n=12) solve LPs in microseconds, so the LP cost being amortized is
-   itself down in the timer noise — the floor drops to 2x there (the
-   full run is where the bound is really held). *)
-let cold_speedup_floor ~scale =
-  match scale with Some "tiny" -> 2.0 | _ -> 5.0
-
-let get_num j path = J.to_float (J.path path j)
-
-(* [check name ~better j_cur j_base path]: compare one metric; [`Higher]
-   means larger is better (throughput), [`Lower] means smaller is better
-   (latency).  A missing metric on either side is itself a failure — the
-   gate must not silently pass because a key was renamed. *)
-let check name ~better cur base path =
-  match (get_num cur path, get_num base path) with
-  | Some c, Some b ->
-      let bad =
-        match better with
-        | `Higher -> b > 0.0 && c < b /. tolerance
-        | `Lower -> b > 0.0 && c > b *. tolerance
+let checks =
+  [
+    ( "perf",
+      [
+        c "engine steps/sec" [ "engine"; "steps_per_sec" ] higher;
+        c "ratio-sweep sequential time"
+          [ "ratio_sweep"; "sequential_sec" ]
+          lower;
+        (* The instrumentation-overhead budget. *)
+        c "obs overhead %" [ "obs_overhead_pct" ] (Below (V 5.0));
+        phase "engine.exec";
+        phase "lp1.solve";
+        phase "lp.rounding";
+        (* LP hot path: the warm revised doubling sequence against the
+           cold tableau.  5x is the acceptance criterion on the full
+           workload; tiny runs solve a shorter sequence (fewer rounds
+           amortizing each factorization). *)
+        c "cold/warm LP1 doubling sequence"
+          [ "bechamel_ns_per_run"; "suu lp1-simplex-seq-64x8" ]
+          (Ratio_at_least
+             ( [ K "bechamel_ns_per_run"; K "suu lp1-revised-warm-seq-64x8" ],
+               Scaled (5.0, 3.0) ));
+        (* Certified MWU must stay the cheap serve-path default. *)
+        c "lp1 certified MWU ns/run"
+          [ "bechamel_ns_per_run"; "suu lp1-mwu-certified-64x8" ]
+          lower;
+        (* The LP backend must not change SEM/OBL schedule quality. *)
+        {
+          name = "solver parity mwu/simplex makespan ratio";
+          path = [ K "solver_parity"; Each; K "ratio" ];
+          rule = Within (1.0 /. 1.25, 1.25);
+        };
+      ] );
+    ( "serve",
+      [
+        c "serve throughput" [ "throughput_rps" ] higher;
+        c "serve p50 latency" [ "latency_ms"; "p50" ] lower;
+        (* The request mix recurs: a lower hit rate means the keying or
+           eviction regressed (the pre-fix thrash measured ~11%). *)
+        c "plan-cache hit rate" [ "plan_cache_hit_rate" ] (At_least (V 0.8));
+        (* LP-free policies in the mix must count as cache bypasses. *)
+        c "plan-cache bypasses" [ "plan_cache_bypass" ] positive;
+        phase "server.request";
+        phase "server.execute";
+        phase "server.queue_wait";
+        (* Hundreds of concurrent pipelined connections, no drops,
+           byte-exact replies. *)
+        c "connections" [ "connection_scale"; "connections" ]
+          (At_least (V 500.0));
+        c "connections dropped" [ "connection_scale"; "dropped" ] zero;
+        c "connections mismatched" [ "connection_scale"; "mismatched" ] zero;
+        (* Null when the bench ran closed-loop only (no --workload). *)
+        c "open-loop workload" [ "workload" ]
+          (Optional
+             [
+               c "workload completed/arrivals" [ "completed" ]
+                 (Ratio_at_least ([ K "arrivals" ], V 1.0));
+               c "workload replay byte-identical across runs"
+                 [ "deterministic_replay" ] is_true;
+               c "workload queueing p50" [ "queueing_ms"; "p50" ] non_negative;
+               c "workload e2e p50" [ "e2e_ms"; "p50" ] non_negative;
+               c "workload e2e p95" [ "e2e_ms"; "p95" ] non_negative;
+             ]);
+      ] );
+    ( "chaos",
+      [
+        (* With retries, anything short of 100% completion is a lost
+           request; no faults or no retries would make that vacuous. *)
+        c "chaos success rate" [ "success_rate" ] (At_least (V 1.0));
+        c "chaos injected faults" [ "injected"; "total" ] positive;
+        c "chaos client retries" [ "client_retries" ] positive;
+        c "chaos throughput" [ "throughput_rps" ] higher;
+        (* `bench chaos --router` kills a shard mid-load. *)
+        c "router success rate" [ "router"; "success_rate" ] (At_least (V 1.0));
+        c "router mark-downs" [ "router"; "mark_down" ] (At_least (V 1.0));
+        c "router live shards after the kill" [ "router"; "live_shards_after" ]
+          (At_least (V 1.0));
+      ] );
+    ( "shard",
+      [
+        c "routed responses byte-identical to direct" [ "byte_identical" ]
+          is_true;
+        c "shard error responses" [ "errors" ] zero;
+        c "shard routed requests" [ "routed_requests" ] positive;
+        (* Full scale holds the 15% proxy-overhead bound; tiny requests
+           are cheap enough that the hop looms larger. *)
+        c "routed-1/direct throughput" [ "routed_vs_direct" ]
+          (At_least (Scaled (0.85, 0.6)));
+        c "shard direct throughput" [ "direct_rps" ] higher;
+        c "shard routed-2 throughput" [ "routed_2shard_rps" ] higher;
+      ] );
+    ( "replay",
+      [
+        (* Memoized, warm and kill-resumed sweeps equal the direct one,
+           the warm pass is served from the store, and recovery
+           truncated the injected torn tail. *)
+        c "replay outputs identical (direct=cold=warm)" [ "identical" ] is_true;
+        c "replay kill-resume output identical" [ "resumed_identical" ] is_true;
+        c "replay warm pass served" [ "warm_served" ] positive;
+        c "replay warm pass recomputed" [ "warm_computed" ] zero;
+        c "replay torn tails truncated" [ "torn_tail_truncated" ] positive;
+        c "replay store records" [ "store"; "records" ] positive;
+        c "replay cold sweep time" [ "cold_sec" ] lower;
+      ] );
+    ( "table1",
+      let policy p field name rule =
+        let path = [ K "policies"; Where ("policy", p); K field ] in
+        { name = p ^ name; path; rule }
       in
-      if bad then
-        failf "%s regressed beyond %gx: current %.6g vs baseline %.6g" name
-          tolerance c b
-      else okf "%s: current %.6g vs baseline %.6g" name c b
-  | None, _ -> failf "%s missing from current results" name
-  | _, None -> failf "%s missing from baseline" name
+      [
+        c "table1 synthetic rows" [ "synthetic_rows" ] (At_least (V 1.0));
+        c "table1 SWF rows" [ "swf_rows" ] (At_least (V 1.0));
+        (* With m=1 the work bound is tight, so LZF's ratio must keep
+           the paper's 0.8531 guarantee. *)
+        {
+          name = "single-machine lzf ratio";
+          path = [ K "single_machine_lzf"; Each; K "ratio" ];
+          rule = At_most (Field ("lzf_bound", 1.0 /. 0.8531));
+        };
+        (* Construction plus first execution.  Tiny instances solve
+           their LPs in microseconds, down in the timer noise. *)
+        c "lzf/suu-i-sem cold steps/sec" [ "lzf_vs_sem_speedup_min" ]
+          (At_least (Scaled (5.0, 2.0)));
+        (* An LZF hot-path regression the within-run ratio would forgive
+           (both policies slowing down together). *)
+        policy "lzf" "mean_steps_per_sec" " mean steps/sec" higher;
+      ]
+      @ List.concat_map
+          (fun p ->
+            [ policy p "mean_ratio" " mean ratio" positive;
+              policy p "mean_steps_per_sec" " mean steps/sec" positive ])
+          [ "lzf"; "backfill"; "suu-i-sem" ] );
+  ]
 
-(* Phase p50s are only gated when the baseline is big enough to be
-   signal: sub-0.1ms phases on a noisy runner are coin flips. *)
-let check_phase name cur base =
-  let path = [ "phases"; name; "p50_ms" ] in
-  match (get_num cur path, get_num base path) with
-  | Some c, Some b when b >= 0.1 ->
-      if c > b *. tolerance then
-        failf "phase %s p50 regressed beyond %gx: %.4g ms vs %.4g ms" name
-          tolerance c b
-      else okf "phase %s p50: %.4g ms vs baseline %.4g ms" name c b
-  | Some _, Some b ->
-      okf "phase %s p50 below gating floor (baseline %.4g ms), skipped" name b
-  | _ -> okf "phase %s absent on one side, skipped" name
+(* --- the interpreter --- *)
+
+(* The values [path] selects in [j], labelled by their list rows; a
+   missing member selects [None], a list step without rows nothing. *)
+let rec select path j =
+  let label i = function
+    | J.Obj kvs ->
+        List.find_map (function _, J.String s -> Some s | _ -> None) kvs
+        |> Option.value ~default:(string_of_int i)
+    | _ -> string_of_int i
+  in
+  match (path, j) with
+  | [], _ -> [ ("", Some j) ]
+  | K k :: rest, _ -> (
+      match J.member k j with Some v -> select rest v | None -> [ ("", None) ])
+  | Each :: rest, J.List rows ->
+      List.concat
+        (List.mapi
+           (fun i row ->
+             List.map
+               (fun (l, v) -> (" [" ^ label i row ^ "]" ^ l, v))
+               (select rest row))
+           rows)
+  | Where (k, v) :: rest, J.List rows -> (
+      match List.find_opt (fun r -> J.member k r = Some (J.String v)) rows with
+      | Some row -> select rest row
+      | None -> [])
+  | (Each | Where _) :: _, _ -> []
+
+let one path j = match select path j with (_, v) :: _ -> v | [] -> None
+let num = J.to_float
+
+(* [Some (value shown, requirement, holds)], or [None] when a number
+   the rule needs is missing. *)
+let judge ~limit ~cur rule v =
+  let show = Printf.sprintf "%.6g" in
+  let cmp sym op l =
+    let t = limit l in
+    Option.map (fun x -> (show x, Printf.sprintf "%s %g" sym t, op x t)) (num v)
+  in
+  match rule with
+  | At_least l -> cmp ">=" ( >= ) l
+  | Above l -> cmp ">" ( > ) l
+  | Below l -> cmp "<" ( < ) l
+  | At_most l -> cmp "<=" ( <= ) l
+  | Equals (J.Bool b) ->
+      Option.map
+        (fun x -> (string_of_bool x, string_of_bool b, x = b))
+        (J.to_bool v)
+  | Equals (J.Float t) -> Option.map (fun x -> (show x, show t, x = t)) (num v)
+  | Within (lo, hi) ->
+      Option.map
+        (fun x ->
+          (show x, Printf.sprintf "in [%g, %g]" lo hi, lo <= x && x <= hi))
+        (num v)
+  | Ratio_at_least (over, l) -> (
+      match (num v, num (one over cur)) with
+      | Some x, Some d ->
+          let t = limit l in
+          Some
+            ( Printf.sprintf "%.4g (%s/%s)" (x /. d) (show x) (show d),
+              Printf.sprintf ">= %g" t,
+              d > 0.0 && x /. d >= t )
+      | _ -> None)
+  | Equals _ | Band _ | Optional _ -> invalid_arg "Gate.judge"
+
+let rec run ~limit ~cur ~base { name; path; rule } =
+  match (rule, select path cur) with
+  | Optional checks, [ (_, Some section) ] when section <> J.Null ->
+      let base = Option.value (one path base) ~default:J.Null in
+      List.iter (run ~limit ~cur:section ~base) checks
+  | Optional _, _ -> okf "%s: absent, skipped" name
+  | Band (better, floor), _ -> (
+      match (num (one path cur), num (one path base), floor) with
+      | Some _, Some b, Some f when b < f ->
+          okf "%s: baseline %.4g under the %g noise floor, skipped" name b f
+      | Some x, Some b, _ ->
+          if
+            b > 0.0
+            && (if better = `Higher then x < b /. tolerance
+                else x > b *. tolerance)
+          then
+            failf "%s regressed beyond %gx: current %.6g vs baseline %.6g"
+              name tolerance x b
+          else okf "%s: current %.6g vs baseline %.6g" name x b
+      | _, _, Some _ -> okf "%s: absent on one side, skipped" name
+      | None, _, None -> failf "%s missing from current results" name
+      | _, None, None -> failf "%s missing from baseline" name)
+  | _, [] -> failf "%s: no rows in current results" name
+  | _, values ->
+      List.iter
+        (fun (label, v) ->
+          let name = name ^ label in
+          match judge ~limit ~cur rule v with
+          | None -> failf "%s missing from current results" name
+          | Some (shown, want, true) -> okf "%s: %s (%s)" name shown want
+          | Some (shown, want, false) ->
+              failf "%s: %s, must be %s" name shown want)
+        values
 
 let regression current_path baseline_path =
   let cur = J.of_file current_path in
-  let all_baselines = J.of_file baseline_path in
   let experiment =
     match J.to_string (J.member "experiment" cur) with
     | Some e -> e
@@ -98,376 +314,22 @@ let regression current_path baseline_path =
   in
   (* bench/baseline.json holds one entry per experiment. *)
   let base =
-    match J.member experiment all_baselines with
+    match J.member experiment (J.of_file baseline_path) with
     | Some b -> b
     | None -> failwith ("baseline has no entry for " ^ experiment)
   in
-  (match experiment with
-  | "perf" ->
-      check "engine steps/sec" ~better:`Higher cur base
-        [ "engine"; "steps_per_sec" ];
-      check "ratio-sweep sequential time" ~better:`Lower cur base
-        [ "ratio_sweep"; "sequential_sec" ];
-      (match get_num cur [ "obs_overhead_pct" ] with
-      | Some pct when pct < obs_overhead_budget_pct ->
-          okf "obs overhead %.2f%% (budget %.0f%%)" pct
-            obs_overhead_budget_pct
-      | Some pct ->
-          failf "obs overhead %.2f%% exceeds the %.0f%% budget" pct
-            obs_overhead_budget_pct
-      | None -> failf "obs_overhead_pct missing from current results");
-      List.iter
-        (fun p -> check_phase p cur base)
-        [ "engine.exec"; "lp1.solve"; "lp.rounding" ];
-      (* LP hot path.  Warm-vs-cold is a within-run ratio, so it is
-         immune to runner speed: both entries ran on the same machine
-         seconds apart.  The floor is the PR's acceptance criterion. *)
-      (match
-         ( get_num cur [ "bechamel_ns_per_run"; "suu lp1-simplex-seq-64x8" ],
-           get_num cur [ "bechamel_ns_per_run"; "suu lp1-revised-warm-seq-64x8" ]
-         )
-       with
-      | Some cold, Some warm when warm > 0.0 ->
-          let floor =
-            warm_speedup_floor ~scale:(J.to_string (J.path [ "scale" ] cur))
-          in
-          let speedup = cold /. warm in
-          if speedup >= floor then
-            okf "warm revised doubling sequence %.1fx faster than cold \
-                 simplex (floor %gx)"
-              speedup floor
-          else
-            failf
-              "warm revised doubling sequence only %.2fx faster than cold \
-               simplex (floor %gx)"
-              speedup floor
-      | _ ->
-          failf "lp1 doubling-sequence bechamel entries missing from \
-                 current results");
-      (* Certified MWU must stay the cheap serve-path default. *)
-      check "lp1 certified MWU ns/run" ~better:`Lower cur base
-        [ "bechamel_ns_per_run"; "suu lp1-mwu-certified-64x8" ];
-      (* Solver parity: switching the LP backend must not change
-         SEM/OBL schedule quality beyond the band. *)
-      (match J.member "solver_parity" cur with
-      | Some (J.List rows) ->
-          List.iter
-            (fun row ->
-              let policy =
-                Option.value
-                  (J.to_string (J.path [ "policy" ] row))
-                  ~default:"?"
-              in
-              match get_num row [ "ratio" ] with
-              | Some r
-                when r >= 1.0 /. parity_tolerance && r <= parity_tolerance ->
-                  okf "solver parity %s: mwu/simplex makespan ratio %.4g"
-                    policy r
-              | Some r ->
-                  failf
-                    "solver parity %s: mwu/simplex makespan ratio %.4g \
-                     outside [%.3g, %.3g]"
-                    policy r
-                    (1.0 /. parity_tolerance)
-                    parity_tolerance
-              | None -> failf "solver parity %s: ratio missing" policy)
-            rows
-      | _ -> failf "solver_parity missing from current results")
-  | "serve" ->
-      check "serve throughput" ~better:`Higher cur base [ "throughput_rps" ];
-      check "serve p50 latency" ~better:`Lower cur base [ "latency_ms"; "p50" ];
-      (* The plan cache must actually hit on the standard sweep: the
-         request mix recurs, so anything below the floor means the
-         keying or eviction regressed (the pre-fix thrash measured
-         ~11%). *)
-      (match get_num cur [ "plan_cache_hit_rate" ] with
-      | Some r when r >= hit_rate_floor ->
-          okf "plan-cache hit rate %.3f (floor %.2f)" r hit_rate_floor
-      | Some r ->
-          failf "plan-cache hit rate %.3f below the %.2f floor" r
-            hit_rate_floor
-      | None -> failf "plan_cache_hit_rate missing from current results");
-      (* The serve mix includes LP-free policies (lzf/backfill), which
-         must register as cache bypasses rather than silently diluting
-         the hit rate.  Zero bypasses means the accounting regressed.
-         Older baselines predate the counter, so only the current run
-         is gated. *)
-      (match get_num cur [ "plan_cache_bypass" ] with
-      | Some b when b > 0.0 ->
-          okf "plan cache bypassed %.0f times by LP-free policies" b
-      | Some _ ->
-          failf "serve mix includes LP-free policies but plan_cache_bypass \
-                 is 0 (bypass accounting broken?)"
-      | None -> failf "plan_cache_bypass missing from current results");
-      List.iter
-        (fun p -> check_phase p cur base)
-        [ "server.request"; "server.execute"; "server.queue_wait" ];
-      (* Connection scale is a correctness gate, not a tolerance band:
-         the event loop must hold hundreds of concurrent pipelined
-         connections with zero drops and byte-exact replies.  A missing
-         section means the pass never ran, which would make the claim
-         vacuous. *)
-      (match get_num cur [ "connection_scale"; "connections" ] with
-      | Some c when c >= connection_floor ->
-          okf "connection-scale ran %.0f concurrent connections (floor %.0f)"
-            c connection_floor
-      | Some c ->
-          failf "connection-scale ran only %.0f connections (floor %.0f)" c
-            connection_floor
-      | None -> failf "connection_scale missing from serve results");
-      (match get_num cur [ "connection_scale"; "dropped" ] with
-      | Some 0.0 -> okf "connection-scale dropped no connections"
-      | Some d -> failf "connection-scale dropped %.0f connections" d
-      | None -> failf "connection_scale.dropped missing from serve results");
-      (match get_num cur [ "connection_scale"; "mismatched" ] with
-      | Some 0.0 -> okf "connection-scale replies all byte-exact"
-      | Some m ->
-          failf "connection-scale saw %.0f connections with mismatched \
-                 replies" m
-      | None -> failf "connection_scale.mismatched missing from serve results");
-      (* Open-loop workload replay (serve --workload): correctness
-         gates only — completion, determinism and the presence of the
-         per-arrival latency quantiles.  The section is null when the
-         bench ran closed-loop only (e.g. older baselines), which is
-         not a failure; but a present section must be sound. *)
-      (match J.path [ "workload" ] cur with
-      | None | Some J.Null -> okf "no open-loop workload section (closed-loop run)"
-      | Some _ ->
-          (match
-             (get_num cur [ "workload"; "arrivals" ],
-              get_num cur [ "workload"; "completed" ])
-           with
-          | Some a, Some c when a > 0.0 && c >= a ->
-              okf "workload replay completed %.0f/%.0f arrivals" c a
-          | Some a, Some c ->
-              failf "workload replay completed only %.0f of %.0f arrivals" c a
-          | _ ->
-              failf "workload arrivals/completed missing from serve results");
-          (match J.to_bool (J.path [ "workload"; "deterministic_replay" ] cur)
-           with
-          | Some true -> okf "workload replay byte-identical across runs"
-          | Some false ->
-              failf "workload replay responses differ across two runs at the \
-                     same seed"
-          | None ->
-              failf "workload.deterministic_replay missing from serve results");
-          List.iter
-            (fun path ->
-              match get_num cur path with
-              | Some v when v >= 0.0 -> ()
-              | _ ->
-                  failf "workload metric %s missing from serve results"
-                    (String.concat "." path))
-            [
-              [ "workload"; "queueing_ms"; "p50" ];
-              [ "workload"; "e2e_ms"; "p50" ];
-              [ "workload"; "e2e_ms"; "p95" ];
-            ])
-  | "chaos" ->
-      (* Fault tolerance is a correctness gate, not a tolerance band:
-         with retries enabled, anything short of 100% completion means
-         a request was lost — retry logic broken, not a slow runner. *)
-      (match get_num cur [ "success_rate" ] with
-      | Some r when r >= 1.0 -> okf "chaos success rate %.6g (must be 1)" r
-      | Some r ->
-          failf "chaos success rate %.6g: requests lost despite retries" r
-      | None -> failf "success_rate missing from current results");
-      (* The run must actually have been chaotic — a silently disarmed
-         injector would make the 100% claim vacuous. *)
-      (match get_num cur [ "injected"; "total" ] with
-      | Some t when t > 0.0 -> okf "chaos injected %.0f faults" t
-      | Some _ -> failf "chaos run injected no faults (injector disarmed?)"
-      | None -> failf "injected.total missing from current results");
-      (match get_num cur [ "client_retries" ] with
-      | Some r when r > 0.0 -> okf "clients retried %.0f times" r
-      | Some _ -> failf "chaos run saw no client retries (faults inert?)"
-      | None -> failf "client_retries missing from current results");
-      check "chaos throughput" ~better:`Higher cur base [ "throughput_rps" ];
-      (* Scale-out failover rides the same correctness bar: the router
-         section comes from `bench chaos --router` (a shard killed
-         mid-load behind the router) and must show a clean mark-down
-         plus zero lost requests.  A null section means the scenario
-         never ran, which would make the claim vacuous. *)
-      (match get_num cur [ "router"; "success_rate" ] with
-      | Some r when r >= 1.0 ->
-          okf "router chaos success rate %.6g (must be 1)" r
-      | Some r ->
-          failf "router chaos success rate %.6g: requests lost during \
-                 shard kill" r
-      | None ->
-          failf "router section missing from chaos results (run bench \
-                 chaos with --router)");
-      (match get_num cur [ "router"; "mark_down" ] with
-      | Some m when m >= 1.0 ->
-          okf "router marked the killed shard down (%.0f mark-down)" m
-      | Some _ -> failf "router never marked the killed shard down"
-      | None -> failf "router.mark_down missing from chaos results");
-      (match get_num cur [ "router"; "live_shards_after" ] with
-      | Some l when l >= 1.0 ->
-          okf "router kept %.0f live shard(s) after the kill" l
-      | Some _ -> failf "router reports no live shards after the kill"
-      | None -> failf "router.live_shards_after missing from chaos results")
-  | "shard" ->
-      (* Byte identity is the sharding contract: a routed response must
-         be indistinguishable from the single server's, for every
-         request type over every sweep instance. *)
-      (match J.to_bool (J.path [ "byte_identical" ] cur) with
-      | Some true -> okf "shard routed responses byte-identical to direct"
-      | Some false -> failf "shard routed responses differ from direct server"
-      | None -> failf "byte_identical missing from current results");
-      (match get_num cur [ "errors" ] with
-      | Some 0.0 -> okf "shard bench saw no error responses"
-      | Some e -> failf "shard bench saw %.0f error responses" e
-      | None -> failf "errors missing from current results");
-      (match get_num cur [ "routed_requests" ] with
-      | Some r when r > 0.0 -> okf "router routed %.0f requests" r
-      | Some _ -> failf "router routed nothing (load bypassed it?)"
-      | None -> failf "routed_requests missing from current results");
-      (* Proxy overhead is a within-run ratio, immune to runner speed.
-         Full scale holds the 15%% acceptance bound; tiny requests are
-         cheap enough that the hop looms larger, so the floor is
-         looser there. *)
-      let floor =
-        match J.to_string (J.member "scale" cur) with
-        | Some "tiny" -> 0.6
-        | _ -> 0.85
-      in
-      (match get_num cur [ "routed_vs_direct" ] with
-      | Some r when r >= floor ->
-          okf "routed-1 throughput at %.1f%% of direct (floor %.0f%%)"
-            (100.0 *. r) (100.0 *. floor)
-      | Some r ->
-          failf "routed-1 throughput only %.1f%% of direct (floor %.0f%%)"
-            (100.0 *. r) (100.0 *. floor)
-      | None -> failf "routed_vs_direct missing from current results");
-      check "shard direct throughput" ~better:`Higher cur base
-        [ "direct_rps" ];
-      check "shard routed-2 throughput" ~better:`Higher cur base
-        [ "routed_2shard_rps" ]
-  | "replay" ->
-      (* The store's value is correctness-gated, not tolerance-gated:
-         memoized, warm and kill-resumed sweeps must be byte-identical
-         to the direct computation, the warm pass must actually be
-         served from the store, and recovery must have truncated the
-         injected torn tail. *)
-      let check_true name path =
-        match J.to_bool (J.path path cur) with
-        | Some true -> okf "replay %s" name
-        | Some false -> failf "replay %s is false" name
-        | None -> failf "replay %s missing from current results" name
-      in
-      check_true "outputs identical (direct=cold=warm)" [ "identical" ];
-      check_true "kill-resume output identical" [ "resumed_identical" ];
-      (match get_num cur [ "warm_served" ] with
-      | Some s when s > 0.0 -> okf "replay warm pass served %.0f reps" s
-      | Some _ -> failf "replay warm pass served nothing from the store"
-      | None -> failf "warm_served missing from current results");
-      (match get_num cur [ "warm_computed" ] with
-      | Some 0.0 -> okf "replay warm pass recomputed nothing"
-      | Some c -> failf "replay warm pass recomputed %.0f reps" c
-      | None -> failf "warm_computed missing from current results");
-      (match get_num cur [ "torn_tail_truncated" ] with
-      | Some t when t > 0.0 -> okf "replay recovery truncated the torn tail"
-      | Some _ -> failf "replay recovery never truncated the torn tail"
-      | None -> failf "torn_tail_truncated missing from current results");
-      (match get_num cur [ "store"; "records" ] with
-      | Some r when r > 0.0 -> okf "replay store committed %.0f records" r
-      | Some _ -> failf "replay store committed no records"
-      | None -> failf "store.records missing from current results");
-      check "replay cold sweep time" ~better:`Lower cur base [ "cold_sec" ]
-  | "table1" ->
-      (* Online-policy harness (lib/sched).  Mostly within-run
-         correctness gates: the approximation bound and the cold-path
-         speedup are properties of the schedule and the policy shape,
-         not of the runner's clock speed. *)
-      let scale = J.to_string (J.member "scale" cur) in
-      (* Coverage: the ratio table must span both synthetic and
-         trace-driven (SWF) instances, or the Table-1 claim is partial. *)
-      (match (get_num cur [ "synthetic_rows" ], get_num cur [ "swf_rows" ]) with
-      | Some s, Some w when s >= 1.0 && w >= 1.0 ->
-          okf "table1 covered %.0f synthetic and %.0f SWF instances" s w
-      | Some s, Some w ->
-          failf "table1 coverage too thin: %.0f synthetic, %.0f SWF rows \
-                 (need >= 1 of each)" s w
-      | _ -> failf "synthetic_rows/swf_rows missing from current results");
-      (* Single-machine LZF: with m=1 the work lower bound is tight, so
-         the measured makespan ratio must respect the paper's 0.8531
-         guarantee (ratio <= 1/0.8531). *)
-      let bound =
-        Option.value (get_num cur [ "lzf_bound" ]) ~default:(1.0 /. 0.8531)
-      in
-      (match J.member "single_machine_lzf" cur with
-      | Some (J.List (_ :: _ as rows)) ->
-          List.iter
-            (fun row ->
-              let inst =
-                Option.value
-                  (J.to_string (J.member "instance" row))
-                  ~default:"?"
-              in
-              match get_num row [ "ratio" ] with
-              | Some r when r <= bound ->
-                  okf "single-machine lzf %s: ratio %.4g within bound %.4g"
-                    inst r bound
-              | Some r ->
-                  failf "single-machine lzf %s: ratio %.4g exceeds the \
-                         1/0.8531 bound %.4g" inst r bound
-              | None -> failf "single-machine lzf %s: ratio missing" inst)
-            rows
-      | _ -> failf "single_machine_lzf rows missing from current results");
-      (* Cold-path speedup: LZF never touches the LP pipeline, so
-         construction + first (uncached) execution must beat SUU-I-SEM's
-         by the floor, on every instance large enough to measure. *)
-      (match get_num cur [ "lzf_vs_sem_speedup_min" ] with
-      | Some s ->
-          let floor = cold_speedup_floor ~scale in
-          if s >= floor then
-            okf "lzf cold steps/sec >= %.1fx suu-i-sem on every instance \
-                 (floor %gx)" s floor
-          else
-            failf "lzf cold steps/sec only %.2fx suu-i-sem on the worst \
-                   instance (floor %gx)" s floor
-      | None ->
-          failf "lzf_vs_sem_speedup_min missing from current results (no \
-                 instance ran both policies?)");
-      (* Per-policy aggregates: the new policies and the LP reference
-         must all be present with sane means, both here and in the
-         baseline entry (so `check` below compares like with like). *)
-      let find_policy j name =
-        match J.member "policies" j with
-        | Some (J.List rows) ->
-            List.find_opt
-              (fun row -> J.to_string (J.member "policy" row) = Some name)
-              rows
-        | _ -> None
-      in
-      List.iter
-        (fun name ->
-          match find_policy cur name with
-          | Some row ->
-              (match
-                 (get_num row [ "mean_ratio" ],
-                  get_num row [ "mean_steps_per_sec" ])
-               with
-              | Some r, Some s
-                when r > 0.0 && s > 0.0 && Float.is_finite r
-                     && Float.is_finite s ->
-                  okf "policy %s: mean ratio %.4g, %.4g steps/sec" name r s
-              | _ ->
-                  failf "policy %s aggregate has missing or non-finite \
-                         means" name)
-          | None -> failf "policy %s missing from table1 aggregates" name)
-        [ "lzf"; "backfill"; "suu-i-sem" ];
-      (* One jitter-banded throughput comparison against the committed
-         baseline, to catch an order-of-magnitude LZF hot-path
-         regression that the within-run ratio would forgive (e.g. both
-         policies slowing down together). *)
-      (match (find_policy cur "lzf", find_policy base "lzf") with
-      | Some c, Some b ->
-          check "lzf mean steps/sec" ~better:`Higher c b
-            [ "mean_steps_per_sec" ]
-      | _ -> failf "lzf aggregate missing from current or baseline results")
-  | e -> failwith ("unknown experiment kind " ^ e))
+  let checks =
+    match List.assoc_opt experiment checks with
+    | Some cs -> cs
+    | None -> failwith ("unknown experiment kind " ^ experiment)
+  in
+  let tiny = J.to_string (J.member "scale" cur) = Some "tiny" in
+  let limit = function
+    | V x -> x
+    | Scaled (full, small) -> if tiny then small else full
+    | Field (key, default) -> Option.value (num (J.member key cur)) ~default
+  in
+  List.iter (run ~limit ~cur ~base) checks
 
 (* --- trace-coverage mode --- *)
 

@@ -29,6 +29,38 @@ let section title =
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* SUU_PERF_SCALE=tiny shrinks perf, serve, chaos, replay, shard and
+   table1 to a CI smoke size. *)
+let tiny_scale () = Sys.getenv_opt "SUU_PERF_SCALE" = Some "tiny"
+
+module J = Suu_util.Json
+
+let num x = J.Float x
+let int n = J.Float (float_of_int n)
+let str s = J.String s
+
+(* {"p50": q 0.5, ...}: [q] at each named quantile, in order. *)
+let quantiles q ps = J.Obj (List.map (fun (k, p) -> (k, num (q p))) ps)
+let p50_to_max = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("max", 1.0) ]
+
+(* The current value of each named obs counter. *)
+let counters names =
+  List.map (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n))) names
+
+(* A count read back out of a section built with [int]. *)
+let count j key =
+  int_of_float (Option.value (J.to_float (J.member key j)) ~default:0.0)
+
+(* BENCH_<experiment>.json: the experiment id and scale, then [fields]. *)
+let write_artifact experiment fields =
+  let file = Printf.sprintf "BENCH_%s.json" experiment in
+  J.to_file file
+    (J.Obj
+       (("experiment", str experiment)
+       :: ("scale", str (if tiny_scale () then "tiny" else "full"))
+       :: fields));
+  note "\nwrote %s" file
+
 (* Durable memoization: with SUU_STORE set to a directory, every ratio
    sweep routes through {!Suu_store.Memo} — committed replication
    batches are served from the store and only missing ones are
@@ -713,24 +745,18 @@ let a3 () =
    keyed by phase name.  Every span recorded anywhere in the process so
    far (LP solves, engine runs, server request phases) shows up, which
    is what lets the CI gate compare phase timings across PRs. *)
-let phases_json buf ~indent =
-  let pad = String.make indent ' ' in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+let phases_json () =
   let snap = Suu_obs.Registry.snapshot () in
-  let hists = snap.Suu_obs.Registry.histograms in
-  bpf "{\n";
-  List.iteri
-    (fun i (name, h, hs) ->
-      let q p = 1000.0 *. Suu_obs.Histogram.quantile h hs p in
-      bpf
-        "%s  %S: {\"count\": %d, \"mean_ms\": %.6g, \"p50_ms\": %.6g, \
-         \"p95_ms\": %.6g, \"p99_ms\": %.6g}%s\n"
-        pad name hs.Suu_obs.Histogram.count
-        (1000.0 *. Suu_obs.Histogram.mean hs)
-        (q 0.5) (q 0.95) (q 0.99)
-        (if i = List.length hists - 1 then "" else ","))
-    hists;
-  bpf "%s}" pad
+  J.Obj
+    (List.map
+       (fun (name, h, hs) ->
+         let q p = num (1000.0 *. Suu_obs.Histogram.quantile h hs p) in
+         ( name,
+           J.Obj
+             [ ("count", int hs.Suu_obs.Histogram.count);
+               ("mean_ms", num (1000.0 *. Suu_obs.Histogram.mean hs));
+               ("p50_ms", q 0.5); ("p95_ms", q 0.95); ("p99_ms", q 0.99) ] ))
+       snap.Suu_obs.Registry.histograms)
 
 (* Instrumentation overhead: the same greedy replication workload timed
    with the observability layer recording vs fully disabled
@@ -790,11 +816,7 @@ let measure_obs_overhead inst policy ~seed ~reps =
    SUU_PERF_SCALE=tiny shrinks everything to a CI smoke size. *)
 let perf_pipeline bechamel_rows =
   section "perf: simulation pipeline (engine step rate, multicore scaling)";
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let n, m, reps = if tiny then (16, 4, 8) else (128, 8, 48) in
   let seed = 777 in
   let inst = W.independent W.Near_one ~n ~m ~seed:4242 in
@@ -879,61 +901,41 @@ let perf_pipeline bechamel_rows =
         ("suu-i-obl", fun s -> Suu_core.Suu_i_obl.policy ~solver:s pinst);
       ]
   in
-  (* JSON record. *)
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"perf\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"available_domains\": %d,\n" cores;
-  bpf "  \"obs_overhead_pct\": %.4g,\n" overhead_pct;
-  bpf "  \"engine\": {\n";
-  bpf "    \"workload\": \"near-one n=%d m=%d reps=%d\",\n" n m reps;
-  bpf "    \"policy\": \"greedy\",\n";
-  bpf "    \"steps_per_sec\": %.6g,\n" step_rate;
-  bpf "    \"machine_steps_per_sec\": %.6g\n" (float_of_int m *. step_rate);
-  bpf "  },\n";
-  bpf "  \"ratio_sweep\": {\n";
-  bpf "    \"workload\": \"near-one n=%d m=%d reps=%d\",\n" n m reps;
-  bpf "    \"policy\": \"suu-i-sem\",\n";
-  bpf "    \"sequential_sec\": %.6g,\n" seq_t;
-  bpf "    \"parallel\": [\n";
-  List.iteri
-    (fun i (d, t, speedup, same) ->
-      bpf
-        "      {\"domains\": %d, \"sec\": %.6g, \"speedup\": %.4g, \
-         \"bit_identical\": %b}%s\n"
-        d t speedup same
-        (if i = List.length par_rows - 1 then "" else ","))
-    par_rows;
-  bpf "    ]\n";
-  bpf "  },\n";
-  bpf "  \"solver_parity\": [\n";
-  List.iteri
-    (fun i (pname, s, w, ratio) ->
-      bpf
-        "    {\"policy\": %S, \"simplex_mean\": %.6g, \"mwu_mean\": %.6g, \
-         \"ratio\": %.6g}%s\n"
-        pname s w ratio
-        (if i = List.length parity - 1 then "" else ","))
-    parity;
-  bpf "  ],\n";
-  bpf "  \"bechamel_ns_per_run\": {\n";
-  let sorted = List.sort compare bechamel_rows in
-  List.iteri
-    (fun i (name, est, _) ->
-      bpf "    %S: %.6g%s\n" name est
-        (if i = List.length sorted - 1 then "" else ","))
-    sorted;
-  bpf "  },\n";
-  bpf "  \"phases\": ";
-  phases_json buf ~indent:2;
-  bpf "\n";
-  bpf "}\n";
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_perf.json"
+  let workload = str (Printf.sprintf "near-one n=%d m=%d reps=%d" n m reps) in
+  write_artifact "perf"
+    [ ("available_domains", int cores);
+      ("obs_overhead_pct", num overhead_pct);
+      ( "engine",
+        J.Obj
+          [ ("workload", workload); ("policy", str "greedy");
+            ("steps_per_sec", num step_rate);
+            ("machine_steps_per_sec", num (float_of_int m *. step_rate)) ] );
+      ( "ratio_sweep",
+        J.Obj
+          [ ("workload", workload); ("policy", str "suu-i-sem");
+            ("sequential_sec", num seq_t);
+            ( "parallel",
+              J.List
+                (List.map
+                   (fun (d, t, speedup, same) ->
+                     J.Obj
+                       [ ("domains", int d); ("sec", num t);
+                         ("speedup", num speedup);
+                         ("bit_identical", J.Bool same) ])
+                   par_rows) ) ] );
+      ( "solver_parity",
+        J.List
+          (List.map
+             (fun (pname, s, w, ratio) ->
+               J.Obj
+                 [ ("policy", str pname); ("simplex_mean", num s);
+                   ("mwu_mean", num w); ("ratio", num ratio) ])
+             parity) );
+      ( "bechamel_ns_per_run",
+        J.Obj
+          (List.map (fun (name, est, _) -> (name, num est))
+             (List.sort compare bechamel_rows)) );
+      ("phases", phases_json ()) ]
 
 let perf () =
   section "perf: bechamel micro-benchmarks (ns per run, OLS estimate)";
@@ -1079,6 +1081,26 @@ let perf () =
   Table.print table;
   perf_pipeline !rows
 
+(* The instance pools of the wire experiments: serve, its open-loop
+   replay and shard load the first, chaos and its router scenario the
+   second. *)
+let serve_pool () =
+  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
+  [|
+    W.independent uniform ~n:12 ~m:4 ~seed:21;
+    W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
+    W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
+    W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
+  |]
+
+let chaos_pool () =
+  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
+  [|
+    W.independent uniform ~n:12 ~m:4 ~seed:31;
+    W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
+    W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
+  |]
+
 (* ------------------------------------------------------------------ *)
 (* serve — load-test the suu-serve daemon: an in-process server on an
    ephemeral port, hammered by closed-loop client threads issuing a
@@ -1096,8 +1118,8 @@ let perf () =
    and byte-compares every reply against a reference frame re-serialized
    with the per-request id.  Replies interleave freely across workers, so
    each connection's frames are compared as a multiset.  Returns the JSON
-   object embedded as BENCH_serve.json's "connection_scale" section plus
-   the dropped/mismatched counts the caller fails on. *)
+   object embedded as BENCH_serve.json's "connection_scale" section,
+   whose dropped/mismatched counts the caller fails on. *)
 
 let connections_target = ref 500
 
@@ -1276,14 +1298,11 @@ let connection_scale () =
     conns pipelined ok dropped mismatched wall
     (float_of_int (ok * pipelined) /. wall)
     (Reactor.backend r);
-  let json =
-    Printf.sprintf
-      "{\"connections\": %d, \"pipelined\": %d, \"ok\": %d, \"dropped\": %d, \
-       \"mismatched\": %d, \"wall_sec\": %.6g, \"rps\": %.6g}"
-      conns pipelined ok dropped mismatched wall
-      (float_of_int (ok * pipelined) /. wall)
-  in
-  (json, dropped, mismatched)
+  J.Obj
+    [ ("connections", int conns); ("pipelined", int pipelined); ("ok", int ok);
+      ("dropped", int dropped); ("mismatched", int mismatched);
+      ("wall_sec", num wall);
+      ("rps", num (float_of_int (ok * pipelined) /. wall)) ]
 
 (* serve --workload SPEC: the open-loop replay pass.  Unlike the
    closed-loop clients above (which submit as fast as the server
@@ -1483,16 +1502,7 @@ let open_loop_requests ~tiny spec =
         | Ok sp ->
             let count = if tiny then 60 else 240 in
             let times = A.take (A.create ~seed:11 sp) count in
-            let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-            let pool =
-              [|
-                W.independent uniform ~n:12 ~m:4 ~seed:21;
-                W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-                W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-                W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4
-                  ~seed:24;
-              |]
-            in
+            let pool = serve_pool () in
             let insts =
               Array.init (Array.length times) (fun k ->
                   pool.(k mod Array.length pool))
@@ -1575,29 +1585,22 @@ let open_loop_replay ~tiny spec =
     (quant earr 0.95) (quant earr 0.99) (quant earr 1.0);
   note "replay deterministic across two runs: %s"
     (if deterministic then "yes" else "NO");
-  let json =
-    Printf.sprintf
-      "{\"spec\": %S, \"open_loop\": true, \"arrivals\": %d, \"completed\": \
-       %d, \"incomplete\": %d, \"span_sec\": %.6g, \"compression\": %.6g, \
-       \"wall_sec\": %.6g, \"queueing_ms\": {\"p50\": %.6g, \"p95\": %.6g, \
-       \"max\": %.6g}, \"e2e_ms\": {\"p50\": %.6g, \"p95\": %.6g, \"p99\": \
-       %.6g, \"max\": %.6g}, \"deterministic_replay\": %b}"
-      label n !completed incomplete span compression wall (quant qarr 0.5)
-      (quant qarr 0.95) (quant qarr 1.0) (quant earr 0.5) (quant earr 0.95)
-      (quant earr 0.99) (quant earr 1.0) deterministic
-  in
-  (json, incomplete, deterministic)
+  J.Obj
+    [ ("spec", str label); ("open_loop", J.Bool true); ("arrivals", int n);
+      ("completed", int !completed); ("incomplete", int incomplete);
+      ("span_sec", num span); ("compression", num compression);
+      ("wall_sec", num wall);
+      ( "queueing_ms",
+        quantiles (quant qarr) [ ("p50", 0.5); ("p95", 0.95); ("max", 1.0) ] );
+      ("e2e_ms", quantiles (quant earr) p50_to_max);
+      ("deterministic_replay", J.Bool deterministic) ]
 
 let serve_bench () =
   section "serve: suu-serve load test (in-process daemon, closed-loop clients)";
   let module Server = Suu_server.Server in
   let module Client = Suu_server.Client in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 30 else 250 in
   let sim_reps = if tiny then 12 else 48 in
@@ -1605,15 +1608,7 @@ let serve_bench () =
   let config = { Server.default_config with workers; queue_capacity } in
   let server = Server.start ~config () in
   let port = Server.port server in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:21;
-      W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
-    |]
-  in
+  let pool = serve_pool () in
   (* Mixed closed-loop distribution: simulate dominates (it is the
      expensive request), a slice of it rides the LP-free online tier
      (lzf/backfill, counted as plan-cache bypasses), and the rest
@@ -1717,74 +1712,62 @@ let serve_bench () =
   (* Capture phase quantiles before the connection-scale pass so the
      gated p50s reflect the mixed load test above, not thousands of
      cheap describes. *)
-  let phases_buf = Buffer.create 512 in
-  phases_json phases_buf ~indent:2;
-  let cs_json, cs_dropped, cs_mismatched = connection_scale () in
+  let phases = phases_json () in
+  let cs = connection_scale () in
   let wl =
     match !workload_spec with
-    | None -> None
-    | Some spec -> Some (open_loop_replay ~tiny spec)
+    | None -> J.Null
+    | Some spec -> open_loop_replay ~tiny spec
   in
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"serve\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
-       \"queue_capacity\": %d, \"sim_reps\": %d},\n"
-    clients per_client workers queue_capacity sim_reps;
-  bpf "  \"wall_sec\": %.6g,\n" wall;
-  bpf "  \"throughput_rps\": %.6g,\n" (float_of_int total /. wall);
-  bpf "  \"latency_ms\": {\"p50\": %.6g, \"p95\": %.6g, \"p99\": %.6g, \
-       \"max\": %.6g},\n"
-    (q 0.5) (q 0.95) (q 0.99) (q 1.0);
-  bpf "  \"ok\": %d,\n" ok;
-  bpf "  \"rejected\": %d,\n" rejects;
-  bpf "  \"errors\": %d,\n" errors;
-  bpf "  \"reject_rate\": %.6g,\n"
-    (float_of_int rejects /. float_of_int (max 1 total));
-  bpf "  \"plan_cache_hits\": %s,\n" (cache_stat "plan_cache_hits");
-  bpf "  \"plan_cache_misses\": %s,\n" (cache_stat "plan_cache_misses");
-  bpf "  \"plan_cache_evictions\": %s,\n" (cache_stat "plan_cache_evictions");
-  (* LP-free requests never probe the cache: they are counted here and
-     excluded from the hit-rate denominator by construction. *)
-  bpf "  \"plan_cache_bypass\": %s,\n" (cache_stat "plan_cache_bypass");
-  bpf "  \"plan_cache_hit_rate\": %s,\n" (cache_stat "plan_cache_hit_rate");
-  bpf "  \"solver\": \"%s\",\n" (cache_stat "solver");
-  bpf "  \"deterministic_over_the_wire\": %b,\n" deterministic;
-  bpf "  \"connection_scale\": %s,\n" cs_json;
-  (* null when the bench ran without --workload: the gate only audits
-     the open-loop section when a replay actually happened. *)
-  bpf "  \"workload\": %s,\n"
-    (match wl with Some (j, _, _) -> j | None -> "null");
-  (* The load-tested server runs in this process, so the registry holds
-     its request-phase spans (parse / queue_wait / execute / write). *)
-  bpf "  \"phases\": %s\n" (Buffer.contents phases_buf);
-  bpf "}\n";
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_serve.json";
+  (* LP-free requests never probe the plan cache: they are counted as
+     bypasses and excluded from the hit-rate denominator by
+     construction. *)
+  let stat_num k =
+    (k, Option.fold ~none:J.Null ~some:num (float_of_string_opt (cache_stat k)))
+  in
+  write_artifact "serve"
+    [ ( "config",
+        J.Obj
+          [ ("clients", int clients); ("per_client", int per_client);
+            ("workers", int workers); ("queue_capacity", int queue_capacity);
+            ("sim_reps", int sim_reps) ] );
+      ("wall_sec", num wall);
+      ("throughput_rps", num (float_of_int total /. wall));
+      ("latency_ms", quantiles q p50_to_max);
+      ("ok", int ok); ("rejected", int rejects); ("errors", int errors);
+      ("reject_rate", num (float_of_int rejects /. float_of_int (max 1 total)));
+      stat_num "plan_cache_hits"; stat_num "plan_cache_misses";
+      stat_num "plan_cache_evictions"; stat_num "plan_cache_bypass";
+      stat_num "plan_cache_hit_rate";
+      ("solver", str (cache_stat "solver"));
+      ("deterministic_over_the_wire", J.Bool deterministic);
+      ("connection_scale", cs);
+      (* null when the bench ran without --workload: the gate only
+         audits the open-loop section when a replay actually happened. *)
+      ("workload", wl);
+      (* The load-tested server runs in this process, so the registry
+         holds its request-phase spans (parse / queue_wait / execute /
+         write). *)
+      ("phases", phases) ];
   if errors > 0 then failwith "serve bench saw unexpected error responses";
   if not deterministic then
     failwith "serve bench: simulate responses differ across worker counts";
-  if cs_dropped > 0 || cs_mismatched > 0 then
+  if count cs "dropped" > 0 || count cs "mismatched" > 0 then
     failwith
       (Printf.sprintf
          "serve bench connection-scale: %d dropped, %d mismatched connections"
-         cs_dropped cs_mismatched);
-  match wl with
-  | None -> ()
-  | Some (_, incomplete, wl_deterministic) ->
-      if incomplete > 0 then
-        failwith
-          (Printf.sprintf
-             "serve bench workload replay: %d arrivals never completed"
-             incomplete);
-      if not wl_deterministic then
-        failwith
-          "serve bench workload replay: responses differ across two runs at \
-           the same seed"
+         (count cs "dropped") (count cs "mismatched"));
+  if wl <> J.Null then begin
+    if count wl "incomplete" > 0 then
+      failwith
+        (Printf.sprintf
+           "serve bench workload replay: %d arrivals never completed"
+           (count wl "incomplete"));
+    if J.member "deterministic_replay" wl <> Some (J.Bool true) then
+      failwith
+        "serve bench workload replay: responses differ across two runs at \
+         the same seed"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* chaos — the fault-tolerance harness: an in-process server with the
@@ -1809,22 +1792,11 @@ let chaos_router_run () =
   let module P = Suu_server.Protocol in
   note "";
   section "chaos --router: shard kill mid-load behind the router";
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 25 else 100 in
   let sim_reps = if tiny then 8 else 32 in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:31;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
-    |]
-  in
+  let pool = chaos_pool () in
   let pick_body rng =
     let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
     let roll = Suu_prng.Rng.int rng 100 in
@@ -1869,11 +1841,7 @@ let chaos_router_run () =
     [ "router.route"; "router.failover"; "router.health.mark_down";
       "router.health.mark_up" ]
   in
-  let sample () =
-    List.map
-      (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n)))
-      tracked
-  in
+  let sample () = counters tracked in
   let before = sample () in
   let total = clients * per_client in
   let progress = Atomic.make 0 in
@@ -1934,20 +1902,6 @@ let chaos_router_run () =
     (delta "router.route") (delta "router.failover")
     (delta "router.health.mark_down")
     (delta "router.health.mark_up") live;
-  let buf = Buffer.create 512 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "    \"shards\": 2,\n";
-  bpf "    \"killed_shard\": \"%s\",\n" victim_id;
-  bpf "    \"requests\": %d,\n" total;
-  bpf "    \"completed\": %d,\n" completed;
-  bpf "    \"failed\": %d,\n" failed;
-  bpf "    \"success_rate\": %.6g,\n" success_rate;
-  bpf "    \"routed\": %d,\n" (delta "router.route");
-  bpf "    \"failovers\": %d,\n" (delta "router.failover");
-  bpf "    \"mark_down\": %d,\n" (delta "router.health.mark_down");
-  bpf "    \"live_shards_after\": %d\n" live;
-  bpf "  }";
   if delta "router.health.mark_down" < 1 then
     failwith "chaos --router: the dead shard was never marked down";
   if success_rate < 1.0 then
@@ -1955,7 +1909,14 @@ let chaos_router_run () =
       (Printf.sprintf
          "chaos --router: %d of %d requests lost despite failover" failed
          total);
-  Buffer.contents buf
+  J.Obj
+    [ ("shards", int 2); ("killed_shard", str victim_id);
+      ("requests", int total); ("completed", int completed);
+      ("failed", int failed); ("success_rate", num success_rate);
+      ("routed", int (delta "router.route"));
+      ("failovers", int (delta "router.failover"));
+      ("mark_down", int (delta "router.health.mark_down"));
+      ("live_shards_after", int live) ]
 
 (* Set by the --router flag on the bench command line; the chaos
    experiment then runs the shard-kill scenario too and embeds its
@@ -1968,11 +1929,7 @@ let chaos_bench () =
   let module Client = Suu_server.Client in
   let module Faults = Suu_server.Faults in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 25 else 150 in
   let sim_reps = if tiny then 8 else 32 in
@@ -1996,11 +1953,7 @@ let chaos_bench () =
       "faults.injected.crash"; "server.worker.restarts"; "client.retries";
       "client.timeouts"; "client.reconnects"; "client.giveups" ]
   in
-  let sample () =
-    List.map
-      (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n)))
-      tracked
-  in
+  let sample () = counters tracked in
   let before = sample () in
   let config =
     { Server.default_config with
@@ -2008,14 +1961,7 @@ let chaos_bench () =
   in
   let server = Server.start ~config () in
   let port = Server.port server in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:31;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
-    |]
-  in
+  let pool = chaos_pool () in
   let pick_body rng =
     let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
     let roll = Suu_prng.Rng.int rng 100 in
@@ -2095,46 +2041,33 @@ let chaos_bench () =
     (delta "client.reconnects") (delta "client.giveups");
   note "latency ms (incl. retries): p50=%.2f p95=%.2f p99=%.2f max=%.2f"
     (q 0.5) (q 0.95) (q 0.99) (q 1.0);
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"chaos\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
-       \"queue_capacity\": %d, \"sim_reps\": %d, \"retries\": %d, \
-       \"timeout_ms\": %d, \"faults\": \"%s\"},\n"
-    clients per_client workers queue_capacity sim_reps retries timeout_ms
-    (Faults.to_spec fault_config);
-  bpf "  \"wall_sec\": %.6g,\n" wall;
-  bpf "  \"throughput_rps\": %.6g,\n" (float_of_int requests /. wall);
-  bpf "  \"requests\": %d,\n" requests;
-  bpf "  \"completed\": %d,\n" completed;
-  bpf "  \"failed\": %d,\n" failed;
-  bpf "  \"success_rate\": %.6g,\n" success_rate;
-  bpf "  \"injected\": {\"drop\": %d, \"delay\": %d, \"error\": %d, \
-       \"kill\": %d, \"crash\": %d, \"total\": %d},\n"
-    (delta "faults.injected.drop")
-    (delta "faults.injected.delay")
-    (delta "faults.injected.error")
-    (delta "faults.injected.kill")
-    (delta "faults.injected.crash")
-    injected_total;
-  bpf "  \"worker_restarts\": %d,\n" (delta "server.worker.restarts");
-  bpf "  \"client_retries\": %d,\n" (delta "client.retries");
-  bpf "  \"client_timeouts\": %d,\n" (delta "client.timeouts");
-  bpf "  \"client_reconnects\": %d,\n" (delta "client.reconnects");
-  bpf "  \"client_giveups\": %d,\n" (delta "client.giveups");
-  bpf "  \"latency_ms\": {\"p50\": %.6g, \"p95\": %.6g, \"p99\": %.6g, \
-       \"max\": %.6g},\n"
-    (q 0.5) (q 0.95) (q 0.99) (q 1.0);
-  (match if !chaos_router_enabled then Some (chaos_router_run ()) else None with
-  | Some section -> bpf "  \"router\": %s\n" section
-  | None -> bpf "  \"router\": null\n");
-  bpf "}\n";
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_chaos.json";
+  write_artifact "chaos"
+    [ ( "config",
+        J.Obj
+          [ ("clients", int clients); ("per_client", int per_client);
+            ("workers", int workers); ("queue_capacity", int queue_capacity);
+            ("sim_reps", int sim_reps); ("retries", int retries);
+            ("timeout_ms", int timeout_ms);
+            ("faults", str (Faults.to_spec fault_config)) ] );
+      ("wall_sec", num wall);
+      ("throughput_rps", num (float_of_int requests /. wall));
+      ("requests", int requests); ("completed", int completed);
+      ("failed", int failed);
+      ("success_rate", num success_rate);
+      ( "injected",
+        J.Obj
+          (List.map
+             (fun k -> (k, int (delta ("faults.injected." ^ k))))
+             [ "drop"; "delay"; "error"; "kill"; "crash" ]
+          @ [ ("total", int injected_total) ]) );
+      ("worker_restarts", int (delta "server.worker.restarts"));
+      ("client_retries", int (delta "client.retries"));
+      ("client_timeouts", int (delta "client.timeouts"));
+      ("client_reconnects", int (delta "client.reconnects"));
+      ("client_giveups", int (delta "client.giveups"));
+      ("latency_ms", quantiles q p50_to_max);
+      ( "router",
+        if !chaos_router_enabled then chaos_router_run () else J.Null ) ];
   if injected_total = 0 then
     failwith "chaos bench: fault injector never fired";
   if success_rate < 1.0 then
@@ -2164,11 +2097,7 @@ let chaos_bench () =
 let replay_bench () =
   section "replay: store-memoized sweep - cold vs warm vs kill-resume";
   let module RS = Suu_store.Result_store in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let sizes = if tiny then [ 8; 12 ] else [ 16; 32; 64 ] in
   let reps = if tiny then 10 else 40 in
   let m = 4 and seed = 515 in
@@ -2281,30 +2210,22 @@ let replay_bench () =
   note "outputs identical (direct=cold=warm): %b" identical;
   note "kill-resume output identical: %b (recovery truncated %d torn tail)"
     resumed_identical truncated;
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"replay\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"config\": {\"cells\": %d, \"reps\": %d, \"machines\": %d, \
-       \"seed\": %d},\n"
-    (List.length cells) reps m seed;
-  bpf "  \"cold_sec\": %.6g,\n" cold_sec;
-  bpf "  \"warm_sec\": %.6g,\n" warm_sec;
-  bpf "  \"speedup\": %.6g,\n" (cold_sec /. Float.max warm_sec 1e-9);
-  bpf "  \"identical\": %b,\n" identical;
-  bpf "  \"resumed_identical\": %b,\n" resumed_identical;
-  bpf "  \"torn_tail_truncated\": %d,\n" truncated;
-  bpf "  \"warm_served\": %d,\n" warm_served;
-  bpf "  \"warm_computed\": %d,\n" warm_computed;
-  bpf "  \"store\": {\"keys\": %d, \"records\": %d, \"reps\": %d, \
-       \"file_bytes\": %d}\n"
-    stats_a.RS.keys stats_a.RS.records stats_a.RS.reps stats_a.RS.file_bytes;
-  bpf "}\n";
-  let oc = open_out "BENCH_replay.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_replay.json";
+  write_artifact "replay"
+    [ ( "config",
+        J.Obj
+          [ ("cells", int (List.length cells)); ("reps", int reps);
+            ("machines", int m); ("seed", int seed) ] );
+      ("cold_sec", num cold_sec); ("warm_sec", num warm_sec);
+      ("speedup", num (cold_sec /. Float.max warm_sec 1e-9));
+      ("identical", J.Bool identical);
+      ("resumed_identical", J.Bool resumed_identical);
+      ("torn_tail_truncated", int truncated); ("warm_served", int warm_served);
+      ("warm_computed", int warm_computed);
+      ( "store",
+        J.Obj
+          [ ("keys", int stats_a.RS.keys); ("records", int stats_a.RS.records);
+            ("reps", int stats_a.RS.reps);
+            ("file_bytes", int stats_a.RS.file_bytes) ] ) ];
   rm_rf dir_a;
   rm_rf dir_b;
   if not identical then
@@ -2335,24 +2256,12 @@ let shard_bench () =
   let module Client = Suu_server.Client in
   let module Router = Suu_router.Router in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 30 else 250 in
   let sim_reps = if tiny then 32 else 160 in
   let workers = 4 and queue_capacity = 64 in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:21;
-      W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
-    |]
-  in
+  let pool = serve_pool () in
   (* Simulate-heavy mix: the proxy-overhead ratio is only meaningful
      under a compute-bound load; a ping-pong mix would just measure
      the extra hop twice. *)
@@ -2504,28 +2413,19 @@ let shard_bench () =
     (List.length sweep_requests - mismatches)
     (List.length sweep_requests)
     (if byte_identical then "" else "  << MISMATCH");
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"shard\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
-       \"queue_capacity\": %d, \"sim_reps\": %d},\n"
-    clients per_client workers queue_capacity sim_reps;
-  bpf "  \"direct_rps\": %.6g,\n" rps_direct;
-  bpf "  \"routed_1shard_rps\": %.6g,\n" rps_routed1;
-  bpf "  \"routed_2shard_rps\": %.6g,\n" rps_routed2;
-  bpf "  \"routed_vs_direct\": %.6g,\n" ratio1;
-  bpf "  \"routed_requests\": %d,\n" routed_requests;
-  bpf "  \"errors\": %d,\n" (err_d + err_r1 + err_r2);
-  bpf "  \"sweep_requests\": %d,\n" (List.length sweep_requests);
-  bpf "  \"sweep_mismatches\": %d,\n" mismatches;
-  bpf "  \"byte_identical\": %b\n" byte_identical;
-  bpf "}\n";
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_shard.json";
+  write_artifact "shard"
+    [ ( "config",
+        J.Obj
+          [ ("clients", int clients); ("per_client", int per_client);
+            ("workers", int workers); ("queue_capacity", int queue_capacity);
+            ("sim_reps", int sim_reps) ] );
+      ("direct_rps", num rps_direct); ("routed_1shard_rps", num rps_routed1);
+      ("routed_2shard_rps", num rps_routed2); ("routed_vs_direct", num ratio1);
+      ("routed_requests", int routed_requests);
+      ("errors", int (err_d + err_r1 + err_r2));
+      ("sweep_requests", int (List.length sweep_requests));
+      ("sweep_mismatches", int mismatches);
+      ("byte_identical", J.Bool byte_identical) ];
   if err_d + err_r1 + err_r2 > 0 then
     failwith "shard bench saw error responses";
   if not byte_identical then
@@ -2551,11 +2451,7 @@ let table1 () =
      - ratio to lower bound + steps/sec";
   Suu_sched.Register.ensure ();
   let module R = Suu_core.Policy_registry in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  let tiny = tiny_scale () in
   let n = if tiny then 12 else 32 in
   let reps = if tiny then 6 else 20 in
   let swf_take = if tiny then 4 else 10 in
@@ -2598,14 +2494,16 @@ let table1 () =
     match R.build name inst with
     | Error _ -> None
     | Ok policy ->
-        (* Sequential: one request on one worker.  The domain pool's
-           spin-up would otherwise dominate the numerator for cheap
-           policies and hide exactly the LP cost being measured. *)
+        (* Both timings are sequential: one request on one worker.  The
+           domain pool's spin-up would otherwise dominate the numerator
+           of these runs of a few dozen steps — for cheap policies it
+           would hide exactly the LP cost the cold timing measures, and
+           the warm steps/sec would time the pool, not the policy. *)
         let first = Runner.makespans ~jobs:1 inst policy ~seed ~reps:1 in
         let cold_wall = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
         let cold_sps = first.(0) /. cold_wall in
         let t1 = Unix.gettimeofday () in
-        let xs = Runner.makespans inst policy ~seed ~reps in
+        let xs = Runner.makespans ~jobs:1 inst policy ~seed ~reps in
         let wall = Float.max 1e-9 (Unix.gettimeofday () -. t1) in
         let steps = Array.fold_left ( +. ) 0.0 xs in
         let mean = steps /. float_of_int reps in
@@ -2710,59 +2608,49 @@ let table1 () =
     in
     (mean rs, mean ss, List.length rs)
   in
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"table1\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
-  bpf "  \"config\": {\"n\": %d, \"reps\": %d, \"sm_reps\": %d},\n" n reps
-    sm_reps;
-  bpf "  \"lzf_bound\": %.6g,\n" lzf_bound;
-  bpf "  \"synthetic_rows\": %d,\n" (List.length synthetic);
-  bpf "  \"swf_rows\": %d,\n" (List.length swf);
-  bpf "  \"lzf_vs_sem_speedup_min\": %s,\n"
-    (if speedup_min = infinity then "null"
-     else Printf.sprintf "%.6g" speedup_min);
-  bpf "  \"single_machine_lzf\": [";
-  List.iteri
-    (fun i (name, r) ->
-      bpf "%s{\"instance\": \"%s\", \"ratio\": %.6g}"
-        (if i = 0 then "" else ", ")
-        name r)
-    single_machine;
-  bpf "],\n";
-  bpf "  \"policies\": [\n";
-  List.iteri
-    (fun i p ->
-      let r, s, c = aggregate p in
-      bpf "    {\"policy\": \"%s\", \"mean_ratio\": %.6g, \
-           \"mean_steps_per_sec\": %.6g, \"rows\": %d}%s\n"
-        p r s c
-        (if i = List.length policy_names - 1 then "" else ","))
-    policy_names;
-  bpf "  ],\n";
-  bpf "  \"rows\": [\n";
-  List.iteri
-    (fun i (kind, name, shape, inst, bound, cols) ->
-      bpf "    {\"instance\": \"%s\", \"kind\": \"%s\", \"shape\": \"%s\", \
-           \"n\": %d, \"m\": %d, \"lower_bound\": %.6g, \"policies\": ["
-        name kind shape (Instance.n inst) (Instance.m inst) bound;
-      List.iteri
-        (fun j (p, r, s, cold, mk) ->
-          bpf "%s{\"policy\": \"%s\", \"ratio\": %.6g, \
-               \"steps_per_sec\": %.6g, \"cold_steps_per_sec\": %.6g, \
-               \"mean_makespan\": %.6g}"
-            (if j = 0 then "" else ", ")
-            p r s cold mk)
-        cols;
-      bpf "]}%s\n" (if i = List.length all_rows - 1 then "" else ","))
-    all_rows;
-  bpf "  ]\n";
-  bpf "}\n";
-  let oc = open_out "BENCH_table1.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_table1.json"
+  write_artifact "table1"
+    [ ( "config",
+        J.Obj [ ("n", int n); ("reps", int reps); ("sm_reps", int sm_reps) ] );
+      ("lzf_bound", num lzf_bound);
+      ("synthetic_rows", int (List.length synthetic));
+      ("swf_rows", int (List.length swf));
+      (* null when no instance ran both policies *)
+      ("lzf_vs_sem_speedup_min", num speedup_min);
+      ( "single_machine_lzf",
+        J.List
+          (List.map
+             (fun (name, r) ->
+               J.Obj [ ("instance", str name); ("ratio", num r) ])
+             single_machine) );
+      ( "policies",
+        J.List
+          (List.map
+             (fun p ->
+               let r, s, c = aggregate p in
+               J.Obj
+                 [ ("policy", str p); ("mean_ratio", num r);
+                   ("mean_steps_per_sec", num s); ("rows", int c) ])
+             policy_names) );
+      ( "rows",
+        J.List
+          (List.map
+             (fun (kind, name, shape, inst, bound, cols) ->
+               J.Obj
+                 [ ("instance", str name); ("kind", str kind);
+                   ("shape", str shape);
+                   ("n", int (Instance.n inst)); ("m", int (Instance.m inst));
+                   ("lower_bound", num bound);
+                   ( "policies",
+                     J.List
+                       (List.map
+                          (fun (p, r, s, cold, mk) ->
+                            J.Obj
+                              [ ("policy", str p); ("ratio", num r);
+                                ("steps_per_sec", num s);
+                                ("cold_steps_per_sec", num cold);
+                                ("mean_makespan", num mk) ])
+                          cols) ) ])
+             all_rows) ) ]
 
 (* ------------------------------------------------------------------ *)
 

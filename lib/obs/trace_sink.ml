@@ -32,19 +32,7 @@ let enabled () =
 
 (* Span names and attribute strings are ours (short identifiers), but
    attrs may carry policy names etc., so escape properly anyway. *)
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let escape = Suu_util.Json.escape
 
 let emit ~name ~id ~parent ~start_ns ~dur_ns ~attrs =
   match current_sink () with

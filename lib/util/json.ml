@@ -1,8 +1,6 @@
-(* Minimal recursive-descent JSON reader: just enough for the bench
-   gate to read BENCH_*.json, bench/baseline.json and SUU_TRACE JSONL
-   lines without an external dependency.  Integers surface as [Float]
-   (the gate only compares magnitudes); escapes decode the common cases
-   and pass \uXXXX through verbatim. *)
+(* Minimal dependency-free JSON: the writer behind every BENCH_*.json
+   artifact and SUU_TRACE's string escaping, and a recursive-descent
+   reader for the bench gate.  Integers surface as [Float]. *)
 
 type t =
   | Null
@@ -37,16 +35,13 @@ let expect st c =
 
 let literal st word v =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.s
-    && String.equal (String.sub st.s st.pos n) word
-  then begin
-    st.pos <- st.pos + n;
-    v
-  end
-  else fail "bad literal at %d" st.pos
+  if st.pos + n > String.length st.s || String.sub st.s st.pos n <> word then
+    fail "bad literal at %d" st.pos;
+  st.pos <- st.pos + n;
+  v
 
 let parse_string st =
+  let len = String.length st.s in
   expect st '"';
   let b = Buffer.create 16 in
   let rec go () =
@@ -63,9 +58,22 @@ let parse_string st =
         | Some 'f' -> Buffer.add_char b '\012'; advance st; go ()
         | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c; advance st; go ()
         | Some 'u' ->
-            (* Pass through undecoded: the gate never compares such keys. *)
-            Buffer.add_string b "\\u";
-            advance st;
+            (* The writer escapes only bytes below 0x20, which decode back
+               to the byte; other code points are stored as UTF-8
+               (surrogate pairs are not supported). *)
+            let h = String.sub st.s (st.pos + 1) (min 4 (len - st.pos - 1)) in
+            let hex = function
+              | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+              | _ -> false
+            in
+            let c =
+              if String.length h = 4 && String.for_all hex h then
+                int_of_string ("0x" ^ h)
+              else -1
+            in
+            if not (Uchar.is_valid c) then fail "bad \\u escape at %d" st.pos;
+            Buffer.add_utf_8_uchar b (Uchar.of_int c);
+            st.pos <- st.pos + 5;
             go ()
         | _ -> fail "bad escape at %d" st.pos)
     | Some c ->
@@ -95,58 +103,36 @@ let rec parse_value st =
   match peek st with
   | None -> fail "unexpected end of input"
   | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws st;
-          let k = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ((k, v) :: acc)
-          | Some '}' ->
-              advance st;
-              List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}' at %d" st.pos
-        in
-        Obj (members [])
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        List []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements (v :: acc)
-          | Some ']' ->
-              advance st;
-              List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']' at %d" st.pos
-        in
-        List (elements [])
-      end
+      Obj
+        (parse_items st '}' (fun () ->
+             skip_ws st;
+             let k = parse_string st in
+             skip_ws st;
+             expect st ':';
+             (k, parse_value st)))
+  | Some '[' -> List (parse_items st ']' (fun () -> parse_value st))
   | Some '"' -> String (parse_string st)
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
   | Some _ -> parse_number st
+
+(* The comma-separated items after an opening bracket, up to [close]. *)
+and parse_items : 'a. state -> char -> (unit -> 'a) -> 'a list =
+ fun st close item ->
+  advance st;
+  skip_ws st;
+  if peek st = Some close then (advance st; [])
+  else
+    let rec go acc =
+      let x = item () in
+      skip_ws st;
+      match peek st with
+      | Some ',' -> advance st; go (x :: acc)
+      | Some c when c = close -> advance st; List.rev (x :: acc)
+      | _ -> fail "expected ',' or %C at %d" close st.pos
+    in
+    go []
 
 let of_string s =
   let st = { s; pos = 0 } in
@@ -161,6 +147,74 @@ let of_file path =
   let s = really_input_string ic len in
   close_in ic;
   of_string s
+
+(* --- writer --- *)
+
+let escape buf s =
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s
+
+(* Shortest of %.15g/%.16g/%.17g that reads back as the same float;
+   integral values print without a fraction. *)
+let float_repr f =
+  List.find
+    (fun s -> float_of_string s = f)
+    Printf.[ sprintf "%.15g" f; sprintf "%.16g" f; sprintf "%.17g" f ]
+
+let quote buf s =
+  Buffer.add_char buf '"';
+  escape buf s;
+  Buffer.add_char buf '"'
+
+(* The top level, and a second-level container whose items are all
+   non-empty containers (table rows, the phase map), break one item per
+   line; everything else stays on one line. *)
+let rec write buf depth = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Float f when Float.is_finite f -> Buffer.add_string buf (float_repr f)
+  | Float _ -> Buffer.add_string buf "null"
+  | String s -> quote buf s
+  | List vs -> items buf depth "[]" (List.map (fun v -> (None, v)) vs)
+  | Obj kvs -> items buf depth "{}" (List.map (fun (k, v) -> (Some k, v)) kvs)
+
+and items buf depth brackets kvs =
+  let nested = function
+    | _, (List (_ :: _) | Obj (_ :: _)) -> true
+    | _ -> false
+  in
+  let broken =
+    kvs <> [] && (depth = 0 || (depth = 1 && List.for_all nested kvs))
+  in
+  let indent d =
+    if broken then Buffer.add_string buf ("\n" ^ String.make (2 * d) ' ')
+  in
+  Buffer.add_char buf brackets.[0];
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string buf (if broken then "," else ", ");
+      indent (depth + 1);
+      Option.iter (fun k -> quote buf k; Buffer.add_string buf ": ") k;
+      write buf (depth + 1) v)
+    kvs;
+  indent depth;
+  Buffer.add_char buf brackets.[1]
+
+let render v =
+  let buf = Buffer.create 1024 in
+  write buf 0 v;
+  Buffer.contents buf
+
+let to_file path v =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (render v ^ "\n"))
 
 (* --- accessors --- *)
 

@@ -8,7 +8,14 @@
 # smoke_bench_*.sh scripts first.
 . "$(dirname "$0")/smoke_lib.sh"
 
+# Gate every artifact, then fail if any failed: one failing experiment
+# must not hide the verdicts of the rest.
+failed=""
 for f in BENCH_perf.json BENCH_serve.json BENCH_chaos.json \
          BENCH_replay.json BENCH_shard.json BENCH_table1.json; do
-  "$GATE" regression "$f" bench/baseline.json
+  "$GATE" regression "$f" bench/baseline.json || failed="$failed $f"
 done
+if [ -n "$failed" ]; then
+  echo "bench gate failed for:$failed" >&2
+  exit 1
+fi

@@ -67,6 +67,141 @@ let prop_render_row_count =
       List.iter (fun row -> Table.add_row t (List.map clean row)) rows;
       List.length (render_lines t) >= List.length rows + 2)
 
+(* --- JSON writer and reader --- *)
+
+module J = Suu_util.Json
+
+(* The escaping SUU_TRACE lines have always used (the private copy in
+   trace_sink.ml before it called [Json.escape]): the oracle that keeps
+   trace lines byte-identical. *)
+let trace_escape_oracle s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Strings heavy in quotes, backslashes and control bytes. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size (0 -- 12)
+      ~gen:
+        (frequency
+           [ (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '/' ]);
+             (3, char_range '\001' '\031'); (6, printable); (1, char) ]))
+
+(* Finite floats: small integers, short decimals and arbitrary bit
+   patterns (subnormals and 17-digit values included). *)
+let gen_finite_float =
+  QCheck.Gen.(
+    frequency
+      [ (2, map float_of_int (-1000 -- 1000));
+        (2, map (fun i -> float_of_int i /. 1000.0) (-100000 -- 100000));
+        ( 3,
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_finite f then f else 0.5)
+            ui64 ) ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (0 -- 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [ return J.Null; map (fun b -> J.Bool b) bool;
+                 map (fun f -> J.Float f) gen_finite_float;
+                 map (fun s -> J.String s) gen_json_string ]
+           in
+           if depth = 0 then leaf
+           else
+             let sub = self (depth - 1) in
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> J.List l) (list_size (0 -- 4) sub));
+                 ( 1,
+                   map (fun kvs -> J.Obj kvs)
+                     (list_size (0 -- 4) (pair gen_json_string sub)) ) ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"json of_string (render j) = j"
+    (QCheck.make ~print:J.render gen_json)
+    (fun j -> J.of_string (J.render j) = j)
+
+let prop_json_float_exact =
+  QCheck.Test.make ~count:2000 ~name:"json finite floats round-trip exactly"
+    (QCheck.make ~print:string_of_float gen_finite_float)
+    (fun f ->
+      match J.of_string (J.render (J.Float f)) with
+      | J.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
+let prop_json_escape_oracle =
+  QCheck.Test.make ~count:1000 ~name:"json escape = trace escape"
+    (QCheck.make ~print:String.escaped gen_json_string)
+    (fun s ->
+      let buf = Buffer.create 16 in
+      J.escape buf s;
+      String.equal (Buffer.contents buf) (trace_escape_oracle s))
+
+let test_json_non_finite () =
+  let j =
+    J.List (List.map (fun f -> J.Float f) Float.[ nan; infinity; neg_infinity ])
+  in
+  Alcotest.(check string) "written as null" "[\n  null,\n  null,\n  null\n]"
+    (J.render j);
+  Alcotest.(check bool) "read back as Null" true
+    (J.of_string (J.render j) = J.List [ J.Null; J.Null; J.Null ])
+
+let test_json_unicode_escapes () =
+  let s j = J.to_string (Some (J.of_string j)) in
+  Alcotest.(check (option string)) "\\u00XX" (Some "a\001\031b")
+    (s {|"a\u0001\u001Fb"|});
+  Alcotest.(check (option string)) "above 0x7f is UTF-8" (Some "\xc3\xa9")
+    (s {|"\u00e9"|});
+  List.iter
+    (fun bad ->
+      match J.of_string bad with
+      | exception J.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%s should not parse" bad)
+    [ {|"\u12"|}; {|"\u00g1"|}; {|"\ud800"|} ]
+
+(* The layout the bench smoke scripts grep: members of the top level and
+   lists of rows one per line, other sections on one line. *)
+let test_json_layout () =
+  let j =
+    J.Obj
+      [ ("experiment", J.String "serve"); ("n", J.Float 20.0);
+        ( "workload",
+          J.Obj
+            [ ("arrivals", J.Float 20.0); ("completed", J.Float 20.0);
+              ("lat", J.Obj [ ("p50", J.Float 1.5) ]) ] );
+        ("rows", J.List [ J.Obj [ ("a", J.Bool true) ]; J.Obj [] ]);
+        ("empty", J.List []) ]
+  in
+  Alcotest.(check string) "layout"
+    {|{
+  "experiment": "serve",
+  "n": 20,
+  "workload": {"arrivals": 20, "completed": 20, "lat": {"p50": 1.5}},
+  "rows": [{"a": true}, {}],
+  "empty": []
+}|}
+    (J.render j);
+  Alcotest.(check string) "rows of containers break"
+    "[\n  [1],\n  {\"k\": 0.1}\n]"
+    (J.render (J.List [ J.List [ J.Float 1.0 ]; J.Obj [ ("k", J.Float 0.1) ] ]))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -81,4 +216,13 @@ let () =
           Alcotest.test_case "fmt_g" `Quick test_fmt_g;
         ] );
       ("properties", [ q prop_render_row_count ]);
+      ( "json",
+        [
+          q prop_json_roundtrip;
+          q prop_json_float_exact;
+          q prop_json_escape_oracle;
+          Alcotest.test_case "non-finite" `Quick test_json_non_finite;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "layout" `Quick test_json_layout;
+        ] );
     ]
