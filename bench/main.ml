@@ -464,10 +464,11 @@ let e6 () =
     spreads;
   Table.print table;
   note
-    "\nexpected shape: SEM's ratio grows like log(pmax/pmin) (the \
-     doubling rounds pay one near-optimal pass per doubling); OBL pays \
-     a pass per *unit* of pmax, so its ratio grows linearly in pmax \
-     and separates sharply at large spreads.";
+    "\nexpected shape: SEM's ratio stays within O(log(pmax/pmin)) (the \
+     doubling rounds pay one near-optimal pass per doubling), and at \
+     n=32, m=8 it falls as the spread grows; OBL repeats its fixed \
+     1/2-target passes and stays high, so the OBL/SEM gap widens to \
+     about 3x at pmax/pmin = 128.";
   note
     "(Section 'Our results': the doubling schedule is \
      O(log(pmax/pmin))-competitive for deterministic adversarial \

@@ -34,9 +34,8 @@ let to_string inst =
 
 (* [to_string] plus [Digest.string] walk the whole instance, and the
    same value is digested over and over: the server keys its instance
-   cache by it on every request, and SUU-C (and SUU-T's stages) build
-   an inner SUU-I-SEM policy value, hence a plan-cache handle, at every
-   segment boundary of every replication.  The digest is therefore
+   cache by it on every request, and every policy value that solves
+   LPs builds a plan-cache handle from it.  The digest is therefore
    memoized by physical identity.  Structural hashing is capped by
    [Hashtbl.hash] (a bounded prefix walk), equality is [==], and the
    memo is reset when it outgrows the server's instance cache rather

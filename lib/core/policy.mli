@@ -16,7 +16,9 @@ type stepper = time:int -> remaining:bool array -> eligible:bool array -> int ar
     policy bug and rejected by the engine.  The returned array is read
     immediately and never retained, so policies may reuse a buffer.
     [remaining] and [eligible] are owned by the engine: treat as
-    read-only. *)
+    read-only.  Within one execution a job never returns to
+    [remaining] once it has left, so steppers may keep cursors over it
+    that only move forward. *)
 
 type t
 

@@ -65,26 +65,43 @@ let prepare ?top_machines ?solver inst ~chains =
 (* Per-chain program item. *)
 type item = Short of int | Pause of int
 
-(* Per-execution chain cursor.  [offset = gamma] on a pause means the
-   pause has elapsed and the chain is waiting for its long job. *)
-type cursor = { mutable item : int; mutable offset : int }
-
 type mode =
-  | Flatten of {
-      queues : int array array; (* per machine: jobs this superstep *)
-      duration : int;
-      mutable tstep : int;
-    }
   | Need_superstep
-  | Sem of { step : Policy.stepper; targets : int list }
+  | Flatten  (** running the current superstep's queues, one row per step *)
+  | Sem  (** a SUU-I-SEM run on the long jobs whose pauses started *)
 
+(* One execution.  Nothing here is reallocated per step: the superstep
+   queues, the flattened row and the chain cursors are filled in place,
+   and a SEM run only replaces [sem] and [targets] at a segment
+   boundary. *)
 type exec = {
-  cursors : cursor array;
+  item : int array;  (* per chain: index of its current program item *)
+  offset : int array;
+      (* per chain: supersteps into the item.  [offset = gamma] on a
+         pause means the pause has elapsed and the chain is waiting for
+         its long job. *)
   delays : int array;
   mutable superstep : int;
   mutable mode : mode;
-  pause_started : bool array; (* per job: its pause has begun *)
+  qjobs : int array;
+      (* per-machine queues of this superstep's jobs, in chain order:
+         machine [i]'s occupies [qoff.(i) ..], [qlen.(i)] of them *)
+  qlen : int array;
+  mutable duration : int;  (* the superstep's flattened length *)
+  mutable tstep : int;  (* flattened steps already run *)
+  buf : int array;  (* the row returned for a flattened step *)
+  mutable sem : Policy.stepper;
+  mutable targets : int array;  (* the SEM run's jobs, long_jobs order *)
+  mutable live : int;
+      (* index of the first remaining target: [remaining] only goes from
+         true to false, so it only moves forward, and the run is over
+         when it reaches the end *)
+  pending : int array;  (* scratch for the next SEM run's targets *)
+  pause_started : bool array;
+      (* per long job, indexed like [long_jobs]: its pause has begun *)
 }
+
+let no_sem ~time:_ ~remaining:_ ~eligible:_ = [||]
 
 let policy_of_prepared ?solver ?stats ?(random_delays = true)
     ?(delay_granularity = 1) inst prep =
@@ -94,40 +111,83 @@ let policy_of_prepared ?solver ?stats ?(random_delays = true)
   let n = Instance.n inst in
   let chain_arr = Array.of_list prep.chains in
   let nchains = Array.length chain_arr in
-  let is_long = Array.make n false in
-  List.iter (fun j -> is_long.(j) <- true) prep.long_jobs;
+  let long_jobs = Array.of_list prep.long_jobs in
+  (* Per job: its index in [long_jobs], or -1 for a short job. *)
+  let long_slot = Array.make n (-1) in
+  Array.iteri (fun k j -> long_slot.(j) <- k) long_jobs;
+  (* Per job: its length and its [(machine, x_ij)] pairs as two arrays. *)
   let d = Array.make n 1 in
-  let machines_of = Array.make n [] in
+  let mach = Array.make n [||] in
+  let xs = Array.make n [||] in
   Array.iter
     (fun chain ->
       Array.iter
         (fun j ->
           d.(j) <- max 1 (Assignment.job_length prep.assignment j);
-          machines_of.(j) <- Assignment.machines_of_job prep.assignment j)
+          let pairs =
+            Array.of_list (Assignment.machines_of_job prep.assignment j)
+          in
+          mach.(j) <- Array.map fst pairs;
+          xs.(j) <- Array.map snd pairs)
         chain)
     chain_arr;
   let items =
     Array.map
       (fun chain ->
-        Array.map (fun j -> if is_long.(j) then Pause j else Short j) chain)
+        Array.map
+          (fun j -> if long_slot.(j) >= 0 then Pause j else Short j)
+          chain)
       chain_arr
   in
+  (* Queue capacity per machine: a chain requests at most one job per
+     superstep, so machine [i] queues at most one job from each chain
+     with a short job that uses [i]. *)
+  let qoff = Array.make (m + 1) 0 in
+  let last_chain = Array.make m (-1) in
+  Array.iteri
+    (fun c prog ->
+      Array.iter
+        (function
+          | Pause _ -> ()
+          | Short j ->
+              Array.iter
+                (fun i ->
+                  if last_chain.(i) <> c then begin
+                    last_chain.(i) <- c;
+                    qoff.(i + 1) <- qoff.(i + 1) + 1
+                  end)
+                mach.(j))
+        prog)
+    items;
+  for i = 0 to m - 1 do
+    qoff.(i + 1) <- qoff.(i + 1) + qoff.(i)
+  done;
+  (* One plan-cache handle for every SEM run of every execution: a
+     handle pins the instance and solver half of the key, and building
+     one (digest lookup, key prefix, its hash) costs 0.6-1.2 us and 83
+     minor words, against a few steps per segment on small instances. *)
+  let cache = Plan_cache.create ?solver inst in
   (* The stats sink is shared by every stepper of this policy value, and
      steppers may run concurrently (parallel runner) — serialize updates. *)
   let stats_lock = Mutex.create () in
-  let with_stats f =
+  let record_superstep duration =
     match stats with
     | None -> ()
     | Some s ->
         Mutex.lock stats_lock;
-        f s;
-        Mutex.unlock stats_lock
-  in
-  let record_superstep duration =
-    with_stats (fun s ->
         s.supersteps <- s.supersteps + 1;
         s.total_congestion <- s.total_congestion + duration;
-        if duration > s.max_congestion then s.max_congestion <- duration)
+        if duration > s.max_congestion then s.max_congestion <- duration;
+        Mutex.unlock stats_lock
+  in
+  let record_sem ~invocation =
+    match stats with
+    | None -> ()
+    | Some s ->
+        Mutex.lock stats_lock;
+        if invocation then s.sem_invocations <- s.sem_invocations + 1
+        else s.sem_steps <- s.sem_steps + 1;
+        Mutex.unlock stats_lock
   in
   let fresh rng =
     (* Delays are drawn on a lattice of [delay_granularity] supersteps —
@@ -141,74 +201,73 @@ let policy_of_prepared ?solver ?stats ?(random_delays = true)
     in
     let ex =
       {
-        cursors = Array.init nchains (fun _ -> { item = 0; offset = 0 });
+        item = Array.make nchains 0;
+        offset = Array.make nchains 0;
         delays;
         superstep = 0;
         mode = Need_superstep;
-        pause_started = Array.make n false;
+        qjobs = Array.make qoff.(m) 0;
+        qlen = Array.make m 0;
+        duration = 0;
+        tstep = 0;
+        buf = Array.make m (-1);
+        sem = no_sem;
+        targets = [||];
+        live = 0;
+        pending = Array.make (Array.length long_jobs) 0;
+        pause_started = Array.make (Array.length long_jobs) false;
       }
-    in
-    (* Requests of chain c for the coming superstep; also marks pause
-       starts.  Returns (job, machines) or None. *)
-    let chain_requests c ~remaining =
-      let cur = ex.cursors.(c) in
-      let prog = items.(c) in
-      if ex.superstep < ex.delays.(c) || cur.item >= Array.length prog then
-        None
-      else
-        match prog.(cur.item) with
-        | Short j ->
-            if remaining.(j) then begin
-              let ms =
-                List.filter_map
-                  (fun (i, xij) -> if xij > cur.offset then Some i else None)
-                  machines_of.(j)
-              in
-              Some (j, ms)
-            end
-            else None
-        | Pause j ->
-            if cur.offset = 0 && remaining.(j) then ex.pause_started.(j) <- true;
-            None
     in
     (* Advance every chain by one superstep (called after the superstep's
        flattened timesteps have run). *)
     let advance_chains ~remaining =
       for c = 0 to nchains - 1 do
-        let cur = ex.cursors.(c) in
         let prog = items.(c) in
-        if ex.superstep >= ex.delays.(c) && cur.item < Array.length prog then begin
-          match prog.(cur.item) with
+        let it = ex.item.(c) in
+        if ex.superstep >= ex.delays.(c) && it < Array.length prog then begin
+          let off = ex.offset.(c) in
+          match prog.(it) with
           | Short j ->
-              if cur.offset + 1 >= d.(j) then begin
-                if remaining.(j) then cur.offset <- 0 (* failed: repeat *)
-                else begin
-                  cur.item <- cur.item + 1;
-                  cur.offset <- 0
-                end
+              if off + 1 >= d.(j) then begin
+                (* Block over: next item, or repeat it if [j] failed. *)
+                ex.offset.(c) <- 0;
+                if not remaining.(j) then ex.item.(c) <- it + 1
               end
-              else cur.offset <- cur.offset + 1
+              else ex.offset.(c) <- off + 1
           | Pause j ->
               if not remaining.(j) then begin
-                cur.item <- cur.item + 1;
-                cur.offset <- 0
+                ex.item.(c) <- it + 1;
+                ex.offset.(c) <- 0
               end
-              else if cur.offset < prep.gamma then cur.offset <- cur.offset + 1
+              else if off < prep.gamma then ex.offset.(c) <- off + 1
               (* offset = gamma: pause elapsed, wait for the SEM runs. *)
         end
       done;
       ex.superstep <- ex.superstep + 1
     in
+    (* Started and still pending long jobs into [ex.pending], in
+       [long_jobs] order; returns how many. *)
     let pending_long ~remaining =
-      List.filter (fun j -> ex.pause_started.(j) && remaining.(j))
-        prep.long_jobs
+      let k = ref 0 in
+      for s = 0 to Array.length long_jobs - 1 do
+        let j = long_jobs.(s) in
+        if ex.pause_started.(s) && remaining.(j) then begin
+          ex.pending.(!k) <- j;
+          incr k
+        end
+      done;
+      !k
     in
     let rec step ~time ~remaining ~eligible =
       match ex.mode with
-      | Sem { step = inner; targets } ->
-          if List.exists (fun j -> remaining.(j)) targets then begin
-            with_stats (fun s -> s.sem_steps <- s.sem_steps + 1);
-            inner ~time ~remaining ~eligible
+      | Sem ->
+          let t = ex.targets in
+          while ex.live < Array.length t && not remaining.(t.(ex.live)) do
+            ex.live <- ex.live + 1
+          done;
+          if ex.live < Array.length t then begin
+            record_sem ~invocation:false;
+            ex.sem ~time ~remaining ~eligible
           end
           else begin
             ex.mode <- Need_superstep;
@@ -217,29 +276,28 @@ let policy_of_prepared ?solver ?stats ?(random_delays = true)
       | Need_superstep ->
           (* Segment boundary: run SUU-I-SEM on pending long jobs. *)
           if ex.superstep > 0 && ex.superstep mod prep.gamma = 0 then begin
-            match pending_long ~remaining with
-            | [] -> build_superstep ~time ~remaining ~eligible
-            | targets ->
-                with_stats (fun s ->
-                    s.sem_invocations <- s.sem_invocations + 1);
-                let inner_policy =
-                  Suu_i_sem.policy ?solver ~jobs:(Array.of_list targets) inst
-                in
-                (* Mark handled: these pauses will have completed. *)
-                ex.mode <-
-                  Sem { step = Policy.fresh inner_policy rng; targets };
-                step ~time ~remaining ~eligible
+            let k = pending_long ~remaining in
+            if k = 0 then build_superstep ~time ~remaining ~eligible
+            else begin
+              record_sem ~invocation:true;
+              let targets = Array.sub ex.pending 0 k in
+              ex.targets <- targets;
+              ex.live <- 0;
+              ex.sem <- Suu_i_sem.stepper cache ~jobs:targets inst;
+              ex.mode <- Sem;
+              step ~time ~remaining ~eligible
+            end
           end
           else build_superstep ~time ~remaining ~eligible
-      | Flatten f ->
-          if f.tstep < f.duration then begin
-            let buf = Array.make m (-1) in
+      | Flatten ->
+          if ex.tstep < ex.duration then begin
+            let t = ex.tstep in
             for i = 0 to m - 1 do
-              let q = f.queues.(i) in
-              if f.tstep < Array.length q then buf.(i) <- q.(f.tstep)
+              ex.buf.(i) <-
+                (if t < ex.qlen.(i) then ex.qjobs.(qoff.(i) + t) else -1)
             done;
-            f.tstep <- f.tstep + 1;
-            buf
+            ex.tstep <- t + 1;
+            ex.buf
           end
           else begin
             advance_chains ~remaining;
@@ -247,31 +305,43 @@ let policy_of_prepared ?solver ?stats ?(random_delays = true)
             step ~time ~remaining ~eligible
           end
     and build_superstep ~time ~remaining ~eligible =
-      let queues = Array.make m [] in
+      (* Each started chain requests its current short job on the
+         machines whose block covers this superstep; a pause marks its
+         start instead. *)
+      Array.fill ex.qlen 0 m 0;
       let congestion = ref 0 in
       for c = 0 to nchains - 1 do
-        match chain_requests c ~remaining with
-        | None -> ()
-        | Some (j, ms) ->
-            List.iter
-              (fun i ->
-                queues.(i) <- j :: queues.(i);
-                let len = List.length queues.(i) in
-                if len > !congestion then congestion := len)
-              ms
+        let prog = items.(c) in
+        let it = ex.item.(c) in
+        if ex.superstep >= ex.delays.(c) && it < Array.length prog then begin
+          let off = ex.offset.(c) in
+          match prog.(it) with
+          | Short j ->
+              if remaining.(j) then begin
+                let ms = mach.(j) and xj = xs.(j) in
+                for k = 0 to Array.length ms - 1 do
+                  if xj.(k) > off then begin
+                    let i = ms.(k) in
+                    let len = ex.qlen.(i) + 1 in
+                    ex.qjobs.(qoff.(i) + len - 1) <- j;
+                    ex.qlen.(i) <- len;
+                    if len > !congestion then congestion := len
+                  end
+                done
+              end
+          | Pause j ->
+              if off = 0 && remaining.(j) then
+                ex.pause_started.(long_slot.(j)) <- true
+        end
       done;
       let duration = max 1 !congestion in
       record_superstep duration;
-      ex.mode <-
-        Flatten
-          {
-            queues = Array.map (fun l -> Array.of_list (List.rev l)) queues;
-            duration;
-            tstep = 0;
-          };
+      ex.duration <- duration;
+      ex.tstep <- 0;
+      ex.mode <- Flatten;
       step ~time ~remaining ~eligible
     in
-    fun ~time ~remaining ~eligible -> step ~time ~remaining ~eligible
+    step
   in
   Policy.make ~name:"suu-c" ~fresh
 

@@ -63,7 +63,13 @@ val policy_of_prepared :
   Instance.t ->
   prepared ->
   Policy.t
-(** [policy_of_prepared inst prep] builds the adaptive schedule.
+(** [policy_of_prepared inst prep] builds the adaptive schedule.  The
+    policy value owns one {!Plan_cache.t} handle, and every long-job
+    phase of every execution runs {!Suu_i_sem.stepper} over it.  Each
+    execution fills its superstep queues, flattened rows and chain
+    cursors in place, so a step allocates nothing outside segment
+    boundaries; the stepper keeps cursors over [remaining] that only
+    move forward (see {!Policy.stepper}).
     [random_delays] (default true) disables the Theorem-7 delays when
     false — used by the E7 ablation to show the congestion they remove.
     [solver] selects the LP1 backend of the inner SUU-I-SEM runs.

@@ -17,6 +17,22 @@ val rounds : Instance.t -> int
 val policy :
   ?solver:Solver_choice.t -> ?jobs:int array -> Instance.t -> Policy.t
 (** [policy inst] is the SUU-I-SEM schedule.  [jobs] restricts the policy
-    to a subset (used by SUU-C's long-job phases; default all jobs) — the
-    stepper then ignores jobs outside the subset entirely, and the round
-    count uses the subset size. *)
+    to a subset (default all jobs) — the stepper then ignores jobs
+    outside the subset entirely, and the round count uses the subset
+    size.  The policy value owns one {!Plan_cache.t} handle, shared by
+    all its executions. *)
+
+val stepper : Plan_cache.t -> jobs:int array -> Instance.t -> Policy.stepper
+(** [stepper cache ~jobs inst] is one execution of SUU-I-SEM on the
+    (non-empty) subset [jobs], looking its round plans up through
+    [cache], a handle built for [inst].  SUU-I-SEM draws no randomness,
+    so this is the stepper [policy ~jobs inst] would start, minus the
+    policy value and its handle: SUU-C runs one per segment boundary
+    over the handle it built once.  [jobs] is borrowed, not copied, and
+    its order is the (LP1) variable order of every round's solve.
+
+    A steady-state step allocates nothing: a round start copies the
+    survivors only when some scoped job finished, and the serial tail
+    reuses one buffer and finds its job with a cursor that only moves
+    forward, since [remaining] only goes from true to false within an
+    execution. *)

@@ -4,30 +4,35 @@ let blocks inst =
   | None -> invalid_arg "Suu_t.policy: precedence dag is not a forest"
 
 let policy ?solver ?top_machines inst =
-  let stage_chains = blocks inst in
   let stages =
     Array.map
       (fun chains ->
         let prep = Suu_c.prepare ?top_machines ?solver inst ~chains in
-        (chains, Suu_c.policy_of_prepared ?solver inst prep))
-      stage_chains
+        (Array.concat chains, Suu_c.policy_of_prepared ?solver inst prep))
+      (blocks inst)
   in
+  let nstages = Array.length stages in
   let m = Instance.m inst in
   let idle = Array.make m (-1) in
   let fresh rng =
     let stage = ref 0 in
+    (* Index into the current block's jobs of the first remaining one:
+       [remaining] only goes from true to false, so the block is done
+       once this cursor reaches its end, and it never moves back. *)
+    let first_live = ref 0 in
     let stepper = ref None in
-    let block_done remaining chains =
-      List.for_all
-        (fun chain -> Array.for_all (fun j -> not remaining.(j)) chain)
-        chains
-    in
     let rec step ~time ~remaining ~eligible =
-      if !stage >= Array.length stages then idle
+      if !stage >= nstages then idle
       else begin
-        let chains, pol = stages.(!stage) in
-        if block_done remaining chains then begin
+        let jobs, pol = stages.(!stage) in
+        while
+          !first_live < Array.length jobs && not remaining.(jobs.(!first_live))
+        do
+          incr first_live
+        done;
+        if !first_live >= Array.length jobs then begin
           stage := !stage + 1;
+          first_live := 0;
           stepper := None;
           step ~time ~remaining ~eligible
         end

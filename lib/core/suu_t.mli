@@ -14,4 +14,6 @@ val policy :
   ?solver:Solver_choice.t -> ?top_machines:int -> Instance.t -> Policy.t
 (** [policy inst] prepares one SUU-C stage per block (LPs solved at
     creation) and executes the stages sequentially, advancing when the
-    current block's jobs are all complete. *)
+    current block's jobs are all complete.  A cursor over the block's
+    jobs tells when: it skips finished jobs and never moves back, since
+    [remaining] only goes from true to false. *)

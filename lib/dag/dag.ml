@@ -59,9 +59,6 @@ let iter_preds t j f =
     f t.pred_tgt.(k)
   done
 
-let in_degrees t =
-  Array.init t.n (fun j -> t.pred_off.(j + 1) - t.pred_off.(j))
-
 let edges t =
   let acc = ref [] in
   for a = t.n - 1 downto 0 do

@@ -45,12 +45,6 @@ val iter_succs : t -> int -> (int -> unit) -> unit
 (** [iter_succs t j f] applies [f] to each direct successor of [j],
     ascending, without allocating. *)
 
-val in_degrees : t -> int array
-(** [in_degrees t] is a fresh array of every node's in-degree — the
-    initial remaining-predecessor counters for incremental eligibility
-    tracking (decrement on completion; a node becomes eligible when its
-    counter reaches zero). *)
-
 val edges : t -> (int * int) list
 (** All edges, in lexicographic order. *)
 

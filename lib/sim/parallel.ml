@@ -108,18 +108,6 @@ let parallel_for ?jobs ?chunk ~n f =
   in
   run_chunks ~jobs ~chunk ~n ~local:(fun () -> ()) (fun () i -> f i)
 
-let parallel_map ?jobs ?chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    (* Seed the result array from item 0 (computed on the caller's
-       domain) to avoid an option-per-slot dance. *)
-    let out = Array.make n (f a.(0)) in
-    parallel_for ?jobs ?chunk ~n:(n - 1) (fun i ->
-        out.(i + 1) <- f a.(i + 1));
-    out
-  end
-
 let makespans ?cap ?domains inst ~policy ~seed ~reps =
   if reps <= 0 then invalid_arg "Parallel.makespans: reps must be positive";
   let jobs =

@@ -33,10 +33,6 @@ val parallel_for : ?jobs:int -> ?chunk:int -> n:int -> (int -> unit) -> unit
     spawned domain is joined before the exception escapes, so no domain
     outlives the call or leaks unjoined. *)
 
-val parallel_map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f a] is [Array.map f a] across domains.  [f a.(0)]
-    runs first on the caller's domain (it seeds the result array). *)
-
 val makespans :
   ?cap:int ->
   ?domains:int ->

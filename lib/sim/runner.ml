@@ -18,7 +18,3 @@ let makespans ?cap ?jobs inst policy ~seed ~reps =
 let expected_makespan ?cap ?jobs inst policy ~seed ~reps =
   let xs = makespans ?cap ?jobs inst policy ~seed ~reps in
   Array.fold_left ( +. ) 0.0 xs /. float_of_int reps
-
-let ratio_to_bound ?cap ?jobs inst policy ~bound ~seed ~reps =
-  expected_makespan ?cap ?jobs inst policy ~seed ~reps
-  /. Float.max bound 1e-9

@@ -26,13 +26,6 @@ val expected_makespan :
   seed:int -> reps:int -> float
 (** Mean of {!makespans}. *)
 
-val ratio_to_bound :
-  ?cap:int -> ?jobs:int -> Suu_core.Instance.t -> Suu_core.Policy.t ->
-  bound:float -> seed:int -> reps:int -> float
-(** [ratio_to_bound inst policy ~bound] is
-    [expected_makespan / max bound 1e-9] — the measured approximation
-    ratio against a lower bound. *)
-
 val rep_rngs :
   seed:int -> reps:int -> (Suu_prng.Rng.t * Suu_prng.Rng.t) array
 (** [rep_rngs ~seed ~reps] is {!Seeds.rep_rngs}: the per-replication

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Online-policy smoke: the lib/sched family (lzf, backfill) end to end
-# over a real socket.  Serves simulate requests for both policies on
-# instances converted from the checked-in SWF trace and on synthetic
-# instances, and replays each request at the same seed — the responses
-# must be byte-identical (0 mismatches): the policies promise
-# deterministic tie-breaking, and the per-execution predictor state is
-# seeded from (instance digest, policy, seed) only.
+# Policy smoke: the lib/sched family (lzf, backfill) and the paper's
+# SUU-C and SUU-T (through auto) end to end over a real socket.  Serves
+# simulate requests for lzf and backfill on instances converted from
+# the checked-in SWF trace and on synthetic instances, and auto on
+# synthetic chains and forests, and replays each request at the same
+# seed — the responses must be byte-identical (0 mismatches): the
+# online policies promise deterministic tie-breaking, with predictor
+# state seeded from (instance digest, policy, seed) only, and the LP
+# policies draw their delays from the request seed only.
 . "$(dirname "$0")/smoke_lib.sh"
 
 TRACE=bench/workloads/sample20.swf
@@ -46,6 +48,20 @@ for pol in lzf backfill; do
   grep -q '^mean ' "$SCRATCH/syn-$pol-a.out"
   if ! cmp -s "$SCRATCH/syn-$pol-a.out" "$SCRATCH/syn-$pol-b.out"; then
     echo "replay mismatch: synthetic policy=$pol" >&2
+    MISMATCH=$((MISMATCH + 1))
+  fi
+done
+
+# --- auto picks SUU-C on chains and SUU-T on forests: their steppers
+#     keep per-execution queues and cursors, and must still replay ---
+for shape in chains forest; do
+  for side in a b; do
+    "$CLI" client simulate --port "$PORT" --shape "$shape" -n 32 -m 6 \
+      --reps 8 --seed 11 --policy auto > "$SCRATCH/auto-$shape-$side.out"
+  done
+  grep -q '^mean ' "$SCRATCH/auto-$shape-a.out"
+  if ! cmp -s "$SCRATCH/auto-$shape-a.out" "$SCRATCH/auto-$shape-b.out"; then
+    echo "replay mismatch: shape=$shape policy=auto" >&2
     MISMATCH=$((MISMATCH + 1))
   fi
 done

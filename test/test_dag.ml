@@ -275,7 +275,6 @@ let prop_csr_matches_lists =
         iter g j (fun v -> acc := v :: !acc);
         List.rev !acc
       in
-      let indeg = Dag.in_degrees g in
       let ok = ref true in
       for j = 0 to n - 1 do
         ok :=
@@ -284,12 +283,12 @@ let prop_csr_matches_lists =
           && slice (Dag.succ_csr g) j = Dag.succs g j
           && collect Dag.iter_preds j = Dag.preds g j
           && collect Dag.iter_succs j = Dag.succs g j
-          && indeg.(j) = Dag.in_degree g j
+          && List.length (Dag.preds g j) = Dag.in_degree g j
       done;
       !ok)
 
-(* The engine's incremental-eligibility scheme: seed counters from
-   [in_degrees], decrement a successor's counter on each completion.
+(* The engine's incremental-eligibility scheme: seed counters from the
+   in-degrees, decrement a successor's counter on each completion.
    Along any completion order, counter = 0 must coincide with the
    reference predicate [Dag.eligible] (all direct predecessors done). *)
 let prop_incremental_eligibility =
@@ -301,7 +300,7 @@ let prop_incremental_eligibility =
       let order = Array.init n Fun.id in
       Suu_prng.Rng.shuffle rng order;
       let completed = Array.make n false in
-      let npred = Dag.in_degrees g in
+      let npred = Array.init n (Dag.in_degree g) in
       let consistent () =
         let ok = ref true in
         for j = 0 to n - 1 do

@@ -485,7 +485,7 @@ let test_runner_deterministic () =
 let test_runner_ratio () =
   let inst = single_machine_inst 0.5 1 in
   let r =
-    Runner.ratio_to_bound inst (work_first inst) ~bound:2.0 ~seed:3 ~reps:500
+    Runner.expected_makespan inst (work_first inst) ~seed:3 ~reps:500 /. 2.0
   in
   Alcotest.(check bool) "ratio near 1" true (r > 0.8 && r < 1.25)
 
