@@ -82,11 +82,49 @@ let makespans ?cap ?jobs inst policy ~seed ~reps =
   | Some st ->
       Suu_store.Memo.makespans ~store:st ?cap ?jobs inst policy ~seed ~reps
 
-let mean_ratio inst policy ~bound ~seed ~reps =
-  let xs = makespans inst policy ~seed ~reps in
-  Array.fold_left ( +. ) 0.0 xs
-  /. float_of_int reps
-  /. Float.max bound 1e-9
+(* ------------------------------------------------------------------ *)
+(* The ratio sweep behind E1-E4 and A3.  Each row is an instance and
+   the bound its cells are divided by.  A column is a
+   Suu_core.Policy_registry entry, built with the sweep's [?solver]; a
+   policy the registry cannot build as the experiment needs; or a value
+   read once the columns to its left have run. *)
+
+type column =
+  | Policy of string
+  | Built of (Instance.t -> Suu_core.Policy.t)
+  | After of (unit -> float)
+
+(* Prints one table: row [(label, inst, bound, values)] reads [label],
+   [values], [bound], then a cell per column, where a policy's cell is
+   its mean makespan over [reps] traces divided by [bound].  Returns
+   the column cells, row by row. *)
+let ratio_sweep ~header ~seed ~reps ?solver columns rows =
+  let table = Table.create ~header in
+  let cells (label, inst, bound, values) =
+    let ratio policy =
+      let xs = makespans inst policy ~seed ~reps in
+      Array.fold_left ( +. ) 0.0 xs
+      /. float_of_int reps
+      /. Float.max bound 1e-9
+    in
+    let cell = function
+      | Policy name -> (
+          match Suu_core.Policy_registry.build ?solver name inst with
+          | Ok policy -> ratio policy
+          | Error (`Unknown msg | `Inapplicable msg) -> failwith msg)
+      | Built build -> ratio (build inst)
+      | After read -> read ()
+    in
+    let cs = List.map cell columns in
+    Table.add_float_row table label (values @ (bound :: cs));
+    Array.of_list cs
+  in
+  let matrix = Array.of_list (List.map cells rows) in
+  Table.print table;
+  matrix
+
+(* Row [label] of [inst] against its combined lower bound. *)
+let lb_row ?solver label inst = (label, inst, LB.combined ?solver inst, [])
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Table 1, row "Independent":
@@ -98,47 +136,33 @@ let e1 () =
     "E1: Table 1 row 'Independent' - ratio to lower bound vs n \
      (m = 8, 10 traces/point)";
   let m = 8 and seed = 101 and reps = 10 in
-  let sizes = [| 8; 16; 32; 64; 128; 256 |] in
-  let hazards =
-    [ W.Near_one; W.Uniform { lo = 0.2; hi = 0.95 };
-      W.Specialists { capable = 3 } ]
+  let sizes = [ 8; 16; 32; 64; 128; 256 ] in
+  let sweep hazard =
+    Printf.printf "hazard: %s\n" (W.hazard_name hazard);
+    let ratios =
+      ratio_sweep ~seed ~reps
+        ~header:
+          [ "n"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "grd-obl"; "greedy";
+            "rrobin" ]
+        [ Policy "suu-i-sem"; Policy "suu-i-obl"; Policy "greedy-oblivious";
+          Policy "greedy"; Policy "round-robin" ]
+        (List.map
+           (fun n ->
+             lb_row (string_of_int n)
+               (W.independent hazard ~n ~m ~seed:(seed + n)))
+           sizes)
+    in
+    print_newline ();
+    ratios
   in
-  let sem_by_hazard = ref [] in
-  let obl_by_hazard = ref [] in
-  List.iter
-    (fun hazard ->
-      let table =
-        Table.create
-          ~header:
-            [ "n"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "grd-obl";
-              "greedy"; "rrobin" ]
-      in
-      let sem_r = Array.make (Array.length sizes) 0.0 in
-      let obl_r = Array.make (Array.length sizes) 0.0 in
-      Array.iteri
-        (fun k n ->
-          let inst = W.independent hazard ~n ~m ~seed:(seed + n) in
-          let bound = LB.combined inst in
-          let ratio p = mean_ratio inst p ~bound ~seed ~reps in
-          sem_r.(k) <- ratio (Suu_core.Suu_i_sem.policy inst);
-          obl_r.(k) <- ratio (Suu_core.Suu_i_obl.policy inst);
-          let gobl = ratio (Suu_core.Baselines.greedy_oblivious inst) in
-          let greedy = ratio (Suu_core.Baselines.greedy_completion inst) in
-          let rr = ratio (Suu_core.Baselines.round_robin inst) in
-          Table.add_float_row table (string_of_int n)
-            [ bound; sem_r.(k); obl_r.(k); gobl; greedy; rr ])
-        sizes;
-      Printf.printf "hazard: %s\n" (W.hazard_name hazard);
-      Table.print table;
-      print_newline ();
-      sem_by_hazard := (hazard, sem_r) :: !sem_by_hazard;
-      obl_by_hazard := (hazard, obl_r) :: !obl_by_hazard)
-    hazards;
+  let near_one = sweep W.Near_one in
+  ignore (sweep (W.Uniform { lo = 0.2; hi = 0.95 }));
+  ignore (sweep (W.Specialists { capable = 3 }));
   (* Growth-shape check on the separating hazard (near-one): the paper
      claims SEM grows like loglog n and OBL like log n. *)
-  let xs = Array.map float_of_int sizes in
-  let sem = List.assoc W.Near_one !sem_by_hazard in
-  let obl = List.assoc W.Near_one !obl_by_hazard in
+  let xs = Array.of_list (List.map float_of_int sizes) in
+  let cells k ratios = Array.map (fun row -> row.(k)) ratios in
+  let sem = cells 0 near_one and obl = cells 1 near_one in
   let fit f ys = (Fit.fit_against ~f ~xs ~ys).Fit.slope in
   note "growth fits on near-one hazard (slope per unit of growth fn):";
   note "  SUU-I-SEM: %.3f per log2 n, %.3f per loglog2 n" (fit Fit.log2 sem)
@@ -150,30 +174,22 @@ let e1 () =
      smaller (Table 1: O(log n) -> O(log log min(m,n))).";
   (* Large-n extension: the MWU backend replaces the dense simplex so the
      sweep reaches n = 1024 (ablation A2 justifies the swap). *)
-  let mwu = Suu_core.Solver_choice.Mwu 0.1 in
-  let table =
-    Table.create
-      ~header:[ "n"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "greedy" ]
-  in
-  let big = [| 256; 512; 1024 |] in
-  let sem_big = Array.make (Array.length big) 0.0 in
-  let obl_big = Array.make (Array.length big) 0.0 in
-  Array.iteri
-    (fun k n ->
-      let inst = W.independent W.Near_one ~n ~m:16 ~seed:(seed + n) in
-      let bound = LB.combined ~solver:mwu inst in
-      let ratio p = mean_ratio inst p ~bound ~seed ~reps:3 in
-      sem_big.(k) <- ratio (Suu_core.Suu_i_sem.policy ~solver:mwu inst);
-      obl_big.(k) <- ratio (Suu_core.Suu_i_obl.policy ~solver:mwu inst);
-      let greedy = ratio (Suu_core.Baselines.greedy_completion inst) in
-      Table.add_float_row table (string_of_int n)
-        [ bound; sem_big.(k); obl_big.(k); greedy ])
-    big;
+  let solver = Suu_core.Solver_choice.Mwu 0.1 in
+  let big = [ 256; 512; 1024 ] in
   note "large-n extension (near-one hazard, m = 16, MWU LP backend):";
-  Table.print table;
-  let xs2 = Array.append xs (Array.map float_of_int big) in
-  let sem2 = Array.append sem sem_big in
-  let obl2 = Array.append obl obl_big in
+  let big_ratios =
+    ratio_sweep ~seed ~reps:3 ~solver
+      ~header:[ "n"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "greedy" ]
+      [ Policy "suu-i-sem"; Policy "suu-i-obl"; Policy "greedy" ]
+      (List.map
+         (fun n ->
+           lb_row ~solver (string_of_int n)
+             (W.independent W.Near_one ~n ~m:16 ~seed:(seed + n)))
+         big)
+  in
+  let xs2 = Array.append xs (Array.of_list (List.map float_of_int big)) in
+  let sem2 = Array.append sem (cells 0 big_ratios) in
+  let obl2 = Array.append obl (cells 1 big_ratios) in
   let fit2 f ys = (Fit.fit_against ~f ~xs:xs2 ~ys).Fit.slope in
   note "growth fits over the full 8..1024 sweep:";
   note "  SUU-I-SEM: %.3f per log2 n" (fit2 Fit.log2 sem2);
@@ -187,22 +203,15 @@ let e1m () =
     "E1m: Table 1 row 'Independent' - ratio vs m (near-one hazard, \
      n = 64, 10 traces/point)";
   let n = 64 and seed = 131 and reps = 10 in
-  let table =
-    Table.create
-      ~header:[ "m"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "greedy" ]
-  in
-  List.iter
-    (fun m ->
-      let inst = W.independent W.Near_one ~n ~m ~seed:(seed + m) in
-      let bound = LB.combined inst in
-      let ratio p = mean_ratio inst p ~bound ~seed ~reps in
-      Table.add_float_row table (string_of_int m)
-        [ bound;
-          ratio (Suu_core.Suu_i_sem.policy inst);
-          ratio (Suu_core.Suu_i_obl.policy inst);
-          ratio (Suu_core.Baselines.greedy_completion inst) ])
-    [ 2; 4; 8; 16; 32 ];
-  Table.print table;
+  ignore
+    (ratio_sweep ~seed ~reps
+       ~header:[ "m"; "lower bd"; "SUU-I-SEM"; "SUU-I-OBL"; "greedy" ]
+       [ Policy "suu-i-sem"; Policy "suu-i-obl"; Policy "greedy" ]
+       (List.map
+          (fun m ->
+            lb_row (string_of_int m)
+              (W.independent W.Near_one ~n ~m ~seed:(seed + m)))
+          [ 2; 4; 8; 16; 32 ]));
   note
     "\nexpected shape: SEM's ratio stays flat in m as well - the bound \
      is loglog of min(m, n), so varying either argument below the other \
@@ -217,37 +226,30 @@ let e2 () =
     "E2: Table 1 row 'Disjoint Chains' - SUU-C ratio to lower bound \
      (m = 4, 5 traces/point)";
   let m = 4 and seed = 202 and reps = 5 in
-  let shapes = [| (8, 6); (12, 8); (20, 8); (24, 10) |] in
-  let table =
-    Table.create
-      ~header:
-        [ "n"; "chains"; "lower bd"; "SUU-C"; "greedy"; "serial";
-          "max congestion" ]
+  (* Each row's SUU-C gets a fresh stats record; the last column reads
+     its congestion after the SUU-C traces ran. *)
+  let stats = ref (Suu_core.Suu_c.new_stats ()) in
+  let suu_c inst =
+    stats := Suu_core.Suu_c.new_stats ();
+    Suu_core.Suu_c.policy ~stats:!stats inst
   in
-  Array.iter
-    (fun (z, len) ->
-      let n = z * len in
-      let inst =
-        W.chains (W.Uniform { lo = 0.2; hi = 0.95 }) ~z ~length:len ~m
-          ~seed:(seed + n)
-      in
-      let bound = LB.combined inst in
-      let stats = Suu_core.Suu_c.new_stats () in
-      let suu_c = Suu_core.Suu_c.policy ~stats inst in
-      let rc = mean_ratio inst suu_c ~bound ~seed ~reps in
-      let rg =
-        mean_ratio inst
-          (Suu_core.Baselines.greedy_completion inst)
-          ~bound ~seed ~reps
-      in
-      let rs =
-        mean_ratio inst (Suu_core.Baselines.serial inst) ~bound ~seed ~reps
-      in
-      Table.add_float_row table (string_of_int n)
-        [ float_of_int z; bound; rc; rg; rs;
-          float_of_int stats.Suu_core.Suu_c.max_congestion ])
-    shapes;
-  Table.print table;
+  ignore
+    (ratio_sweep ~seed ~reps
+       ~header:
+         [ "n"; "chains"; "lower bd"; "SUU-C"; "greedy"; "serial";
+           "max congestion" ]
+       [ Built suu_c; Policy "greedy"; Policy "serial";
+         After (fun () -> float_of_int !stats.Suu_core.Suu_c.max_congestion)
+       ]
+       (List.map
+          (fun (z, len) ->
+            let n = z * len in
+            let inst =
+              W.chains (W.Uniform { lo = 0.2; hi = 0.95 }) ~z ~length:len ~m
+                ~seed:(seed + n)
+            in
+            (string_of_int n, inst, LB.combined inst, [ float_of_int z ]))
+          [ (8, 6); (12, 8); (20, 8); (24, 10) ]));
   note
     "\nexpected shape: SUU-C's ratio stays within a slowly-growing band \
      (O(log(n+m) loglog min(m,n)) with substantial constants from the \
@@ -262,35 +264,20 @@ let e3 () =
     "E3: Table 1 row 'Directed Forests' - SUU-T ratio to lower bound \
      (m = 4, 5 traces/point)";
   let m = 4 and seed = 303 and reps = 5 in
-  let sizes = [| 32; 64; 128; 192 |] in
-  let table =
-    Table.create
-      ~header:[ "n"; "blocks"; "lower bd"; "SUU-T"; "greedy"; "rrobin" ]
-  in
-  Array.iter
-    (fun n ->
-      let inst =
-        W.forest (W.Uniform { lo = 0.2; hi = 0.95 }) ~n ~trees:(max 1 (n / 8))
-          ~orientation:`Mixed ~m ~seed:(seed + n)
-      in
-      let blocks = Array.length (Suu_core.Suu_t.blocks inst) in
-      let bound = LB.combined inst in
-      let rt =
-        mean_ratio inst (Suu_core.Suu_t.policy inst) ~bound ~seed ~reps
-      in
-      let rg =
-        mean_ratio inst
-          (Suu_core.Baselines.greedy_completion inst)
-          ~bound ~seed ~reps
-      in
-      let rr =
-        mean_ratio inst (Suu_core.Baselines.round_robin inst) ~bound ~seed
-          ~reps
-      in
-      Table.add_float_row table (string_of_int n)
-        [ float_of_int blocks; bound; rt; rg; rr ])
-    sizes;
-  Table.print table;
+  ignore
+    (ratio_sweep ~seed ~reps
+       ~header:[ "n"; "blocks"; "lower bd"; "SUU-T"; "greedy"; "rrobin" ]
+       [ Policy "suu-t"; Policy "greedy"; Policy "round-robin" ]
+       (List.map
+          (fun n ->
+            let inst =
+              W.forest (W.Uniform { lo = 0.2; hi = 0.95 }) ~n
+                ~trees:(max 1 (n / 8)) ~orientation:`Mixed ~m
+                ~seed:(seed + n)
+            in
+            let blocks = Array.length (Suu_core.Suu_t.blocks inst) in
+            (string_of_int n, inst, LB.combined inst, [ float_of_int blocks ]))
+          [ 32; 64; 128; 192 ]));
   note
     "\nexpected shape: block count <= floor(log2 n) + 1 (heavy-path \
      bound); SUU-T's ratio tracks blocks x SUU-C's ratio (Theorem 12)."
@@ -300,53 +287,39 @@ let e3 () =
 
 let e4 () =
   section "E4: tiny instances vs exact E[T_OPT] (DP; 1000 traces/point)";
-  let reps = 1000 and seed = 404 in
-  let cases = [ (3, 2); (4, 2); (4, 3); (5, 2) ] in
-  let table =
-    Table.create
-      ~header:
-        [ "n x m"; "E[T_OPT]"; "DP policy"; "SUU-I-SEM"; "SUU-I-OBL";
-          "greedy" ]
-  in
-  List.iter
-    (fun (n, m) ->
-      let inst =
-        W.independent (W.Uniform { lo = 0.2; hi = 0.9 }) ~n ~m
-          ~seed:(seed + (10 * n) + m)
-      in
-      let opt = Suu_core.Exact_dp.expected_makespan inst in
-      let ratio p = mean_ratio inst p ~bound:opt ~seed ~reps in
-      Table.add_float_row table (Printf.sprintf "%dx%d" n m)
-        [ opt;
-          ratio (Suu_core.Exact_dp.policy inst);
-          ratio (Suu_core.Suu_i_sem.policy inst);
-          ratio (Suu_core.Suu_i_obl.policy inst);
-          ratio (Suu_core.Baselines.greedy_completion inst) ])
-    cases;
-  Table.print table;
+  let seed = 404 in
+  ignore
+    (ratio_sweep ~seed ~reps:1000
+       ~header:
+         [ "n x m"; "E[T_OPT]"; "DP policy"; "SUU-I-SEM"; "SUU-I-OBL";
+           "greedy" ]
+       [ Built Suu_core.Exact_dp.policy;
+         Policy "suu-i-sem"; Policy "suu-i-obl"; Policy "greedy" ]
+       (List.map
+          (fun (n, m) ->
+            let inst =
+              W.independent (W.Uniform { lo = 0.2; hi = 0.9 }) ~n ~m
+                ~seed:(seed + (10 * n) + m)
+            in
+            ( Printf.sprintf "%dx%d" n m, inst,
+              Suu_core.Exact_dp.expected_makespan inst, [] ))
+          [ (3, 2); (4, 2); (4, 3); (5, 2) ]));
   (* Chain-structured exact optima (Malewicz's bounded-width regime via
      the per-chain-position DP) validate SUU-C against true E[T_OPT]. *)
-  let ctable =
-    Table.create
-      ~header:[ "z x len x m"; "E[T_OPT]"; "SUU-C"; "greedy"; "serial" ]
-  in
-  List.iter
-    (fun (z, len, m) ->
-      let inst =
-        W.chains (W.Uniform { lo = 0.2; hi = 0.9 }) ~z ~length:len ~m
-          ~seed:(seed + (100 * z) + len)
-      in
-      let opt = Suu_core.Exact_dp.chains_expected_makespan inst in
-      let ratio p = mean_ratio inst p ~bound:opt ~seed ~reps:400 in
-      Table.add_float_row ctable
-        (Printf.sprintf "%dx%dx%d" z len m)
-        [ opt;
-          ratio (Suu_core.Suu_c.policy inst);
-          ratio (Suu_core.Baselines.greedy_completion inst);
-          ratio (Suu_core.Baselines.serial inst) ])
-    [ (2, 4, 2); (3, 5, 2); (2, 8, 3) ];
   note "chains against the exact optimum (chain-position DP; 400 traces):";
-  Table.print ctable;
+  ignore
+    (ratio_sweep ~seed ~reps:400
+       ~header:[ "z x len x m"; "E[T_OPT]"; "SUU-C"; "greedy"; "serial" ]
+       [ Policy "suu-c"; Policy "greedy"; Policy "serial" ]
+       (List.map
+          (fun (z, len, m) ->
+            let inst =
+              W.chains (W.Uniform { lo = 0.2; hi = 0.9 }) ~z ~length:len ~m
+                ~seed:(seed + (100 * z) + len)
+            in
+            ( Printf.sprintf "%dx%dx%d" z len m, inst,
+              Suu_core.Exact_dp.chains_expected_makespan inst, [] ))
+          [ (2, 4, 2); (3, 5, 2); (2, 8, 3) ]));
   note
     "\nexpected shape: DP-policy ratio = 1.0 (sanity: the simulator \
      reproduces the computed optimum); all ratios small constants, \
@@ -702,34 +675,24 @@ let a3 () =
      easy jobs (q = 0.05 vs 0.5 elsewhere): a myopic greedy keeps machine
      0 on easy jobs and starves the captives. *)
   let m = 8 and n = 64 and seed = 1111 and reps = 20 in
-  let table =
-    Table.create
-      ~header:
-        [ "captive k"; "lower bd"; "SUU-I-SEM"; "greedy"; "rrobin" ]
+  let trap k =
+    let q =
+      Array.init m (fun i ->
+          Array.init n (fun j ->
+              if j < k then if i = 0 then 0.5 else 1.0
+              else if i = 0 then 0.05
+              else 0.5))
+    in
+    lb_row (string_of_int k)
+      (Instance.make
+         ~name:(Printf.sprintf "trap-k%d" k)
+         ~dag:(Suu_dag.Dag.empty n) q)
   in
-  List.iter
-    (fun k ->
-      let q =
-        Array.init m (fun i ->
-            Array.init n (fun j ->
-                if j < k then if i = 0 then 0.5 else 1.0
-                else if i = 0 then 0.05
-                else 0.5))
-      in
-      let inst =
-        Instance.make
-          ~name:(Printf.sprintf "trap-k%d" k)
-          ~dag:(Suu_dag.Dag.empty n) q
-      in
-      let bound = LB.combined inst in
-      let ratio p = mean_ratio inst p ~bound ~seed ~reps in
-      Table.add_float_row table (string_of_int k)
-        [ bound;
-          ratio (Suu_core.Suu_i_sem.policy inst);
-          ratio (Suu_core.Baselines.greedy_completion inst);
-          ratio (Suu_core.Baselines.round_robin inst) ])
-    [ 2; 4; 8; 16 ];
-  Table.print table;
+  ignore
+    (ratio_sweep ~seed ~reps
+       ~header:[ "captive k"; "lower bd"; "SUU-I-SEM"; "greedy"; "rrobin" ]
+       [ Policy "suu-i-sem"; Policy "greedy"; Policy "round-robin" ]
+       (List.map trap [ 2; 4; 8; 16 ]));
   note
     "\nreading: the LP sees the captive jobs' only machine and \
      schedules it there from step one; the myopic greedy serves easy \

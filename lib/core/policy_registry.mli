@@ -56,8 +56,6 @@ val mem : string -> bool
 val lp_free : string -> bool
 (** [lp_free name] is the entry's flag, or [false] for unknown names. *)
 
-val shape_ok : shape_req -> Suu_dag.Classify.shape -> bool
-
 val describe_requirement : shape_req -> string
 (** Human spelling of the requirement: ["independent jobs"], .... *)
 

@@ -69,10 +69,6 @@ let freeze t =
       t.adj <- Some a;
       a
 
-let residual t ~src k =
-  let adj = freeze t in
-  t.cap.(adj.(src).(k))
-
 let copy t =
   {
     n = t.n;

@@ -32,11 +32,6 @@ val flow_on : t -> edge -> int
 val capacity : t -> edge -> int
 (** [capacity t e] is the original capacity of [e]. *)
 
-val residual : t -> src:int -> int -> int
-(** [residual t ~src k] is the residual capacity of the [k]-th outgoing
-    arc of [src] (forward and reverse arcs interleaved); used internally
-    by the solvers and exposed for tests. *)
-
 val copy : t -> t
 (** Deep copy (for cross-checking two solvers on one instance). *)
 

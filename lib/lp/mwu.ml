@@ -63,12 +63,17 @@ let min_load_cover ~a ~m ~n ~targets ~eps =
     !acc /. !total
   in
   let lower_bound = ref (dual_bound ()) in
-  (* Phases: route one unit of (normalized) coverage per job per phase. *)
-  while !total < 1.0 do
+  (* Phases: route one unit of (normalized) coverage per job per phase.
+     The first phase always runs to its end: the weight total can cross
+     1 inside it (on one machine every unit routed raises the one
+     weight), and a job it never reached would have no coverage to
+     scale. *)
+  let first = ref true in
+  while !total < 1.0 || !first do
     let j = ref 0 in
-    while !j < n && !total < 1.0 do
+    while !j < n && (!total < 1.0 || !first) do
       let rem = ref 1.0 in
-      while !rem > 1e-12 && !total < 1.0 do
+      while !rem > 1e-12 && (!total < 1.0 || !first) do
         let i = cheapest !j in
         let g = gain.(i).(!j) in
         let u = Float.min 1.0 (!rem /. g) in
@@ -80,6 +85,7 @@ let min_load_cover ~a ~m ~n ~targets ~eps =
       done;
       incr j
     done;
+    first := false;
     let lb = dual_bound () in
     if lb > !lower_bound then lower_bound := lb
   done;

@@ -31,13 +31,6 @@ let add_var ?name:_ ?(obj = 0.0) t =
   t.obj.(v) <- obj;
   v
 
-let add_vars ?(obj = 0.0) t k =
-  Array.init k (fun _ -> add_var ~obj t)
-
-let set_obj t v c =
-  if v < 0 || v >= t.nvars then invalid_arg "Problem.set_obj: bad var";
-  t.obj.(v) <- c
-
 (* Merge duplicate variables in a term list.  The common case — terms
    already distinct — must stay cheap: constraint construction is on
    the plan-building hot path, so the hash-merge only runs when a sort

@@ -24,12 +24,6 @@ val add_var : ?name:string -> ?obj:float -> t -> var
 (** [add_var t] adds a variable with lower bound 0 and objective
     coefficient [obj] (default 0). *)
 
-val add_vars : ?obj:float -> t -> int -> var array
-(** [add_vars t k] adds [k] variables at once, returning their handles. *)
-
-val set_obj : t -> var -> float -> unit
-(** [set_obj t v c] sets the objective coefficient of [v] to [c]. *)
-
 val add_constraint :
   ?name:string -> t -> (var * float) list -> sense -> float -> unit
 (** [add_constraint t terms sense b] adds [sum terms sense b].  Terms may

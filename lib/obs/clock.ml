@@ -1,5 +1,3 @@
 external now_ns : unit -> int64 = "suu_obs_monotonic_ns"
 
 let ns_to_s ns = Int64.to_float ns *. 1e-9
-
-let elapsed_s ~since = ns_to_s (Int64.sub (now_ns ()) since)

@@ -12,7 +12,3 @@ val now_ns : unit -> int64
 val ns_to_s : int64 -> float
 (** Convert a nanosecond count (typically a difference of two
     {!now_ns} reads) to seconds. *)
-
-val elapsed_s : since:int64 -> float
-(** [elapsed_s ~since] is the seconds elapsed since the {!now_ns}
-    reading [since]. *)

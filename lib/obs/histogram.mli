@@ -50,8 +50,8 @@ val record : t -> float -> unit
 
 val unsafe_record : t -> float -> unit
 (** Record without taking the lock: the caller must already hold the
-    histogram's mutex (i.e. inside {!Registry.locked} for registered
-    histograms).  Used to update a histogram and its paired counters in
+    histogram's mutex (for a registered histogram, the registry's
+    mutex).  Used to update a histogram and its paired counters in
     one critical section. *)
 
 val snapshot : t -> snapshot

@@ -34,12 +34,6 @@ val histogram : ?bounds:float array -> string -> Histogram.t
 (** Intern: the histogram named [name], sharing the registry mutex.
     [bounds] applies only on first creation. *)
 
-val locked : (unit -> 'a) -> 'a
-(** Run [f] holding the registry mutex.  Inside, use
-    {!Histogram.unsafe_record} / {!Histogram.unsafe_snapshot} on
-    registered histograms; never call their locking variants (the mutex
-    is not reentrant). *)
-
 val observe : Counter.t -> Histogram.t -> float -> unit
 (** Bump the counter and record into the histogram as one atomic step
     with respect to {!snapshot}.  The histogram must be registered (or

@@ -84,9 +84,3 @@ let clear t =
   t.idle_n <- 0;
   Mutex.unlock t.lock;
   List.iter discard cs
-
-let idle_count t =
-  Mutex.lock t.lock;
-  let n = t.idle_n in
-  Mutex.unlock t.lock;
-  n

@@ -35,5 +35,3 @@ val with_client : t -> (Suu_server.Client.t -> 'a) -> 'a
 val clear : t -> unit
 (** Close every idle connection — called when the shard is marked down
     so a marked-up shard starts from fresh sockets. *)
-
-val idle_count : t -> int

@@ -17,12 +17,10 @@ val ids : t -> string list
 
 val size : t -> int
 
-val score : shard:string -> key:string -> int64
-(** The rendezvous weight: first 8 bytes of [MD5(shard ^ "\x00" ^ key)],
-    to be compared unsigned.  Exposed for the distribution tests. *)
-
 val route : t -> live:(string -> bool) -> string -> string option
-(** Highest-scoring shard among those for which [live] holds; [None]
+(** Highest-scoring shard among those for which [live] holds, where a
+    shard's score for the key is the first 8 bytes of
+    [MD5(shard ^ "\x00" ^ key)] compared unsigned; [None]
     when none are live.  Ties (an MD5 prefix collision) break by shard
     id, so routing is deterministic regardless. *)
 

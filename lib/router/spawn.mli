@@ -36,11 +36,5 @@ val drain : ?echo:(string -> unit) -> child -> Thread.t
     a full pipe; each line is passed to [echo] when given.  Call once,
     after {!wait_ready}. *)
 
-val signal : child -> int -> unit
-(** Send a signal; ignores errors and already-reaped children. *)
-
-val reap : ?timeout_s:float -> child -> bool
-(** Poll-wait for exit; [false] on timeout. *)
-
 val terminate : ?timeout_s:float -> child -> unit
 (** SIGTERM, wait (default 5 s), escalate to SIGKILL, close the pipe. *)

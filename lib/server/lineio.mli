@@ -13,8 +13,6 @@ exception Read_timeout
 (** The deadline passed with no complete line available (see
     {!next_line}'s [deadline_ns]). *)
 
-val max_line : int
-
 (** Incremental line splitter: bytes in, complete lines out.  This is
     the non-blocking half of the module — the reactor feeds it whatever
     a socket read returned and drains lines as they complete, so a
@@ -27,7 +25,7 @@ module Linebuf : sig
 
   val feed : t -> bytes -> int -> int -> unit
   (** [feed t buf off len] appends a chunk.  Raises {!Line_too_long} as
-      soon as the unterminated tail exceeds {!max_line} — before
+      soon as the unterminated tail exceeds the 8 MiB cap — before
       buffering more of it. *)
 
   val next : t -> string option

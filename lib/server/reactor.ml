@@ -43,8 +43,6 @@ let create () =
 
 let backend t = match t.backend with Epoll _ -> "epoll" | Select -> "select"
 
-let fd_count t = Hashtbl.length t.regs
-
 let mask ~read ~write =
   (if read then epollin else 0) lor if write then epollout else 0
 

@@ -43,9 +43,6 @@ val remove : t -> Unix.file_descr -> unit
 (** Deregister; safe to call for an fd that was never added.  Must be
     called {e before} closing the fd. *)
 
-val fd_count : t -> int
-(** Registered fds (listener and wakeup pipe included). *)
-
 val wait : t -> timeout_ms:int -> event list
 (** Block until at least one registered fd is ready or the timeout
     elapses ([] on timeout).  [timeout_ms < 0] waits forever.  EINTR is

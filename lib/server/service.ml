@@ -79,8 +79,6 @@ let entry_for t inst =
 
 module Registry = Suu_core.Policy_registry
 
-let policy_names () = Registry.names ()
-
 let shape inst = Classify.classify (Instance.dag inst)
 
 (* Shape validation happens in the registry rather than being left to

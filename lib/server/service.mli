@@ -57,12 +57,6 @@ val create :
     tests can freeze or advance it).  [metrics] is rendered into
     [stats] replies. *)
 
-val policy_names : unit -> string list
-(** Wire names accepted in [policy] fields: everything in
-    {!Suu_core.Policy_registry} — [auto], the paper's LP policies, the
-    Lin-Rajaraman baselines, and (once a service exists) the
-    [Suu_sched] online family ([lzf], [backfill]). *)
-
 val warm : t -> Protocol.body -> bool
 (** Pre-populate the caches from one recovered request body without
     executing it: the instance enters the digest-keyed cache and, for

@@ -17,9 +17,6 @@
     store) and [store.memo.computed] (replications executed and
     committed). *)
 
-val default_batch : int
-(** Replications per durable batch commit (64). *)
-
 val makespans :
   store:Result_store.t ->
   ?cap:int ->
@@ -35,5 +32,6 @@ val makespans :
     ~reps].  The store key is the instance's canonical-serialization
     digest, [policy_name] (default {!Suu_core.Policy.name}; override
     when one wire name covers differently-configured policies, e.g.
-    alternate LP solvers), [seed] and [cap].  Raises [Invalid_argument]
-    on non-positive [reps] or [batch]. *)
+    alternate LP solvers), [seed] and [cap].  [batch] is the number of
+    replications per durable commit (default 64).  Raises
+    [Invalid_argument] on non-positive [reps] or [batch]. *)

@@ -126,26 +126,18 @@ type mapping = {
 val default_mapping : mapping
 (** [m = 4], [max_width = 12], [seed = 0], [runtime_ref = 0.] *)
 
-val calibrate : mapping -> t -> float array
-(** The per-machine speed factors ([mapping.m] of them, in
-    [[0.3, 2.0]] as in the [Product] hazard) used for every instance
-    of this trace — one machine pool, many jobs, as in the archive
-    systems the traces come from.  Deterministic in [mapping.seed]. *)
-
-val instance_of_job : mapping -> speeds:float array -> chain_user:bool ->
-  job -> Suu_core.Instance.t
-(** Map one job.  [speeds] must come from {!calibrate} (length
-    [mapping.m]); [chain_user] selects the sequential-user chain
-    template over the mapreduce fan-in for multi-processor jobs.
-    The instance name encodes job id, user, width and template, and
-    the failure matrix depends only on [(mapping, job)] — the same
-    job maps identically across runs and processes. *)
-
 val instances : ?mapping:mapping -> t -> (job * Suu_core.Instance.t) array
-(** Map the whole trace: {!calibrate} once, classify users by mean
-    allocated width (chain template at or below the per-user median,
-    mapreduce above), then {!instance_of_job} per job in submit
-    order.  Deterministic in [(trace, mapping)]. *)
+(** Map the whole trace, one instance per job in submit order.  One
+    set of per-machine speed factors ([mapping.m] of them, in
+    [[0.3, 2.0]] as in the [Product] hazard) serves every instance of
+    the trace — one machine pool, many jobs, as in the archive systems
+    the traces come from.  Users are classified by mean allocated
+    width: at or below the per-user median, a multi-processor job maps
+    to the sequential chain template, above it to the mapreduce
+    fan-in.  The instance name encodes job id, user, width and
+    template, and each failure matrix depends only on
+    [(mapping, job)], so a job maps identically across runs and
+    processes.  Deterministic in [(trace, mapping)]. *)
 
 val arrival_times : t -> float array
 (** Submit times normalized to start at 0, clamped to be

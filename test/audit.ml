@@ -1,4 +1,5 @@
 module Instance = Suu_core.Instance
+module Trace = Suu_sim.Trace
 
 type violation = { step : int; message : string }
 

@@ -1,4 +1,5 @@
-(** Independent validation of recorded executions.
+(** Independent validation of recorded executions, used as a test
+    oracle for {!Suu_sim.Engine}.
 
     The engine enforces the SUU model on the fly; this module re-derives
     everything from scratch — given only the instance, the trace and the
@@ -13,7 +14,7 @@ type violation = {
 }
 
 val check :
-  Suu_core.Instance.t -> trace:Trace.t -> steps:int array array ->
+  Suu_core.Instance.t -> trace:Suu_sim.Trace.t -> steps:int array array ->
   (unit, violation) result
 (** [check inst ~trace ~steps] replays [steps] (one row per unit step,
     one machine → job entry per column, [-1] = idle) and verifies:
@@ -30,7 +31,8 @@ val check :
     Returns [Ok ()] or the first violation found. *)
 
 val completion_times :
-  Suu_core.Instance.t -> trace:Trace.t -> steps:int array array -> int array
+  Suu_core.Instance.t -> trace:Suu_sim.Trace.t -> steps:int array array ->
+  int array
 (** [completion_times inst ~trace ~steps] is each job's completion step
     (1-based; [-1] when the job never completes within [steps]),
     recomputed solely from the recording. *)

@@ -265,6 +265,30 @@ let test_lp1_mwu_cert_fallback () =
   Alcotest.(check bool) "assignment identical to simplex" true
     (via_mwu.Lp1.x = direct.Lp1.x)
 
+let test_lp1_mwu_one_machine () =
+  (* On one machine MWU's weight total crosses 1 inside the first phase.
+     Jobs that phase never reached used to keep zero coverage, and the
+     scaling then turned x into NaN with value 0 — which the
+     certificate accepted, leaving SUU-I-SEM a plan that never
+     finishes. *)
+  let inst =
+    W.independent (W.Uniform { lo = 0.2; hi = 0.95 }) ~n:23 ~m:1 ~seed:9858
+  in
+  let jobs = Array.init 23 Fun.id in
+  let mwu = Suu_core.Solver_choice.Mwu 0.1 in
+  let via_mwu = Lp1.solve ~solver:mwu inst ~jobs ~target:0.5 in
+  let direct = Lp1.solve inst ~jobs ~target:0.5 in
+  Alcotest.(check bool) "every x finite" true
+    (Array.for_all (Array.for_all Float.is_finite) via_mwu.Lp1.x);
+  Alcotest.(check (float 1e-6)) "value equals simplex" direct.Lp1.value
+    via_mwu.Lp1.value;
+  let sem = Suu_core.Suu_i_sem.policy ~solver:mwu inst in
+  let mk =
+    Suu_sim.Runner.makespans ~cap:5000 ~jobs:1 inst sem ~seed:1 ~reps:1
+  in
+  Alcotest.(check bool) "SUU-I-SEM finishes under the cap" true
+    (mk.(0) <= 5000.0)
+
 let test_lp1_mwu_tiny_fallback () =
   (* m * |jobs| <= 16: MWU's per-phase machinery costs more than an
      exact dense solve, so tiny instances route to simplex. *)
@@ -972,6 +996,8 @@ let () =
           Alcotest.test_case "subset" `Quick test_lp1_subset;
           Alcotest.test_case "mwu cert fallback" `Quick
             test_lp1_mwu_cert_fallback;
+          Alcotest.test_case "mwu one machine" `Quick
+            test_lp1_mwu_one_machine;
           Alcotest.test_case "mwu tiny fallback" `Quick
             test_lp1_mwu_tiny_fallback;
           Alcotest.test_case "solver-choice strings" `Quick

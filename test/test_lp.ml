@@ -531,7 +531,7 @@ let prop_warm_garbage_basis_harmless =
 
 let mwu_case seed =
   let rng = Suu_prng.Rng.create ~seed in
-  let m = 2 + Suu_prng.Rng.int rng 4 in
+  let m = 1 + Suu_prng.Rng.int rng 5 in
   let n = 2 + Suu_prng.Rng.int rng 6 in
   let a =
     Array.init m (fun _ ->

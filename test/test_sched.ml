@@ -12,7 +12,6 @@ module Registry = Suu_core.Policy_registry
 module Runner = Suu_sim.Runner
 module Engine = Suu_sim.Engine
 module Trace = Suu_sim.Trace
-module Audit = Suu_sim.Audit
 module Lzf = Suu_sched.Lzf
 module Backfill = Suu_sched.Backfill
 module Predictor = Suu_sched.Predictor

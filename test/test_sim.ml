@@ -287,10 +287,10 @@ let test_audit_accepts_valid () =
   let _, steps =
     Engine.run_recorded inst (work_first inst) ~trace ~rng:(Rng.create ~seed:4)
   in
-  (match Suu_sim.Audit.check inst ~trace ~steps with
+  (match Audit.check inst ~trace ~steps with
   | Ok () -> ()
-  | Error v -> Alcotest.failf "step %d: %s" v.Suu_sim.Audit.step v.message);
-  let times = Suu_sim.Audit.completion_times inst ~trace ~steps in
+  | Error v -> Alcotest.failf "step %d: %s" v.Audit.step v.message);
+  let times = Audit.completion_times inst ~trace ~steps in
   Alcotest.(check bool) "all completed" true (Array.for_all (fun t -> t > 0) times)
 
 let test_audit_rejects_ineligible () =
@@ -300,20 +300,20 @@ let test_audit_rejects_ineligible () =
   let trace = Trace.of_thresholds [| 1.0; 1.0 |] in
   (* Hand-built illegal recording: job 1 before job 0. *)
   let steps = [| [| 1 |]; [| 0 |]; [| 1 |] |] in
-  match Suu_sim.Audit.check inst ~trace ~steps with
+  match Audit.check inst ~trace ~steps with
   | Error v ->
-      Alcotest.(check int) "at step 0" 0 v.Suu_sim.Audit.step
+      Alcotest.(check int) "at step 0" 0 v.Audit.step
   | Ok () -> Alcotest.fail "expected a violation"
 
 let test_audit_rejects_incomplete () =
   let inst = single_machine_inst 0.5 2 in
   let trace = Trace.of_thresholds [| 1.0; 5.0 |] in
   let steps = [| [| 0 |] |] in
-  match Suu_sim.Audit.check inst ~trace ~steps with
+  match Audit.check inst ~trace ~steps with
   | Error v ->
       Alcotest.(check bool)
         "mentions the job" true
-        (String.length v.Suu_sim.Audit.message > 0)
+        (String.length v.Audit.message > 0)
   | Ok () -> Alcotest.fail "expected incompleteness violation"
 
 let test_audit_rejects_bad_job () =
@@ -322,7 +322,7 @@ let test_audit_rejects_bad_job () =
   let steps = [| [| 9 |] |] in
   Alcotest.(check bool)
     "bad index flagged" true
-    (match Suu_sim.Audit.check inst ~trace ~steps with
+    (match Audit.check inst ~trace ~steps with
     | Error _ -> true
     | Ok () -> false)
 
@@ -346,11 +346,11 @@ let prop_engine_executions_audit_clean =
       let rng = Rng.create ~seed:(seed + 77) in
       let trace = Trace.draw ~n:(Instance.n inst) (Rng.split rng) in
       let result, steps = Engine.run_recorded inst policy ~trace ~rng in
-      (match Suu_sim.Audit.check inst ~trace ~steps with
+      (match Audit.check inst ~trace ~steps with
       | Ok () -> true
       | Error _ -> false)
       &&
-      let times = Suu_sim.Audit.completion_times inst ~trace ~steps in
+      let times = Audit.completion_times inst ~trace ~steps in
       Array.for_all
         (fun t -> t >= 0 && t <= result.Engine.makespan)
         times)
