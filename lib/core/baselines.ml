@@ -10,13 +10,17 @@ let active_jobs ~remaining ~eligible active =
   done;
   !e
 
-(* Machine [i] takes the active job of largest gain [s_j * (1 - q_ij)],
+(* Machine [i] takes the ready job of largest gain [s_j * (1 - q_ij)],
    ties to the lower index, gain > 0.  A job no earlier machine picked
    this step has [s_j = 1], so its gain is [1 - q_ij] exactly; the best
-   of those is the first active unpicked entry of machine [i]'s ranking
+   of those is the first ready unpicked entry of machine [i]'s ranking
    by [1 - q_ij] descending, then index.  Only the <= m already-picked
-   jobs need their gain recomputed, so a step costs O(n + m * (e + m))
-   over [e] active jobs and allocates nothing. *)
+   jobs need their gain recomputed.  The ready set is kept in index
+   order from the previous row, and each machine's cursor skips the
+   ranking's prefix of jobs that have left [remaining] for good, so a
+   step costs O(m * (m + w)) plus the set's update, where [w] is each
+   machine's walk (at most the ready count before it falls back to
+   scanning the ready set), and allocates nothing. *)
 let greedy_completion inst =
   let m = Instance.m inst in
   let n = Instance.n inst in
@@ -33,30 +37,39 @@ let greedy_completion inst =
                match Float.compare g.(b) g.(a) with 0 -> compare a b | c -> c)
         |> Array.of_list)
   in
+  let order = Ready.index_order (Instance.dag inst) in
   (* Scratch lives in the stepper, not the policy value: steppers from
      one policy may run concurrently on different domains. *)
   Policy.make ~name:"greedy" ~fresh:(fun _rng ->
       let survival = Array.make n 1.0 in
       let picked = Array.make n false in
       let picks = Array.make m 0 in
-      let active = Array.make n 0 in
+      let cursor = Array.make m 0 in
+      let ready = Ready.create order in
+      let active = Ready.jobs ready in
       let buf = Array.make m (-1) in
       fun ~time:_ ~remaining ~eligible ->
-        let e = active_jobs ~remaining ~eligible active in
+        Ready.sync ready ~prev:buf ~remaining ~eligible;
+        let e = Ready.size ready in
         let np = ref 0 in
         for i = 0 to m - 1 do
           let g = gain.(i) and r = rank.(i) in
-          (* The best unpicked job: walk the ranking while that is no
-             longer than scanning the active jobs, then scan them. *)
-          let best = ref (-1) in
           let len = Array.length r in
-          let k = ref 0 and lim = min len e in
+          let k = ref cursor.(i) in
+          while !k < len && not remaining.(r.(!k)) do
+            incr k
+          done;
+          cursor.(i) <- !k;
+          (* The best unpicked job: walk the ranking while that is no
+             longer than scanning the ready jobs, then scan them. *)
+          let best = ref (-1) in
+          let lim = min len (!k + e) in
           while !best < 0 && !k < lim do
             let j = r.(!k) in
             if remaining.(j) && eligible.(j) && not picked.(j) then best := j;
             incr k
           done;
-          if !best < 0 && len > e then begin
+          if !best < 0 && lim < len then begin
             let best_gain = ref 0.0 in
             for k = 0 to e - 1 do
               let j = active.(k) in

@@ -47,6 +47,7 @@ let m t = t.nmachines
 let dag t = t.g
 let q t i j = t.qm.(i).(j)
 let log_failure t i j = t.ell.(i).(j)
+let log_failure_rows t = t.ell
 
 let clipped_log_failure t ~target i j = Float.min t.ell.(i).(j) target
 

@@ -33,6 +33,12 @@ val log_failure : t -> int -> int -> float
 (** [log_failure t i j] is [l_ij = -log2 (q t i j)]; [infinity] when
     [q = 0] and [0] when [q = 1]. *)
 
+val log_failure_rows : t -> float array array
+(** [log_failure_rows t] is the [m x n] matrix of {!log_failure}:
+    [(log_failure_rows t).(i).(j) = log_failure t i j].  The rows are
+    owned by [t], for hot loops that would otherwise box one float per
+    call: treat as read-only. *)
+
 val clipped_log_failure : t -> target:float -> int -> int -> float
 (** [clipped_log_failure t ~target i j] is [l'_ij = min l_ij target], the
     clipped coefficient used by the LP relaxations (Lemma 2). *)

@@ -18,7 +18,16 @@ type stepper = time:int -> remaining:bool array -> eligible:bool array -> int ar
     [remaining] and [eligible] are owned by the engine: treat as
     read-only.  Within one execution a job never returns to
     [remaining] once it has left, so steppers may keep cursors over it
-    that only move forward. *)
+    that only move forward.
+
+    The engine also guarantees, within one execution, that between two
+    calls a job leaves [remaining] only if the row the stepper returned
+    at the earlier call assigned it to some machine; jobs with zero
+    thresholds have already left before the first call.  [eligible]
+    gains only successors of jobs that left, and a job is [eligible]
+    only while it is [remaining].  Steppers may therefore update what
+    they know from their own previous row ({!Ready} does) instead of
+    rescanning all [n] jobs. *)
 
 type t
 

@@ -1,5 +1,6 @@
 module Instance = Suu_core.Instance
 module Policy = Suu_core.Policy
+module Ready = Suu_core.Ready
 
 type event =
   | Started of { job : int; time : int; backfilled : bool }
@@ -51,18 +52,24 @@ let policy ?width ?on_event inst =
     Array.init n (fun j ->
         Array.init m (fun i -> capable inst i j))
   in
+  (* No candidate narrower than this can start: with fewer machines
+     free the backfill scan is skipped. *)
+  let min_width = Array.fold_left min max_int widths in
+  let model = Predictor.model inst in
+  let order = Ready.index_order (Instance.dag inst) in
   Policy.make ~name:"backfill" ~fresh:(fun rng ->
       let pred =
-        Predictor.create inst
+        Predictor.of_model model
           ~seed:(Predictor.execution_seed ~digest ~policy:"backfill" rng)
       in
-      (* All state is per-execution: steppers run concurrently. *)
+      (* All state is per-execution: steppers run concurrently.  The
+         FCFS queue is the ready set in index order. *)
+      let ready = Ready.create order in
+      let queue = Ready.jobs ready in
       let machine_of = Array.make m (-1) in
       let running = Array.make n false in
       let bfilled = Array.make n false in
       let started = Array.make n (-1) in
-      let prev_remaining = Array.make n false in
-      let first = ref true in
       (* Reservation scratch: the machines reserved for the head, and
          the FCFS-running jobs (at most one per machine) sorted by
          predicted completion, then index. *)
@@ -117,23 +124,25 @@ let policy ?width ?on_event inst =
       let predicted_total j = int_of_float (Float.ceil (Predictor.predict pred j)) in
       let buf = Array.make m (-1) in
       fun ~time ~remaining ~eligible ->
-        if !first then begin
-          Array.blit remaining 0 prev_remaining 0 n;
-          first := false
-        end
-        else begin
-          (* Completion feedback: the engine reveals finished jobs by
-             dropping them from [remaining]; diffing gives the actual
-             runtime the predictor corrects itself with. *)
-          for j = 0 to n - 1 do
-            if prev_remaining.(j) && not remaining.(j) then begin
-              if running.(j) && started.(j) >= 0 then
-                Predictor.observe pred ~job:j ~runtime:(time - started.(j));
-              free_job j
-            end
+        Ready.sync ready ~prev:buf ~remaining ~eligible;
+        (* Completion feedback: the engine reveals finished jobs by
+           dropping them from [remaining], and only a running job can
+           finish.  Each one's actual runtime corrects the predictor,
+           in ascending job index. *)
+        let continue_frees = ref true in
+        while !continue_frees do
+          let j = ref max_int in
+          for i = 0 to m - 1 do
+            let k = machine_of.(i) in
+            if k >= 0 && k < !j && not remaining.(k) then j := k
           done;
-          Array.blit remaining 0 prev_remaining 0 n
-        end;
+          if !j = max_int then continue_frees := false
+          else begin
+            Predictor.observe pred ~job:!j ~runtime:(time - started.(!j));
+            free_job !j
+          end
+        done;
+        let e = Ready.size ready in
         (* Scheduling passes: each pass either starts the FCFS head
            (possibly preempting backfilled jobs) and rescans, or
            computes the head's reservation, backfills behind it and
@@ -141,16 +150,14 @@ let policy ?width ?on_event inst =
         let continue_passes = ref true in
         while !continue_passes do
           continue_passes := false;
-          (* FCFS head: lowest-index eligible remaining job not
-             currently running. *)
-          let h = ref 0 in
-          while
-            !h < n && not (remaining.(!h) && eligible.(!h) && not running.(!h))
-          do
-            incr h
+          (* FCFS head: the first queued job not currently running. *)
+          let hk = ref 0 in
+          while !hk < e && running.(queue.(!hk)) do
+            incr hk
           done;
-          if !h < n then begin
-            let h = !h in
+          if !hk < e then begin
+            let hk = !hk in
+            let h = queue.(hk) in
             let w_h = widths.(h) in
             if pick h w_h free = w_h || pick h w_h virt = w_h then begin
               (* Preempt the backfilled jobs holding the chosen
@@ -221,18 +228,18 @@ let policy ?width ?on_event inst =
               let shadow = !shadow in
               (* Conservative backfill into the hole, FCFS order: fit
                  on non-reserved machines, or predict completion by the
-                 shadow time.  Every job before the head is running or
-                 ineligible, a candidate needs [w_c] free machines, and
-                 the scan ends when none is left. *)
+                 shadow time.  Every queued job before the head is
+                 running, a candidate needs [w_c] free machines, and
+                 the scan ends when fewer than the narrowest width are
+                 left. *)
               let nfree = ref 0 in
               for i = 0 to m - 1 do
                 if machine_of.(i) = -1 then incr nfree
               done;
-              let c = ref (h + 1) in
-              while !nfree > 0 && !c < n do
-                let c' = !c in
-                if remaining.(c') && eligible.(c') && not running.(c')
-                then begin
+              let c = ref (hk + 1) in
+              while !nfree >= min_width && !c < e do
+                let c' = queue.(!c) in
+                if not running.(c') then begin
                   let w_c = widths.(c') in
                   if
                     w_c <= !nfree

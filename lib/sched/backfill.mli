@@ -20,10 +20,14 @@
     stand between the FCFS head and its required width} (see the test
     suite's head-invariant checker over recorded executions).
 
-    Runtime prediction is corrected online: the stepper diffs the
-    engine's [remaining] set between steps to detect completions and
-    feeds actual runtimes back into the per-class predictor, exactly
-    how pyss's EASY++ refines its per-user running average.
+    Runtime prediction is corrected online: a running job that has
+    left the engine's [remaining] set has completed, and its actual
+    runtime is fed back into the per-class predictor (in ascending job
+    index), exactly how pyss's EASY++ refines its per-user running
+    average.  The FCFS queue is a {!Suu_core.Ready} set in index order,
+    updated from the previous row, so a step costs O(m) per scheduling
+    pass plus the backfill scan over queued jobs after the head, which
+    is skipped when fewer machines are free than the narrowest width.
 
     Determinism: queue order, machine ranking (highest [l_ij], ties to
     the lowest index) and the predictor seed are all derived from the

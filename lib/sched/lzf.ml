@@ -1,5 +1,6 @@
 module Instance = Suu_core.Instance
 module Policy = Suu_core.Policy
+module Ready = Suu_core.Ready
 
 let z_ratio inst j =
   let q = Instance.q inst (Instance.best_machine inst j) j in
@@ -15,6 +16,7 @@ let policy inst =
     (fun a b ->
       match Float.compare z.(b) z.(a) with 0 -> compare a b | c -> c)
     order;
+  let order = Ready.order (Instance.dag inst) order in
   (* Per-job machine ranking, precomputed: capable machines (l > 0)
      sorted by l descending, index ascending on ties.  The hot loop
      then walks plain int arrays — no per-step [log]. *)
@@ -42,19 +44,14 @@ let policy inst =
   Policy.make ~name:"lzf" ~fresh:(fun _rng ->
       (* Scratch per stepper: executions run concurrently on domains. *)
       let buf = Array.make m (-1) in
-      let active = Array.make n 0 in
       let mfree = Array.make m true in
+      let ready = Ready.create order in
+      let active = Ready.jobs ready in
       fun ~time:_ ~remaining ~eligible ->
-        let k = ref 0 in
-        Array.iter
-          (fun j ->
-            if remaining.(j) && eligible.(j) then begin
-              active.(!k) <- j;
-              incr k
-            end)
-          order;
+        Ready.sync ready ~prev:buf ~remaining ~eligible;
+        let k = Ready.size ready in
         Array.fill buf 0 m (-1);
-        if !k > 0 then begin
+        if k > 0 then begin
           Array.fill mfree 0 m true;
           let nfree = ref m in
           (* Passes over the ranked jobs, one machine per job per pass:
@@ -64,24 +61,24 @@ let policy inst =
           let progress = ref true in
           while !nfree > 0 && !progress do
             progress := false;
-            for idx = 0 to !k - 1 do
-              if !nfree > 0 then begin
-                let j = active.(idx) in
-                (* First free machine in rank order = best free. *)
-                let ms = mrank.(j) in
-                let c = Array.length ms in
-                let p = ref 0 in
-                while !p < c && not mfree.(ms.(!p)) do
-                  incr p
-                done;
-                if !p < c then begin
-                  let i = ms.(!p) in
-                  buf.(i) <- j;
-                  mfree.(i) <- false;
-                  decr nfree;
-                  progress := true
-                end
-              end
+            let idx = ref 0 in
+            while !nfree > 0 && !idx < k do
+              let j = active.(!idx) in
+              (* First free machine in rank order = best free. *)
+              let ms = mrank.(j) in
+              let c = Array.length ms in
+              let p = ref 0 in
+              while !p < c && not mfree.(ms.(!p)) do
+                incr p
+              done;
+              if !p < c then begin
+                let i = ms.(!p) in
+                buf.(i) <- j;
+                mfree.(i) <- false;
+                decr nfree;
+                progress := true
+              end;
+              incr idx
             done
           done
         end;

@@ -14,8 +14,11 @@
 
     Every tie-break is by index, the ranking is precomputed, and the
     stepper draws nothing from its rng — replays are byte-identical by
-    construction.  Per-step cost is [O(passes * n_eligible * m)] with
-    at most [m] passes; no LP, no plan cache. *)
+    construction.  The eligible jobs are kept in Z order in a
+    {!Suu_core.Ready} set, updated from the previous row, and each pass
+    stops once no machine is free: a step costs O(m + completions) to
+    update the set plus the jobs the passes visit, at most [m] passes
+    over it.  It allocates nothing; no LP, no plan cache. *)
 
 val z_ratio : Suu_core.Instance.t -> int -> float
 (** [z_ratio inst j] is [(1 - qb) / qb] for [qb = min_i q_ij]

@@ -22,37 +22,62 @@ let execution_seed ~digest ~policy rng =
   lxor (h2 * 0x85ebca6b))
   land max_int
 
-let create ?(window = 8) ?(jitter = 0.1) inst ~seed =
-  if window < 1 then invalid_arg "Predictor.create: window must be >= 1";
-  if jitter < 0.0 then invalid_arg "Predictor.create: jitter must be >= 0";
+type model = {
+  mclass_of : int array;
+  estimate : float array; (* per class: the model estimate, unjittered *)
+  mwindow : int;
+  mjitter : float;
+}
+
+let check fn ~window ~jitter =
+  if window < 1 then invalid_arg (fn ^ ": window must be >= 1");
+  if jitter < 0.0 then invalid_arg (fn ^ ": jitter must be >= 0")
+
+let model ?(window = 8) ?(jitter = 0.1) inst =
+  check "Predictor.model" ~window ~jitter;
   let n = Instance.n inst and m = Instance.m inst in
   let class_of = Array.init n (fun j -> Instance.best_machine inst j) in
+  (* Model estimate per class: expected steps of a threshold-E[w] job
+     on its best machine, the mean over member jobs, summed in job
+     order.  A zero-failure machine (l = infinity) completes any job
+     in one step. *)
+  let sum = Array.make m 0.0 and members = Array.make m 0 in
+  for j = 0 to n - 1 do
+    let i = class_of.(j) in
+    let l = Instance.log_failure inst i j in
+    let est = if l = infinity then 1.0 else e_threshold /. l in
+    sum.(i) <- sum.(i) +. est;
+    members.(i) <- members.(i) + 1
+  done;
+  let estimate =
+    Array.init m (fun i ->
+        if members.(i) = 0 then 1.0
+        else Float.max 1.0 (sum.(i) /. float_of_int members.(i)))
+  in
+  { mclass_of = class_of; estimate; mwindow = window; mjitter = jitter }
+
+let of_model md ~seed =
   let rng = Rng.create ~seed in
+  let jitter = md.mjitter in
   (* One jitter factor per class, drawn in machine order so the stream
      is independent of which classes are inhabited. *)
-  let factor = Array.init m (fun _ -> 1.0 +. (jitter *. Rng.range rng ~lo:(-1.0) ~hi:1.0)) in
-  (* Model estimate per class: expected steps of a threshold-E[w] job
-     on its best machine.  A zero-failure machine (l = infinity)
-     completes any job in one step. *)
-  let model i =
-    let best = ref 0.0 in
-    for j = 0 to n - 1 do
-      if class_of.(j) = i then begin
-        let l = Instance.log_failure inst i j in
-        let est = if l = infinity then 1.0 else e_threshold /. l in
-        (* class estimate: mean over member jobs *)
-        best := !best +. est
-      end
-    done;
-    let members = Array.fold_left (fun a c -> if c = i then a + 1 else a) 0 class_of in
-    if members = 0 then 1.0 else Float.max 1.0 (!best /. float_of_int members)
+  let factor =
+    Array.map
+      (fun _ -> 1.0 +. (jitter *. Rng.range rng ~lo:(-1.0) ~hi:1.0))
+      md.estimate
   in
   let classes =
-    Array.init m (fun i ->
-        { window = Array.make window 0.0; filled = 0; next = 0; sum = 0.0;
-          total = 0; initial = Float.max 1.0 (model i *. factor.(i)) })
+    Array.mapi
+      (fun i est ->
+        { window = Array.make md.mwindow 0.0; filled = 0; next = 0; sum = 0.0;
+          total = 0; initial = Float.max 1.0 (est *. factor.(i)) })
+      md.estimate
   in
-  { class_of; classes }
+  { class_of = md.mclass_of; classes }
+
+let create ?(window = 8) ?(jitter = 0.1) inst ~seed =
+  check "Predictor.create" ~window ~jitter;
+  of_model (model ~window ~jitter inst) ~seed
 
 let predict t j =
   let c = t.classes.(t.class_of.(j)) in

@@ -35,6 +35,20 @@ val create : ?window:int -> ?jitter:float -> Suu_core.Instance.t ->
     estimates.  Raises [Invalid_argument] when [window < 1] or
     [jitter < 0]. *)
 
+type model
+(** The instance half of a predictor: job classes and the per-class
+    model estimates before jitter.  Immutable, so one model serves
+    every execution of a policy. *)
+
+val model : ?window:int -> ?jitter:float -> Suu_core.Instance.t -> model
+(** [model inst] computes [inst]'s classes and estimates once, in
+    O(n + m); [window] and [jitter] are as for {!create}. *)
+
+val of_model : model -> seed:int -> t
+(** [of_model md ~seed] is a fresh predictor: it draws the per-class
+    jitter from [seed].  [create ?window ?jitter inst ~seed] is
+    [of_model (model ?window ?jitter inst) ~seed], bit for bit. *)
+
 val execution_seed :
   digest:string -> policy:string -> Suu_prng.Rng.t -> int
 (** Mix (instance digest, policy name, one draw from the execution rng)

@@ -37,8 +37,15 @@ let run ?(cap = 4_000_000) ?on_step inst policy ~trace ~rng =
   let remaining = Array.make n true in
   let mass = Array.make n 0.0 in
   let completed = Array.make n false in
-  let w = Array.init n (Trace.threshold trace) in
-  let w_lo = Array.map (fun x -> x -. completion_slack x) w in
+  (* The thresholds and the rows of l are read in place: copying them
+     through closures, or calling [Instance.log_failure] per busy
+     machine, boxed one float per element. *)
+  let w = Trace.thresholds trace in
+  let ell = Instance.log_failure_rows inst in
+  let w_lo = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    w_lo.(j) <- w.(j) -. completion_slack w.(j)
+  done;
   let left = ref n in
   (* Zero thresholds (r_j = 1) complete with no work at all. *)
   for j = 0 to n - 1 do
@@ -111,7 +118,7 @@ let run ?(cap = 4_000_000) ?on_step inst policy ~trace ~rng =
       else begin
         incr busy;
         if mass.(j) < w.(j) then begin
-          mass.(j) <- mass.(j) +. Instance.log_failure inst i j;
+          mass.(j) <- mass.(j) +. ell.(i).(j);
           touched.(!ntouched) <- j;
           incr ntouched
         end

@@ -40,7 +40,8 @@ val run :
     caller's generator stays independent).  [cap] bounds the number of
     steps (default [4_000_000]).  [on_step] observes each step's raw
     machine → job assignment before validation (the array is the
-    policy's buffer: copy it if retained). *)
+    policy's buffer, which its next step reads back: copy it if
+    retained, and never modify it). *)
 
 val makespan :
   ?cap:int -> Suu_core.Instance.t -> Suu_core.Policy.t -> trace:Trace.t ->

@@ -1,10 +1,11 @@
 type t = { w : float array }
 
 let draw ~n rng =
-  let w =
-    Array.init n (fun _ ->
-        -.(log (Suu_prng.Rng.uniform_open rng) /. log 2.0))
-  in
+  let log2 = log 2.0 in
+  let w = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    w.(j) <- -.(log (Suu_prng.Rng.uniform_open rng) /. log2)
+  done;
   { w }
 
 let of_thresholds w =
@@ -17,3 +18,4 @@ let of_thresholds w =
 
 let n t = Array.length t.w
 let threshold t j = t.w.(j)
+let thresholds t = t.w

@@ -25,3 +25,7 @@ val n : t -> int
 
 val threshold : t -> int -> float
 (** [threshold t j] is [w_j]. *)
+
+val thresholds : t -> float array
+(** [thresholds t] is every [w_j], indexed by job.  The array is owned
+    by [t]: treat as read-only. *)

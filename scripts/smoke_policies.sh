@@ -1,13 +1,14 @@
 #!/bin/sh
-# Policy smoke: the lib/sched family (lzf, backfill) and the paper's
-# SUU-C and SUU-T (through auto) end to end over a real socket.  Serves
-# simulate requests for lzf and backfill on instances converted from
-# the checked-in SWF trace and on synthetic instances, and auto on
-# synthetic chains and forests, and replays each request at the same
-# seed — the responses must be byte-identical (0 mismatches): the
-# online policies promise deterministic tie-breaking, with predictor
-# state seeded from (instance digest, policy, seed) only, and the LP
-# policies draw their delays from the request seed only.
+# Policy smoke: the lib/sched family (lzf, backfill), greedy and the
+# paper's SUU-C and SUU-T (through auto) end to end over a real socket.
+# Serves simulate requests for lzf and backfill on instances converted
+# from the checked-in SWF trace and on synthetic instances, and auto,
+# lzf, backfill and greedy on synthetic chains and forests, and replays
+# each request at the same seed — the responses must be byte-identical
+# (0 mismatches): the online policies promise deterministic
+# tie-breaking, with predictor state seeded from (instance digest,
+# policy, seed) only, and the LP policies draw their delays from the
+# request seed only.
 . "$(dirname "$0")/smoke_lib.sh"
 
 TRACE=bench/workloads/sample20.swf
@@ -52,18 +53,22 @@ for pol in lzf backfill; do
   fi
 done
 
-# --- auto picks SUU-C on chains and SUU-T on forests: their steppers
-#     keep per-execution queues and cursors, and must still replay ---
+# --- auto picks SUU-C on chains and SUU-T on forests, and lzf, backfill
+#     and greedy keep ready sets that promote successors on dags: all
+#     their steppers keep per-execution queues and cursors, and must
+#     still replay ---
 for shape in chains forest; do
-  for side in a b; do
-    "$CLI" client simulate --port "$PORT" --shape "$shape" -n 32 -m 6 \
-      --reps 8 --seed 11 --policy auto > "$SCRATCH/auto-$shape-$side.out"
+  for pol in auto lzf backfill greedy; do
+    for side in a b; do
+      "$CLI" client simulate --port "$PORT" --shape "$shape" -n 32 -m 6 \
+        --reps 8 --seed 11 --policy "$pol" > "$SCRATCH/$pol-$shape-$side.out"
+    done
+    grep -q '^mean ' "$SCRATCH/$pol-$shape-a.out"
+    if ! cmp -s "$SCRATCH/$pol-$shape-a.out" "$SCRATCH/$pol-$shape-b.out"; then
+      echo "replay mismatch: shape=$shape policy=$pol" >&2
+      MISMATCH=$((MISMATCH + 1))
+    fi
   done
-  grep -q '^mean ' "$SCRATCH/auto-$shape-a.out"
-  if ! cmp -s "$SCRATCH/auto-$shape-a.out" "$SCRATCH/auto-$shape-b.out"; then
-    echo "replay mismatch: shape=$shape policy=auto" >&2
-    MISMATCH=$((MISMATCH + 1))
-  fi
 done
 
 [ "$MISMATCH" -eq 0 ]

@@ -1,7 +1,7 @@
 (* Differential oracles: straightforward list-based versions of the
-   greedy, round-robin and serial baselines, of the EASY backfill
-   stepper, and of the SUU-I-SEM, SUU-C and SUU-T steppers.  They
-   allocate and scan O(n * m) per step (the paper steppers also build a
+   greedy, round-robin and serial baselines, of the LZF and EASY
+   backfill steppers, and of the SUU-I-SEM, SUU-C and SUU-T steppers.
+   They allocate and scan O(n * m) per step (the paper steppers also build a
    plan-cache handle per SEM run and list queues per superstep), which
    keeps them easy to check against their definitions; test_oracle.ml
    checks the production steppers against them step by step.  Not on
@@ -65,6 +65,94 @@ let serial inst =
         match active_jobs ~remaining ~eligible with
         | [] -> idle
         | j :: _ -> Array.make m j)
+
+(* The LZF stepper as it was before its ready set: every step collects
+   the eligible remaining jobs by a pass over all [n] in Z order. *)
+let z_ratio inst j =
+  let q = Instance.q inst (Instance.best_machine inst j) j in
+  if q <= 0.0 then infinity else (1.0 -. q) /. q
+
+let lzf inst =
+  let m = Instance.m inst and n = Instance.n inst in
+  let z = Array.init n (fun j -> z_ratio inst j) in
+  (* Rank once: Z descending, index ascending on ties — the whole
+     ordering is data-independent, so replays can never diverge. *)
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare z.(b) z.(a) with 0 -> compare a b | c -> c)
+    order;
+  (* Per-job machine ranking, precomputed: capable machines (l > 0)
+     sorted by l descending, index ascending on ties.  The hot loop
+     then walks plain int arrays — no per-step [log]. *)
+  let mrank =
+    Array.init n (fun j ->
+        let ms =
+          List.filter
+            (fun i -> Instance.log_failure inst i j > 0.0)
+            (List.init m Fun.id)
+        in
+        let ms =
+          List.sort
+            (fun a b ->
+              match
+                Float.compare
+                  (Instance.log_failure inst b j)
+                  (Instance.log_failure inst a j)
+              with
+              | 0 -> compare a b
+              | c -> c)
+            ms
+        in
+        Array.of_list ms)
+  in
+  Policy.make ~name:"lzf" ~fresh:(fun _rng ->
+      (* Scratch per stepper: executions run concurrently on domains. *)
+      let buf = Array.make m (-1) in
+      let active = Array.make n 0 in
+      let mfree = Array.make m true in
+      fun ~time:_ ~remaining ~eligible ->
+        let k = ref 0 in
+        Array.iter
+          (fun j ->
+            if remaining.(j) && eligible.(j) then begin
+              active.(!k) <- j;
+              incr k
+            end)
+          order;
+        Array.fill buf 0 m (-1);
+        if !k > 0 then begin
+          Array.fill mfree 0 m true;
+          let nfree = ref m in
+          (* Passes over the ranked jobs, one machine per job per pass:
+             machines spread across high-Z jobs first, then stack.  A
+             pass that assigns nothing means every free machine has
+             q = 1 on every active job — idle the rest. *)
+          let progress = ref true in
+          while !nfree > 0 && !progress do
+            progress := false;
+            for idx = 0 to !k - 1 do
+              if !nfree > 0 then begin
+                let j = active.(idx) in
+                (* First free machine in rank order = best free. *)
+                let ms = mrank.(j) in
+                let c = Array.length ms in
+                let p = ref 0 in
+                while !p < c && not mfree.(ms.(!p)) do
+                  incr p
+                done;
+                if !p < c then begin
+                  let i = ms.(!p) in
+                  buf.(i) <- j;
+                  mfree.(i) <- false;
+                  decr nfree;
+                  progress := true
+                end
+              end
+            done
+          done
+        end;
+        buf)
 
 type event = Suu_sched.Backfill.event =
   | Started of { job : int; time : int; backfilled : bool }

@@ -1,5 +1,5 @@
 (* Differential tests: the allocation-free greedy, round-robin, serial,
-   backfill, SUU-I-SEM, SUU-C and SUU-T steppers against the
+   lzf, backfill, SUU-I-SEM, SUU-C and SUU-T steppers against the
    straightforward versions kept in Oracle_policies.  Both run on the
    same instance, trace and execution rng; every recorded assignment
    row, the engine result, backfill's event stream, SUU-C's stats and
@@ -139,6 +139,16 @@ let prop_baselines =
       && same_run ~what:"serial" inst
            (Oracle_policies.serial inst)
            (Baselines.serial inst) ~seed)
+
+(* LZF's ready set is kept in Z order and updated from the previous
+   row: chains and forests exercise successor promotion, and the tie
+   modes equal Z ratios and machines with q = 1. *)
+let prop_lzf =
+  QCheck.Test.make ~count:500 ~name:"lzf equals its oracle step by step"
+    arb_case (fun c ->
+      let inst = instance c in
+      same_run ~what:"lzf" inst (Oracle_policies.lzf inst)
+        (Suu_sched.Lzf.policy inst) ~seed:(c.seed + 4))
 
 (* Backfill with an event log per side: the assignment rows and the
    Started/Preempted stream must both match. *)
@@ -337,6 +347,6 @@ let () =
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_baselines; prop_backfill; prop_backfill_width;
+          [ prop_baselines; prop_lzf; prop_backfill; prop_backfill_width;
             prop_lp_policies ] );
     ]

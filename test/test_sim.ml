@@ -278,6 +278,81 @@ let prop_engine_accounting =
       r.Engine.busy_steps + r.Engine.wasted_steps + r.Engine.idle_steps
       = 3 * r.Engine.makespan)
 
+(* The guarantee [Policy.stepper] states and the ready sets rely on,
+   checked at every call of every registered policy applicable to the
+   instance: between two calls a job leaves [remaining] only if the
+   previous row assigned it, zero-threshold jobs have left before the
+   first call, a job never returns to [remaining], [eligible] gains
+   only successors of jobs that left, and an eligible job is
+   remaining.  The previous row comes from [~on_step]. *)
+let prop_engine_guarantee =
+  QCheck.Test.make ~count:40
+    ~name:"steppers see only completions of their previous row"
+    QCheck.(triple small_int (int_range 0 2) (int_range 0 2))
+    (fun (seed, shape, zeros) ->
+      let module W = Suu_workload.Workload in
+      Suu_sched.Register.ensure ();
+      let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
+      let inst =
+        match shape with
+        | 0 -> W.independent uniform ~n:10 ~m:3 ~seed
+        | 1 -> W.random_chains uniform ~n:12 ~z:3 ~m:3 ~seed
+        | _ -> W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:3 ~seed
+      in
+      let n = Instance.n inst and g = Instance.dag inst in
+      let rng = Rng.create ~seed:(seed + 31) in
+      let drawn = Trace.draw ~n (Rng.split rng) in
+      (* [zeros] in five jobs complete with no work at all. *)
+      let w =
+        Array.init n (fun j ->
+            if (j + seed) mod 5 < zeros then 0.0 else Trace.threshold drawn j)
+      in
+      let trace = Trace.of_thresholds w in
+      let check name =
+        let p =
+          match Suu_core.Policy_registry.build name inst with
+          | Ok p -> p
+          | Error _ -> Alcotest.failf "%s: not applicable" name
+        in
+        let fail fmt = Printf.ksprintf (fun m -> failwith (name ^ ": " ^ m)) fmt in
+        let row = ref [||] in
+        let prev_rem = Array.make n true and prev_elig = Array.make n false in
+        let watched =
+          Policy.make ~name ~fresh:(fun rng ->
+              let step = Policy.fresh p rng in
+              fun ~time ~remaining ~eligible ->
+                for j = 0 to n - 1 do
+                  if time = 0 then begin
+                    if remaining.(j) <> (w.(j) > 0.0) then
+                      fail "job %d remaining=%b at the first call" j
+                        remaining.(j)
+                  end
+                  else begin
+                    if remaining.(j) && not prev_rem.(j) then
+                      fail "job %d returned at step %d" j time;
+                    if prev_rem.(j) && (not remaining.(j))
+                       && not (Array.mem j !row)
+                    then fail "job %d left unassigned at step %d" j time;
+                    if eligible.(j) && (not prev_elig.(j))
+                       && not
+                            (List.exists
+                               (fun p -> prev_rem.(p) && not remaining.(p))
+                               (Dag.preds g j))
+                    then fail "job %d became eligible at step %d" j time
+                  end;
+                  if eligible.(j) && not remaining.(j) then
+                    fail "job %d eligible but done at step %d" j time
+                done;
+                Array.blit remaining 0 prev_rem 0 n;
+                Array.blit eligible 0 prev_elig 0 n;
+                step ~time ~remaining ~eligible)
+        in
+        let on_step ~time:_ ~assignment = row := Array.copy assignment in
+        ignore (Engine.run ~on_step inst watched ~trace ~rng:(Rng.copy rng))
+      in
+      List.iter check (Suu_core.Policy_registry.applicable inst);
+      true)
+
 (* --- audit --- *)
 
 let test_audit_accepts_valid () =
@@ -561,6 +636,7 @@ let () =
             test_audit_rejects_bad_job;
           QCheck_alcotest.to_alcotest prop_engine_executions_audit_clean;
           QCheck_alcotest.to_alcotest prop_engine_accounting;
+          QCheck_alcotest.to_alcotest prop_engine_guarantee;
         ] );
       ( "parallel",
         [
