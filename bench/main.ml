@@ -796,7 +796,8 @@ let perf_pipeline bechamel_rows =
         (%.3g machine-steps/s)"
     n m reps step_rate (float_of_int m *. step_rate);
   (* Ratio-sweep throughput: SUU-I-SEM is the E1 workhorse; its LP plans
-     hit the per-policy plan cache after replication 1. *)
+     hit the per-policy plan cache after replication 1.  Each row builds
+     one policy, shared by all of its domains. *)
   let policy () = Suu_core.Suu_i_sem.policy inst in
   let seq, seq_t =
     time_it (fun () -> Runner.makespans ~jobs:1 inst (policy ()) ~seed ~reps)
@@ -814,7 +815,7 @@ let perf_pipeline bechamel_rows =
       (fun d ->
         let xs, t =
           time_it (fun () ->
-              Suu_sim.Parallel.makespans ~domains:d inst ~policy ~seed ~reps)
+              Runner.makespans ~jobs:d inst (policy ()) ~seed ~reps)
         in
         let same = xs = seq in
         Table.add_row table

@@ -25,6 +25,16 @@ let hazard_conv =
   let print fmt h = Format.pp_print_string fmt (W.hazard_name h) in
   Arg.conv (parse, print)
 
+(* A domain count (--sim-jobs): below 1 is a usage error, reported
+   against the flag before anything starts. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let hazard =
   Arg.(
     value
@@ -285,22 +295,28 @@ let gantt_cmd =
 
 (* --- serve --- *)
 
+(* Start-up misconfiguration (a malformed SUU_JOBS, SUU_SOLVER or
+   SUU_FAULTS) exits with a one-line error before anything listens. *)
 let serve host port workers queue deadline_ms sim_jobs solver faults journal =
-  Suu_server.Server.run
-    ~config:
-      {
-        Suu_server.Server.default_config with
-        host;
-        port;
-        workers;
-        queue_capacity = queue;
-        default_deadline_ms = deadline_ms;
-        sim_jobs;
-        solver;
-        faults;
-        journal;
-      }
-    ()
+  let config =
+    {
+      Suu_server.Server.default_config with
+      host;
+      port;
+      workers;
+      queue_capacity = queue;
+      default_deadline_ms = deadline_ms;
+      sim_jobs;
+      solver;
+      faults;
+      journal;
+    }
+  in
+  match Suu_server.Server.run ~config () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+      prerr_endline ("suu serve: " ^ msg);
+      exit 1
 
 let host_arg =
   Arg.(
@@ -336,7 +352,7 @@ let serve_cmd =
   let sim_jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some jobs_conv) None
       & info [ "sim-jobs" ] ~docv:"D"
           ~doc:"Domains per simulate request (default: SUU_JOBS or cores).")
   in
@@ -637,7 +653,8 @@ let replay path sim_jobs verbose =
           (`Msg
             (Printf.sprintf "replay FAILED: %d of %d responses diverged"
                o.R.mismatched o.R.replayed))
-  | exception (Failure msg | Sys_error msg) -> Error (`Msg msg)
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+      Error (`Msg msg)
 
 let replay_cmd =
   let doc =
@@ -653,7 +670,7 @@ let replay_cmd =
   let sim_jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some jobs_conv) None
       & info [ "sim-jobs" ] ~docv:"D"
           ~doc:"Domains for simulate re-execution (results are identical \
                 for every value).")

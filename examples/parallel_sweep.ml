@@ -25,10 +25,10 @@ let () =
     reps;
   Printf.printf "recommended domains on this machine: %d\n\n"
     (Domain.recommended_domain_count ());
-  let policy () = Suu_core.Baselines.greedy_completion inst in
+  let policy = Suu_core.Baselines.greedy_completion inst in
   let seq, t_seq =
     time_it (fun () ->
-        Suu_sim.Runner.makespans inst (policy ()) ~seed:31 ~reps)
+        Suu_sim.Runner.makespans ~jobs:1 inst policy ~seed:31 ~reps)
   in
   let table =
     Table.create ~header:[ "domains"; "time (s)"; "speedup"; "identical" ]
@@ -39,7 +39,8 @@ let () =
     (fun domains ->
       let par, t_par =
         time_it (fun () ->
-            Suu_sim.Parallel.makespans ~domains inst ~policy ~seed:31 ~reps)
+            Suu_sim.Runner.makespans ~jobs:domains inst policy ~seed:31
+              ~reps)
       in
       Table.add_row table
         [ string_of_int domains; Table.fmt_g t_par;

@@ -39,7 +39,8 @@ val run : ?sim_jobs:int -> Suu_store.Journal.entry list -> outcome
 (** Re-execute [entries] (as recovered by {!Suu_store.Journal.read})
     against a fresh service.  [sim_jobs] bounds the simulation fan-out
     (the ok responses are bit-identical for every value; this only
-    controls resource use).  [replayed = matched + mismatched] and
+    controls resource use; [Invalid_argument] when below 1, as in
+    {!Service.create}).  [replayed = matched + mismatched] and
     [total = replayed + skipped]. *)
 
 val file : ?sim_jobs:int -> string -> outcome

@@ -849,6 +849,29 @@ let start ?(config = default_config) () =
   (* Resolve the solver before binding anything: a malformed SUU_SOLVER
      must fail startup without leaking the listener fd. *)
   let solver_choice = solver config in
+  (* Build the service before binding anything too: it resolves the
+     simulate fan-out ([sim_jobs], else SUU_JOBS), and a bad count must
+     fail startup rather than every simulate request. *)
+  let metrics = Metrics.create () in
+  let t_ref = ref None in
+  let extra_stats () =
+    match !t_ref with
+    | None -> []
+    | Some t ->
+        [ ("queue_depth", string_of_int (Bqueue.length t.queue));
+          ("queue_capacity", string_of_int t.cfg.queue_capacity);
+          ("workers", string_of_int t.cfg.workers);
+          ("connections", string_of_int (Atomic.get t.conn_count));
+          ("reactor", Reactor.backend t.reactor);
+          ("uptime_ms",
+           string_of_int
+             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
+        ]
+  in
+  let service =
+    Service.create ?sim_jobs:config.sim_jobs ~solver:solver_choice
+      ~extra_stats ~clock_ns:config.clock_ns ~metrics ()
+  in
   (* Open (and recover) the journal before binding the socket: recovery
      may truncate a torn tail, and a server that cannot journal must
      fail to start rather than silently run without the write-ahead
@@ -889,30 +912,10 @@ let start ?(config = default_config) () =
   Unix.set_nonblock wake_w;
   Reactor.add reactor lfd ~read:true ~write:false;
   Reactor.add reactor wake_r ~read:true ~write:false;
-  let metrics = Metrics.create () in
   let queue = Bqueue.create ~capacity:config.queue_capacity in
   let completions = Bqueue.create ~capacity:max_int in
   let started = Unix.gettimeofday () in
   let conn_count = Atomic.make 0 in
-  let t_ref = ref None in
-  let extra_stats () =
-    match !t_ref with
-    | None -> []
-    | Some t ->
-        [ ("queue_depth", string_of_int (Bqueue.length t.queue));
-          ("queue_capacity", string_of_int t.cfg.queue_capacity);
-          ("workers", string_of_int t.cfg.workers);
-          ("connections", string_of_int (Atomic.get t.conn_count));
-          ("reactor", Reactor.backend t.reactor);
-          ("uptime_ms",
-           string_of_int
-             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
-        ]
-  in
-  let service =
-    Service.create ?sim_jobs:config.sim_jobs ~solver:solver_choice
-      ~extra_stats ~clock_ns:config.clock_ns ~metrics ()
-  in
   (* Warm-start: replay the recovered journal's request bodies into the
      caches (instances and policies only — nothing executes, so the
      plan-cache statistics stay untouched; see {!Service.warm}). *)

@@ -55,7 +55,8 @@ type config = {
       (** deadline for requests that carry none (default 30_000) *)
   sim_jobs : int option;
       (** domain count for simulate fan-out (default: the
-          {!Suu_sim.Parallel} default) *)
+          {!Suu_sim.Parallel} default).  A count below 1, or a malformed
+          [SUU_JOBS] when [None], fails {!start}. *)
   solver : Suu_core.Solver_choice.t option;
       (** LP backend for every policy this server builds.  [None] (the
           default) consults the [SUU_SOLVER] environment variable
@@ -97,7 +98,9 @@ val default_config : config
 val start : ?config:config -> unit -> t
 (** Bind, listen and spin up the loop and pool.  Raises
     [Unix.Unix_error] when the address is unavailable and
-    [Invalid_argument] when [SUU_FAULTS] is set but malformed. *)
+    [Invalid_argument], before binding, when [SUU_FAULTS],
+    [SUU_SOLVER] or [SUU_JOBS] is set but malformed or [sim_jobs] is
+    below 1. *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)

@@ -24,7 +24,7 @@ type t = {
   cache : (string, entry) Hashtbl.t;
   order : string Queue.t; (* insertion order, FIFO eviction *)
   capacity : int;
-  sim_jobs : int option;
+  sim_jobs : int;
   solver : Suu_core.Solver_choice.t option;
   extra_stats : (unit -> (string * string) list) option;
   metrics : Metrics.t;
@@ -43,6 +43,15 @@ let create ?(instance_cache_capacity = 64) ?sim_jobs ?solver ?extra_stats
     ?(clock_ns = Suu_obs.Clock.now_ns) ~metrics () =
   if instance_cache_capacity < 1 then
     invalid_arg "Service.create: instance_cache_capacity must be >= 1";
+  (* Resolve the simulate fan-out once: a bad [sim_jobs] or [SUU_JOBS]
+     is the operator's misconfiguration and must stop start-up, not be
+     answered as every client's [bad_request]. *)
+  let sim_jobs =
+    match sim_jobs with
+    | Some k when k < 1 -> invalid_arg "Service.create: sim_jobs must be >= 1"
+    | Some k -> k
+    | None -> Suu_sim.Parallel.default_jobs ()
+  in
   (* The online family registers itself on demand; a server must be
      able to answer policy=lzf/backfill whether or not anything else
      referenced [Suu_sched] first. *)
@@ -189,24 +198,16 @@ let simulate t ~deadline inst name ~reps ~seed =
   | Result.Error _ as e -> e
   | Result.Ok policy ->
       note_bypass name;
-      let n = Instance.n inst in
       let rngs = Suu_sim.Runner.rep_rngs ~seed ~reps in
       let results = Array.make reps 0.0 in
       let lo = ref 0 in
       while !lo < reps do
         check t ~deadline;
-        let base = !lo in
-        let hi = min reps (base + sim_batch) in
-        (* Replication [k] draws only from [rngs.(k)] and writes only
-           [results.(k)]: bit-identical for every [sim_jobs], hence for
-           every server worker count. *)
-        Suu_sim.Parallel.parallel_for ?jobs:t.sim_jobs ~n:(hi - base)
-          (fun k ->
-            let trace_rng, policy_rng = rngs.(base + k) in
-            let trace = Suu_sim.Trace.draw ~n trace_rng in
-            results.(base + k) <-
-              float_of_int
-                (Suu_sim.Engine.makespan inst policy ~trace ~rng:policy_rng));
+        let hi = min reps (!lo + sim_batch) in
+        (* Bit-identical for every [sim_jobs], hence for every server
+           worker count: see {!Suu_sim.Runner.run_range}. *)
+        Suu_sim.Runner.run_range ~jobs:t.sim_jobs inst policy ~rngs results
+          ~lo:!lo ~hi;
         lo := hi
       done;
       let s = Suu_stats.Summary.of_array results in

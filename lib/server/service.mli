@@ -25,10 +25,10 @@
 
     Determinism over the wire: for a fixed request body, the ok
     response is byte-identical across calls, worker interleavings and
-    simulation-pool sizes — [simulate] replays
-    {!Suu_sim.Runner.rep_rngs} replication seeding (replication [k]
-    depends only on [(seed, k)]), and floats are rendered with
-    [%.17g]. *)
+    simulation-pool sizes — [simulate] runs each batch through
+    {!Suu_sim.Runner.run_range} on {!Suu_sim.Runner.rep_rngs}
+    replication seeding (replication [k] depends only on [(seed, k)]),
+    and floats are rendered with [%.17g]. *)
 
 type t
 
@@ -45,6 +45,10 @@ val create :
     (default 64; [Invalid_argument] when < 1).  [sim_jobs] fixes the
     domain count used for [simulate] fan-out (default: the
     {!Suu_sim.Parallel} default, i.e. [SUU_JOBS] or the core count).
+    It is resolved here, once: [Invalid_argument] when [sim_jobs] is
+    below 1, or when it is absent and [SUU_JOBS] is malformed, so a
+    misconfigured server fails at start-up rather than on each
+    [simulate].
     [solver] selects the LP backend every policy this service builds
     will use (default: the library default,
     {!Suu_core.Solver_choice.default}; servers pass their resolved

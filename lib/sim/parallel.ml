@@ -8,126 +8,80 @@ let default_jobs () =
           invalid_arg
             (Printf.sprintf "SUU_JOBS must be a positive integer, got %S" s))
 
-(* Chunked dynamic scheduling over [0, n): workers claim chunk indices
-   from a shared atomic counter, so uneven per-item costs (simulations
-   whose makespans differ wildly) still balance.  [local] builds one
-   worker-private state per domain (policies are not domain-safe to
-   share mid-execution); the body writes only to disjoint result slots,
-   so no further synchronization is needed. *)
-let c_items = Suu_obs.Registry.memo_counter "parallel.items"
-
-let run_chunks ~jobs ~chunk ~n ~local body =
-  if n > 0 then begin
-    let obs = Suu_obs.Registry.enabled () in
-    let jobs = max 1 (min jobs n) in
-    if jobs = 1 then begin
-      let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
-      let st = local () in
-      for i = 0 to n - 1 do
-        body st i
-      done;
-      if obs then begin
-        Suu_obs.Counter.add (c_items ()) n;
-        Suu_obs.Span.record ~name:"parallel.worker"
-          ~attrs:[ ("items", string_of_int n) ]
-          ~start_ns:t0
-          ~stop_ns:(Suu_obs.Clock.now_ns ())
-          ()
-      end
-    end
-    else begin
-      let chunk = max 1 chunk in
-      let nchunks = ((n + chunk - 1) / chunk) in
-      let next = Atomic.make 0 in
-      (* Spawned domains start with no ambient span; re-root their
-         per-worker spans under the caller's so a trace shows the fan-out
-         nested inside whatever phase requested it. *)
-      let parent = Suu_obs.Span.current () in
-      let worker () =
-        let run () =
-          let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
-          let st = local () in
-          let mine = ref 0 in
-          let rec loop () =
-            let c = Atomic.fetch_and_add next 1 in
-            if c < nchunks then begin
-              let lo = c * chunk in
-              let hi = min n (lo + chunk) in
-              for i = lo to hi - 1 do
-                body st i
-              done;
-              mine := !mine + (hi - lo);
-              loop ()
-            end
-          in
-          loop ();
-          if obs then begin
-            Suu_obs.Counter.add (c_items ()) !mine;
-            Suu_obs.Span.record ~name:"parallel.worker" ?parent
-              ~attrs:[ ("items", string_of_int !mine) ]
-              ~start_ns:t0
-              ~stop_ns:(Suu_obs.Clock.now_ns ())
-              ()
-          end
-        in
-        Suu_obs.Span.with_ambient parent run
-      in
-      let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      (* Every spawned domain must be joined on every exit path.  If the
-         caller's inline [worker ()] raises and we unwind without
-         joining, the spawned domains keep running against buffers the
-         caller believes it owns again — and their slots leak unjoined.
-         The [finally] block therefore joins unconditionally, swallowing
-         nothing: the first exception a join surfaces is kept and
-         rethrown once the inline worker's own outcome is known (the
-         inline exception, being first, wins). *)
-      let join_failure = ref None in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun d ->
-              try Domain.join d
-              with e -> if !join_failure = None then join_failure := Some e)
-            spawned)
-        worker;
-      match !join_failure with Some e -> raise e | None -> ()
-    end
-  end
-
 (* Aim for several chunks per worker so the tail balances, without
    grinding the atomic counter on tiny items. *)
 let auto_chunk ~jobs ~n = max 1 (n / (4 * jobs))
 
-let parallel_for ?jobs ?chunk ~n f =
+(* Chunked dynamic scheduling over [0, n): workers claim chunk indices
+   from a shared atomic counter, so uneven per-item costs (simulations
+   whose makespans differ wildly) still balance.  The caller's domain is
+   always a worker, so [jobs = 1] spawns nothing; the body writes only
+   to disjoint result slots, so no further synchronization is needed. *)
+let c_items = Suu_obs.Registry.memo_counter "parallel.items"
+
+let run_chunks ~jobs ~n body =
+  if n > 0 then begin
+    let obs = Suu_obs.Registry.enabled () in
+    let jobs = max 1 (min jobs n) in
+    let chunk = auto_chunk ~jobs ~n in
+    let nchunks = (n + chunk - 1) / chunk in
+    let next = Atomic.make 0 in
+    (* Spawned domains start with no ambient span; re-root their
+       per-worker spans under the caller's so a trace shows the fan-out
+       nested inside whatever phase requested it. *)
+    let parent = Suu_obs.Span.current () in
+    let worker () =
+      let run () =
+        let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
+        let mine = ref 0 in
+        let rec loop () =
+          let c = Atomic.fetch_and_add next 1 in
+          if c < nchunks then begin
+            let lo = c * chunk in
+            let hi = min n (lo + chunk) in
+            for i = lo to hi - 1 do
+              body i
+            done;
+            mine := !mine + (hi - lo);
+            loop ()
+          end
+        in
+        loop ();
+        if obs then begin
+          Suu_obs.Counter.add (c_items ()) !mine;
+          Suu_obs.Span.record ~name:"parallel.worker" ?parent
+            ~attrs:[ ("items", string_of_int !mine) ]
+            ~start_ns:t0
+            ~stop_ns:(Suu_obs.Clock.now_ns ())
+            ()
+        end
+      in
+      Suu_obs.Span.with_ambient parent run
+    in
+    let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    (* Every spawned domain must be joined on every exit path.  If the
+       caller's inline [worker ()] raises and we unwind without
+       joining, the spawned domains keep running against buffers the
+       caller believes it owns again — and their slots leak unjoined.
+       The [finally] block therefore joins unconditionally, swallowing
+       nothing: the first exception a join surfaces is kept and
+       rethrown once the inline worker's own outcome is known (the
+       inline exception, being first, wins). *)
+    let join_failure = ref None in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun d ->
+            try Domain.join d
+            with e -> if !join_failure = None then join_failure := Some e)
+          spawned)
+      worker;
+    match !join_failure with Some e -> raise e | None -> ()
+  end
+
+let parallel_for ?jobs ~n f =
   let jobs = match jobs with Some j when j >= 1 -> j
     | Some _ -> invalid_arg "Parallel.parallel_for: jobs must be positive"
     | None -> default_jobs ()
   in
-  let chunk =
-    match chunk with Some c -> c | None -> auto_chunk ~jobs ~n
-  in
-  run_chunks ~jobs ~chunk ~n ~local:(fun () -> ()) (fun () i -> f i)
-
-let makespans ?cap ?domains inst ~policy ~seed ~reps =
-  if reps <= 0 then invalid_arg "Parallel.makespans: reps must be positive";
-  let jobs =
-    match domains with
-    | Some d when d <= 0 ->
-        invalid_arg "Parallel.makespans: domains must be positive"
-    | Some d -> min d reps
-    | None -> min (default_jobs ()) reps
-  in
-  let rngs = Seeds.rep_rngs ~seed ~reps in
-  let results = Array.make reps 0.0 in
-  let n = Suu_core.Instance.n inst in
-  run_chunks ~jobs ~chunk:(auto_chunk ~jobs ~n:reps) ~n:reps ~local:policy
-    (fun pol k ->
-      let trace_rng, policy_rng = rngs.(k) in
-      let trace = Trace.draw ~n trace_rng in
-      results.(k) <-
-        float_of_int (Engine.makespan ?cap inst pol ~trace ~rng:policy_rng));
-  results
-
-let expected_makespan ?cap ?domains inst ~policy ~seed ~reps =
-  let xs = makespans ?cap ?domains inst ~policy ~seed ~reps in
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int reps
+  run_chunks ~jobs ~n f

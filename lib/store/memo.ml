@@ -28,19 +28,13 @@ let makespans ~store ?cap ?jobs ?(batch = default_batch) ?policy_name inst
     (* Same derivation as Runner.makespans: replication [k]'s pair
        depends only on (seed, k), so starting mid-sweep replays the
        exact generators an uninterrupted run would have used. *)
-    let rngs = Suu_sim.Seeds.rep_rngs ~seed ~reps in
-    let n = Suu_core.Instance.n inst in
+    let rngs = Suu_sim.Runner.rep_rngs ~seed ~reps in
     let lo = ref have_n in
     while !lo < reps do
       let base = !lo in
       let hi = min reps (base + batch) in
-      Suu_sim.Parallel.parallel_for ?jobs ~n:(hi - base) (fun k ->
-          let trace_rng, policy_rng = rngs.(base + k) in
-          let trace = Suu_sim.Trace.draw ~n trace_rng in
-          results.(base + k) <-
-            float_of_int
-              (Suu_sim.Engine.makespan ?cap inst policy ~trace
-                 ~rng:policy_rng));
+      Suu_sim.Runner.run_range ?cap ?jobs inst policy ~rngs results ~lo:base
+        ~hi;
       Result_store.append store key ~start:base
         (Array.sub results base (hi - base));
       lo := hi

@@ -3,11 +3,12 @@
     [makespans ~store inst policy ~seed ~reps] returns exactly what
     [Runner.makespans] would — bit for bit — serving the longest
     committed prefix from the store and computing (then committing)
-    only the missing replications, in durable batches.
+    only the missing replications, in durable batches (one
+    {!Suu_sim.Runner.run_range} call per batch).
 
     Why the prefix semantics compose with determinism: replication
     [k]'s generators depend only on [(seed, k)] (see
-    {!Suu_sim.Seeds}), so results committed by a previous — possibly
+    {!Suu_sim.Runner.rep_rngs}), so results committed by a previous — possibly
     killed — run are the same values this run would compute.  A sweep
     re-run after a mid-batch [kill -9] therefore resumes after the
     last durable batch and produces output identical to an

@@ -36,3 +36,20 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID"
 
 "$GATE" trace-coverage "$SCRATCH/suu-trace.jsonl"
+
+# A bad domain count is the operator's error: the daemon must refuse to
+# start (non-zero exit, within seconds) instead of listening and then
+# answering every simulate with bad_request.  A hang is killed and
+# reported as such (137), apart from a usage error's own status.
+status=0
+timeout --preserve-status -s KILL 10 \
+  "$CLI" serve --port 0 --sim-jobs 0 > "$SCRATCH/badjobs.log" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
+  echo "smoke_server: serve --sim-jobs 0 did not fail at start-up" \
+    "(status $status)" >&2
+  exit 1
+fi
+if grep -q listening "$SCRATCH/badjobs.log"; then
+  echo "smoke_server: serve --sim-jobs 0 started listening" >&2
+  exit 1
+fi

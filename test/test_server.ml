@@ -781,6 +781,55 @@ let test_service_deadline_monotonic () =
   | Result.Error (P.Timeout, _) -> ()
   | _ -> Alcotest.fail "expired monotonic deadline must report timeout"
 
+(* --- service configuration and the simulate batch loop --- *)
+
+let test_service_rejects_bad_sim_jobs () =
+  (* A bad domain count is the operator's misconfiguration: it must fail
+     the service's construction, not every later simulate request. *)
+  List.iter
+    (fun k ->
+      match
+        Suu_server.Service.create ~sim_jobs:k ~metrics:(Metrics.create ()) ()
+      with
+      | _ -> Alcotest.failf "sim_jobs %d accepted" k
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
+
+let test_service_simulate_across_batches () =
+  (* reps = 70 runs the service's deadline-checked loop as batches of
+     32, 32 and 6; the summary must equal Runner's over one sweep. *)
+  let inst = W.chains uniform ~z:3 ~length:4 ~m:3 ~seed:19 in
+  let reps = 70 and seed = 23 in
+  let s =
+    Suu_stats.Summary.of_array
+      (Suu_sim.Runner.makespans ~jobs:1 inst
+         (Suu_core.Baselines.greedy_completion inst)
+         ~seed ~reps)
+  in
+  let f17 = Printf.sprintf "%.17g" in
+  List.iter
+    (fun sim_jobs ->
+      let svc =
+        Suu_server.Service.create ~sim_jobs ~metrics:(Metrics.create ()) ()
+      in
+      match
+        Suu_server.Service.handle svc
+          (P.Simulate { inst; policy = "greedy"; reps; seed })
+      with
+      | Result.Error (code, msg) ->
+          Alcotest.failf "simulate failed: [%s] %s"
+            (P.error_code_to_string code) msg
+      | Result.Ok fields ->
+          List.iter
+            (fun (k, want) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at sim_jobs %d" k sim_jobs)
+                (f17 want) (field fields k))
+            Suu_stats.Summary.
+              [ ("mean", s.mean); ("stddev", s.stddev); ("min", s.min);
+                ("max", s.max) ])
+    [ 1; 4 ]
+
 let test_e2e_deadline_ignores_wall_clock () =
   (* Regression: queue-expiry used to compare [Unix.gettimeofday]
      against a wall-clock deadline, so real time spent queued (or an
@@ -1248,6 +1297,13 @@ let () =
             test_faults_spec;
           Alcotest.test_case "retrying client converges" `Quick
             test_e2e_faults_retries_converge;
+        ] );
+      ( "service",
+        [
+          Alcotest.test_case "bad sim_jobs fails create" `Quick
+            test_service_rejects_bad_sim_jobs;
+          Alcotest.test_case "simulate across batch boundaries" `Quick
+            test_service_simulate_across_batches;
         ] );
       ( "deadlines",
         [

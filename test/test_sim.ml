@@ -434,38 +434,31 @@ let prop_engine_executions_audit_clean =
 
 let test_parallel_matches_sequential () =
   let inst = single_machine_inst 0.6 5 in
-  let seq = Runner.makespans inst (work_first inst) ~seed:21 ~reps:16 in
+  let run jobs =
+    Runner.makespans ~jobs inst (work_first inst) ~seed:21 ~reps:16
+  in
+  let seq = run 1 in
   List.iter
-    (fun domains ->
-      let par =
-        Suu_sim.Parallel.makespans ~domains inst
-          ~policy:(fun () -> work_first inst)
-          ~seed:21 ~reps:16
-      in
+    (fun jobs ->
+      let par = run jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "%d domains identical" domains)
+        (Printf.sprintf "%d domains identical" jobs)
         true (seq = par))
     [ 1; 2; 4 ]
 
 let test_parallel_validation () =
   let inst = single_machine_inst 0.6 2 in
   Alcotest.check_raises "bad reps"
-    (Invalid_argument "Parallel.makespans: reps must be positive") (fun () ->
-      ignore
-        (Suu_sim.Parallel.makespans inst
-           ~policy:(fun () -> work_first inst)
-           ~seed:0 ~reps:0));
-  Alcotest.check_raises "bad domains"
-    (Invalid_argument "Parallel.makespans: domains must be positive")
+    (Invalid_argument "Runner.makespans: reps must be positive") (fun () ->
+      ignore (Runner.makespans inst (work_first inst) ~seed:0 ~reps:0));
+  Alcotest.check_raises "bad jobs"
+    (Invalid_argument "Parallel.parallel_for: jobs must be positive")
     (fun () ->
-      ignore
-        (Suu_sim.Parallel.makespans ~domains:0 inst
-           ~policy:(fun () -> work_first inst)
-           ~seed:0 ~reps:4))
+      ignore (Runner.makespans ~jobs:0 inst (work_first inst) ~seed:0 ~reps:4))
 
 let test_parallel_real_policy () =
-  (* A stateful LP-driven policy created per domain must agree with the
-     sequential runner. *)
+  (* One stateful LP-driven policy, shared by three domains, must agree
+     with the sequential runner. *)
   let inst =
     Suu_core.Instance.make ~dag:(Suu_dag.Dag.empty 6)
       (Array.init 2 (fun i ->
@@ -473,18 +466,18 @@ let test_parallel_real_policy () =
                0.3 +. (0.1 *. float_of_int ((i + j) mod 5)))))
   in
   let seq =
-    Runner.makespans inst (Suu_core.Suu_i_sem.policy inst) ~seed:5 ~reps:8
+    Runner.makespans ~jobs:1 inst (Suu_core.Suu_i_sem.policy inst) ~seed:5
+      ~reps:8
   in
   let par =
-    Suu_sim.Parallel.makespans ~domains:3 inst
-      ~policy:(fun () -> Suu_core.Suu_i_sem.policy inst)
-      ~seed:5 ~reps:8
+    Runner.makespans ~jobs:3 inst (Suu_core.Suu_i_sem.policy inst) ~seed:5
+      ~reps:8
   in
   Alcotest.(check bool) "identical" true (seq = par)
 
 (* Replications fan out over domains with bit-identical results, for
-   both the shared-policy Runner (?jobs) and the factory-based Parallel
-   runner, across random instances, seeds, and job counts. *)
+   one policy value shared by every domain, across random instances,
+   seeds, and job counts. *)
 let prop_parallel_bit_identical =
   QCheck.Test.make ~count:15
     ~name:"parallel runners bit-identical to sequential"
@@ -499,19 +492,11 @@ let prop_parallel_bit_identical =
         | _ -> W.forest uniform ~n:9 ~trees:2 ~orientation:`Mixed ~m:3 ~seed
       in
       let policy = Suu_core.Auto.policy inst in
-      let seq = Runner.makespans ~jobs:1 inst policy ~seed:(seed + 1) ~reps in
-      let shared2 =
-        Runner.makespans ~jobs:2 inst policy ~seed:(seed + 1) ~reps
+      let run jobs =
+        Runner.makespans ~jobs inst policy ~seed:(seed + 1) ~reps
       in
-      let shared5 =
-        Runner.makespans ~jobs:5 inst policy ~seed:(seed + 1) ~reps
-      in
-      let factory3 =
-        Suu_sim.Parallel.makespans ~domains:3 inst
-          ~policy:(fun () -> Suu_core.Auto.policy inst)
-          ~seed:(seed + 1) ~reps
-      in
-      seq = shared2 && seq = shared5 && seq = factory3)
+      let seq = run 1 in
+      List.for_all (fun jobs -> run jobs = seq) [ 2; 3; 5 ])
 
 (* Regression: a raising body must re-raise AND join every spawned
    domain first.  The old code joined only after the caller's inline
@@ -523,7 +508,8 @@ let test_parallel_raise_joins_all () =
   let completed = Atomic.make 0 in
   let raised =
     try
-      Suu_sim.Parallel.parallel_for ~jobs:4 ~chunk:1 ~n (fun i ->
+      (* 8 items over 4 jobs are claimed one item per chunk. *)
+      Suu_sim.Parallel.parallel_for ~jobs:4 ~n (fun i ->
           if i = 0 then failwith "boom"
           else begin
             (* Slow enough that unjoined domains would still be running
@@ -568,7 +554,16 @@ let test_runner_validation () =
   let inst = single_machine_inst 0.5 1 in
   Alcotest.check_raises "reps"
     (Invalid_argument "Runner.makespans: reps must be positive") (fun () ->
-      ignore (Runner.makespans inst (work_first inst) ~seed:0 ~reps:0))
+      ignore (Runner.makespans inst (work_first inst) ~seed:0 ~reps:0));
+  let rngs = Runner.rep_rngs ~seed:0 ~reps:4 in
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range [%d, %d)" lo hi)
+        (Invalid_argument "Runner.run_range: bad range") (fun () ->
+          Runner.run_range inst (work_first inst) ~rngs (Array.make 4 0.0)
+            ~lo ~hi))
+    [ (-1, 2); (3, 2); (0, 5) ]
 
 (* The documented determinism contract: replication k's generators
    depend on (seed, k) only, so extending a sweep re-runs the same
@@ -579,7 +574,15 @@ let test_runner_rep_prefix () =
   let long = Runner.makespans inst (work_first inst) ~seed:9 ~reps:17 in
   Alcotest.(check bool)
     "first 6 of 17 identical" true
-    (Array.sub long 0 6 = short)
+    (Array.sub long 0 6 = short);
+  (* Batches of one sweep, as the server and the result store run it. *)
+  let rngs = Runner.rep_rngs ~seed:9 ~reps:17 in
+  let batched = Array.make 17 0.0 in
+  List.iter
+    (fun (lo, hi) ->
+      Runner.run_range ~jobs:2 inst (work_first inst) ~rngs batched ~lo ~hi)
+    [ (0, 6); (6, 6); (6, 17) ];
+  Alcotest.(check bool) "batched run_range identical" true (batched = long)
 
 let () =
   Alcotest.run "sim"
