@@ -150,6 +150,10 @@ let prop_lzf =
       same_run ~what:"lzf" inst (Oracle_policies.lzf inst)
         (Suu_sched.Lzf.policy inst) ~seed:(c.seed + 4))
 
+(* Backfilled starts seen in the production event logs, so that a run
+   of cases can show it compared the backfill scan at all. *)
+let backfilled_starts = ref 0
+
 (* Backfill with an event log per side: the assignment rows and the
    Started/Preempted stream must both match. *)
 let backfill_matches ?width inst ~seed =
@@ -158,10 +162,18 @@ let backfill_matches ?width inst ~seed =
     (events, fun e -> events := e :: !events)
   in
   let ev_o, on_o = log () and ev_p, on_p = log () in
-  same_run ~what:"backfill" inst
-    (Oracle_policies.backfill ?width ~on_event:on_o inst)
-    (Backfill.policy ?width ~on_event:on_p inst)
-    ~seed
+  let ok =
+    same_run ~what:"backfill" inst
+      (Oracle_policies.backfill ?width ~on_event:on_o inst)
+      (Backfill.policy ?width ~on_event:on_p inst)
+      ~seed
+  in
+  List.iter
+    (function
+      | Backfill.Started { backfilled = true; _ } -> incr backfilled_starts
+      | _ -> ())
+    !ev_p;
+  ok
   &&
   if !ev_o <> !ev_p then
     QCheck.Test.fail_reportf "backfill: event streams differ (%d vs %d events)"
@@ -182,6 +194,18 @@ let prop_backfill_width =
       let rng = Rng.create ~seed:(c.seed + 29) in
       let widths = Array.init c.n (fun _ -> Rng.int rng (c.m + 2)) in
       backfill_matches ~width:(fun j -> widths.(j)) inst ~seed:(c.seed + 3))
+
+(* The width cases must reach the backfill scan: if none of them starts
+   a job behind the head, the comparison above never covered it. *)
+let backfill_width_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_backfill_width in
+  ( name,
+    speed,
+    fun () ->
+      backfilled_starts := 0;
+      run ();
+      if !backfilled_starts = 0 then
+        Alcotest.fail "no case started a backfilled job" )
 
 (* --- the paper's LP policies --- *)
 
@@ -347,6 +371,7 @@ let () =
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_baselines; prop_lzf; prop_backfill; prop_backfill_width;
-            prop_lp_policies ] );
+          [ prop_baselines; prop_lzf; prop_backfill ]
+        @ [ backfill_width_case;
+            QCheck_alcotest.to_alcotest prop_lp_policies ] );
     ]

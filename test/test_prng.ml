@@ -47,6 +47,62 @@ let test_split_independence () =
   done;
   Alcotest.(check int) "children differ" 0 !same
 
+(* Known answers recorded from the generator as first written: any
+   change to the state layout or the update must keep every stream. *)
+let test_known_bits64 () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Rng.create ~seed in
+      List.iteri
+        (fun k v ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d draw %d" seed k) v
+            (Rng.bits64 rng))
+        expected)
+    [
+      ( 0,
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L ] );
+      ( 42,
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L ] );
+      ( -7,
+        [ -935278008730389822L; -2984799092062921764L; 8317729841091847865L;
+          7641945841512210337L; 8307406274391941071L; 4081416671559498334L;
+          -4135013795568873146L; -1281314557817475001L ] );
+    ]
+
+let test_known_split_chain () =
+  let a = Rng.create ~seed:5 in
+  let b = Rng.split a in
+  let c = Rng.split b in
+  let draws rng k = List.init k (fun _ -> Rng.bits64 rng) in
+  Alcotest.(check (list int64)) "grandchild"
+    [ 6179270481606258304L; 6263795269550936800L; 6942057914581286511L;
+      5317239089471951752L ]
+    (draws c 4);
+  Alcotest.(check (list int64)) "child after its split"
+    [ -6058155376340014187L; -5561526961972785512L ]
+    (draws b 2);
+  Alcotest.(check (list int64)) "root after its split"
+    [ -7340285363121412900L; -6464721771320067154L ]
+    (draws a 2)
+
+let test_known_derived () =
+  let u = Rng.create ~seed:9 in
+  Alcotest.(check (list int64)) "uniform_open bits"
+    [ 4568103428865340416L; 4598202049693504702L; 4593940475812528172L;
+      4604774744227429833L; 4606467112235355521L; 4604880257130717178L ]
+    (List.init 6 (fun _ -> Int64.bits_of_float (Rng.uniform_open u)));
+  let r = Rng.create ~seed:3 in
+  Alcotest.(check (list int)) "int 1000"
+    [ 800; 502; 105; 594; 922; 123; 398; 310 ]
+    (List.init 8 (fun _ -> Rng.int r 1000));
+  Alcotest.(check (list int)) "int 2^40 + 7"
+    [ 683375616899; 309125137828; 473615746054; 66473082295 ]
+    (List.init 4 (fun _ -> Rng.int r ((1 lsl 40) + 7)))
+
 let test_int_bounds () =
   let rng = Rng.create ~seed:3 in
   for _ = 1 to 10_000 do
@@ -196,6 +252,10 @@ let () =
             test_split_changes_parent;
           Alcotest.test_case "split independence" `Quick
             test_split_independence;
+          Alcotest.test_case "known bits64 streams" `Quick test_known_bits64;
+          Alcotest.test_case "known split chain" `Quick test_known_split_chain;
+          Alcotest.test_case "known uniform_open and int" `Quick
+            test_known_derived;
         ] );
       ( "int",
         [

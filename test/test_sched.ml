@@ -61,7 +61,7 @@ let test_lzf_z_ranking () =
   in
   Alcotest.(check bool)
     "z(1) > z(0)" true
-    (Lzf.z_ratio inst 1 > Lzf.z_ratio inst 0);
+    (Oracle_policies.z_ratio inst 1 > Oracle_policies.z_ratio inst 0);
   let stepper = Policy.fresh (Lzf.policy inst) (Rng.create ~seed:1) in
   let a =
     stepper ~time:0 ~remaining:[| true; true |] ~eligible:[| true; true |]
@@ -177,6 +177,76 @@ let test_backfill_width_override () =
   Alcotest.(check bool)
     "width m completes" true
     (audit_clean inst (Backfill.policy ~width:(fun _ -> 4) inst) ~seed:13)
+
+(* --- pinned makespans --- *)
+
+(* Makespans recorded from the first versions of the lzf, greedy and
+   backfill steppers (8 replications, seed 7, one domain), on one
+   instance per regime at n = 48, m = 8.  The narrow width override
+   makes backfill compute reservations and start jobs behind the head,
+   which its default widths rarely do; the test also checks that it
+   did.  A stepper rewrite must reproduce every schedule. *)
+let pinned_instances =
+  [
+    ("independent", W.independent uniform ~n:48 ~m:8 ~seed:101);
+    ("near-one", W.independent W.Near_one ~n:48 ~m:8 ~seed:102);
+    ("chains", W.random_chains uniform ~n:48 ~z:8 ~m:8 ~seed:103);
+    ( "forest",
+      W.forest uniform ~n:48 ~trees:6 ~orientation:`Mixed ~m:8 ~seed:104 );
+  ]
+
+let pinned =
+  [
+    ( "independent",
+      [ ("lzf", [| 12; 11; 10; 10; 11; 13; 10; 10 |]);
+        ("greedy", [| 11; 11; 10; 9; 10; 11; 9; 9 |]);
+        ("backfill", [| 30; 26; 28; 25; 29; 26; 28; 27 |]);
+        ("backfill-narrow", [| 19; 15; 24; 15; 46; 18; 18; 15 |]) ] );
+    ( "near-one",
+      [ ("lzf", [| 96; 89; 86; 68; 118; 95; 69; 88 |]);
+        ("greedy", [| 91; 82; 79; 64; 110; 88; 64; 78 |]);
+        ("backfill", [| 154; 143; 131; 105; 183; 149; 118; 130 |]);
+        ("backfill-narrow", [| 166; 142; 246; 132; 188; 145; 149; 139 |]) ] );
+    ( "chains",
+      [ ("lzf", [| 20; 17; 17; 17; 20; 20; 16; 16 |]);
+        ("greedy", [| 19; 16; 18; 17; 21; 18; 16; 16 |]);
+        ("backfill", [| 30; 28; 27; 27; 32; 28; 27; 26 |]);
+        ("backfill-narrow", [| 31; 22; 23; 22; 24; 24; 20; 21 |]) ] );
+    ( "forest",
+      [ ("lzf", [| 13; 12; 12; 9; 13; 14; 11; 12 |]);
+        ("greedy", [| 13; 12; 11; 11; 13; 15; 11; 11 |]);
+        ("backfill", [| 29; 27; 27; 25; 28; 30; 26; 26 |]);
+        ("backfill-narrow", [| 28; 19; 18; 16; 41; 20; 15; 20 |]) ] );
+  ]
+
+let test_pinned_makespans () =
+  List.iter
+    (fun (shape, inst) ->
+      let backfilled = ref 0 in
+      let on_event = function
+        | Backfill.Started { backfilled = true; _ } -> incr backfilled
+        | _ -> ()
+      in
+      let policies =
+        [ ("lzf", Lzf.policy inst);
+          ("greedy", Suu_core.Baselines.greedy_completion inst);
+          ("backfill", Backfill.policy inst);
+          ( "backfill-narrow",
+            Backfill.policy ~on_event ~width:(fun j -> 1 + (j mod 3)) inst ) ]
+      in
+      List.iter
+        (fun (name, expected) ->
+          let got =
+            Runner.makespans ~jobs:1 inst (List.assoc name policies) ~seed:7
+              ~reps:8
+            |> Array.map int_of_float
+          in
+          Alcotest.(check (array int)) (shape ^ " " ^ name) expected got)
+        (List.assoc shape pinned);
+      Alcotest.(check bool)
+        (shape ^ " narrow backfill starts jobs behind the head")
+        true (!backfilled > 0))
+    pinned_instances
 
 (* --- predictor --- *)
 
@@ -340,6 +410,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_backfill_preempts_only_backfilled;
           Alcotest.test_case "width overrides complete" `Quick
             test_backfill_width_override;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "lzf, greedy and backfill makespans" `Quick
+            test_pinned_makespans;
         ] );
       ( "predictor",
         [
