@@ -19,8 +19,9 @@ let active_jobs ~remaining ~eligible active =
    order from the previous row, and each machine's cursor skips the
    ranking's prefix of jobs that have left [remaining] for good, so a
    step costs O(m * (m + w)) plus the set's update, where [w] is each
-   machine's walk (at most the ready count before it falls back to
-   scanning the ready set), and allocates nothing. *)
+   machine's walk or scan (at most twice the ready count), and
+   allocates nothing.  The row is a function of the ready set, so a
+   step after one with no completion returns the previous row. *)
 let greedy_completion inst =
   let m = Instance.m inst in
   let n = Instance.n inst in
@@ -48,28 +49,36 @@ let greedy_completion inst =
       let ready = Ready.create order in
       let active = Ready.jobs ready in
       let buf = Array.make m (-1) in
-      fun ~time:_ ~remaining ~eligible ->
-        Ready.sync ready ~prev:buf ~remaining ~eligible;
+      let fill ~remaining ~eligible =
         let e = Ready.size ready in
+        let nrem = Ready.remaining ready in
         let np = ref 0 in
         for i = 0 to m - 1 do
-          let g = gain.(i) and r = rank.(i) in
-          let len = Array.length r in
-          let k = ref cursor.(i) in
-          while !k < len && not remaining.(r.(!k)) do
-            incr k
-          done;
-          cursor.(i) <- !k;
-          (* The best unpicked job: walk the ranking while that is no
-             longer than scanning the ready jobs, then scan them. *)
-          let best = ref (-1) in
-          let lim = min len (!k + e) in
-          while !best < 0 && !k < lim do
-            let j = r.(!k) in
-            if remaining.(j) && eligible.(j) && not picked.(j) then best := j;
-            incr k
-          done;
-          if !best < 0 && lim < len then begin
+          let g = gain.(i) in
+          (* The best unpicked job.  Walking the ranking passes about
+             [nrem / e] remaining jobs per ready one, and may pass the
+             [np] picked ones before it finds an unpicked one; scanning
+             the ready set costs [e].  So walk, for at most [e]
+             entries, only while [(np + 1) * nrem / e <= e]; scan the
+             ready set otherwise, or when the walk ends empty-handed. *)
+          let best = ref (-1) and scan = ref true in
+          if (!np + 1) * nrem <= e * e then begin
+            let r = rank.(i) in
+            let len = Array.length r in
+            let k = ref cursor.(i) in
+            while !k < len && not remaining.(r.(!k)) do
+              incr k
+            done;
+            cursor.(i) <- !k;
+            let lim = min len (!k + e) in
+            while !best < 0 && !k < lim do
+              let j = r.(!k) in
+              if remaining.(j) && eligible.(j) && not picked.(j) then best := j;
+              incr k
+            done;
+            scan := !best < 0 && lim < len
+          end;
+          if !scan then begin
             let best_gain = ref 0.0 in
             for k = 0 to e - 1 do
               let j = active.(k) in
@@ -104,7 +113,13 @@ let greedy_completion inst =
           let j = picks.(k) in
           picked.(j) <- false;
           survival.(j) <- 1.0
-        done;
+        done
+      in
+      fun ~time:_ ~remaining ~eligible ->
+        (* The row is a function of the ready set alone, so while the
+           set holds still the previous row is this step's row. *)
+        if Ready.sync ready ~prev:buf ~remaining ~eligible then
+          fill ~remaining ~eligible;
         buf)
 
 let round_robin inst =

@@ -14,7 +14,8 @@ type stepper = time:int -> remaining:bool array -> eligible:bool array -> int ar
     [-1] to idle.  Assigning a completed job is allowed (the machine
     idles, as in the paper); assigning an ineligible, uncompleted job is a
     policy bug and rejected by the engine.  The returned array is read
-    immediately and never retained, so policies may reuse a buffer.
+    immediately, never written and never retained, so policies may
+    reuse a buffer and return it unchanged.
     [remaining] and [eligible] are owned by the engine: treat as
     read-only.  Within one execution a job never returns to
     [remaining] once it has left, so steppers may keep cursors over it
@@ -27,7 +28,10 @@ type stepper = time:int -> remaining:bool array -> eligible:bool array -> int ar
     gains only successors of jobs that left, and a job is [eligible]
     only while it is [remaining].  Steppers may therefore update what
     they know from their own previous row ({!Ready} does) instead of
-    rescanning all [n] jobs. *)
+    rescanning all [n] jobs.  In particular, when no job of that row
+    left [remaining], [remaining] and [eligible] are exactly as at the
+    earlier call, and a stepper whose row depends on nothing else may
+    return that row again. *)
 
 type t
 

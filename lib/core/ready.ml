@@ -18,15 +18,17 @@ type t = {
   items : int array; (* the ready jobs, by rank, in [0 .. size - 1] *)
   inset : bool array;
   mutable size : int;
+  mutable nrem : int; (* jobs still remaining, ready or not *)
   mutable fresh : bool;
 }
 
 let create o =
   let n = Array.length o.rank in
   { o; items = Array.make n 0; inset = Array.make n false; size = 0;
-    fresh = true }
+    nrem = 0; fresh = true }
 
 let size t = t.size
+let remaining t = t.nrem
 let jobs t = t.items
 
 (* First position whose job ranks at or after rank [r]. *)
@@ -43,6 +45,7 @@ let remove t j =
   let p = lower_bound t t.o.rank.(j) in
   Array.blit t.items (p + 1) t.items p (t.size - p - 1);
   t.size <- t.size - 1;
+  t.nrem <- t.nrem - 1;
   t.inset.(j) <- false
 
 let insert t j =
@@ -58,25 +61,32 @@ let sync t ~prev ~remaining ~eligible =
     let ranked = t.o.ranked in
     for r = 0 to Array.length ranked - 1 do
       let j = ranked.(r) in
-      if remaining.(j) && eligible.(j) then begin
-        t.items.(t.size) <- j;
-        t.inset.(j) <- true;
-        t.size <- t.size + 1
+      if remaining.(j) then begin
+        t.nrem <- t.nrem + 1;
+        if eligible.(j) then begin
+          t.items.(t.size) <- j;
+          t.inset.(j) <- true;
+          t.size <- t.size + 1
+        end
       end
-    done
+    done;
+    true
   end
   else begin
     let { succ_off; succ_tgt; _ } = t.o in
+    let changed = ref false in
     for i = 0 to Array.length prev - 1 do
       let j = prev.(i) in
       (* A ready job the row ran that left [remaining] completed; its
          successors are the only jobs that can have become eligible. *)
       if j >= 0 && t.inset.(j) && not remaining.(j) then begin
+        changed := true;
         remove t j;
         for k = succ_off.(j) to succ_off.(j + 1) - 1 do
           let s = succ_tgt.(k) in
           if remaining.(s) && eligible.(s) && not t.inset.(s) then insert t s
         done
       end
-    done
+    done;
+    !changed
   end

@@ -8,7 +8,8 @@
     ran can have left [remaining], and only that job's successors can
     have become eligible.  A [sync] therefore costs O(m) for the row,
     plus, per completion and per promoted successor, a binary search
-    and one shift of the sorted array.  It allocates nothing. *)
+    and one shift of the sorted array.  It allocates nothing, and
+    tells the stepper whether the set changed. *)
 
 type order
 (** A ranking of an instance's jobs with the dag's successor lists:
@@ -30,13 +31,26 @@ val create : order -> t
     {!sync} fills it. *)
 
 val sync :
-  t -> prev:int array -> remaining:bool array -> eligible:bool array -> unit
+  t -> prev:int array -> remaining:bool array -> eligible:bool array -> bool
 (** [sync t ~prev ~remaining ~eligible] brings [t] up to the engine's
-    state at the start of a step.  [prev] is the row the stepper
-    returned at the previous step (ignored at the first [sync]). *)
+    state at the start of a step and tells whether the set changed.
+    [prev] is the row the stepper returned at the previous step
+    (ignored at the first [sync], which always reports a change).
+
+    A later [sync] reports a change exactly when a ready job of [prev]
+    left [remaining].  Otherwise, by the guarantee of
+    {!Policy.stepper}, no job left [remaining] since the previous step
+    and none became eligible: [remaining], [eligible] and the set are
+    as they were.  A stepper whose row is a function of its ready set
+    alone may then return its previous row unchanged. *)
 
 val size : t -> int
 (** Number of ready jobs. *)
+
+val remaining : t -> int
+(** Number of jobs in [remaining] at the last {!sync}, ready or not:
+    [size t / remaining t] is how dense the ready jobs are among
+    them. *)
 
 val jobs : t -> int array
 (** The ready jobs in rank order: entries [0 .. size t - 1] of the

@@ -1,5 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64;
-           mutable s3 : int64 }
+(* The xoshiro256** state s0 .. s3, unboxed: four int64 at byte
+   offsets 0, 8, 16 and 24.  Mutable int64 record fields would box a
+   fresh int64 at every write. *)
+type t = Bytes.t
+
+let get t k = Bytes.get_int64_ne t (8 * k) [@@inline]
+let set t k v = Bytes.set_int64_ne t (8 * k) v [@@inline]
 
 (* splitmix64: used only to expand a seed into xoshiro state. *)
 let splitmix_next state =
@@ -12,31 +17,32 @@ let splitmix_next state =
 
 let of_seed64 seed =
   let state = ref seed in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for k = 0 to 3 do
+    set t k (splitmix_next state)
+  done;
+  t
 
 let create ~seed = of_seed64 (Int64.of_int seed)
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+[@@inline]
 
 (* xoshiro256** next *)
 let bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
+[@@inline]
 
 let split t = of_seed64 (bits64 t)
 
@@ -45,13 +51,12 @@ let int t n =
   (* Rejection sampling on the top 62 bits for exact uniformity. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFFL in
   let bound = Int64.of_int n in
-  let rec draw () =
-    let v = Int64.logand (bits64 t) mask in
-    let lim = Int64.sub mask (Int64.rem mask bound) in
-    if Int64.unsigned_compare v lim >= 0 then draw ()
-    else Int64.to_int (Int64.rem v bound)
-  in
-  draw ()
+  let lim = Int64.sub mask (Int64.rem mask bound) in
+  let v = ref (Int64.logand (bits64 t) mask) in
+  while Int64.unsigned_compare !v lim >= 0 do
+    v := Int64.logand (bits64 t) mask
+  done;
+  Int64.to_int (Int64.rem !v bound)
 
 let float t x =
   (* 53 random bits over [0,1), scaled. *)
@@ -59,11 +64,11 @@ let float t x =
   Int64.to_float bits *. 0x1.0p-53 *. x
 
 let uniform_open t =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else draw ()
-  in
-  draw ()
+  let u = ref (float t 1.0) in
+  while !u <= 0.0 do
+    u := float t 1.0
+  done;
+  !u
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

@@ -76,12 +76,21 @@ let policy ?width ?on_event inst =
       let reserved = Array.make m false in
       let by_pc = Array.make m 0 and pcs = Array.make m 0 in
       let listed = Array.make n false in
+      (* Running backfilled jobs: while there are none, the head's
+         view [virt] is the same as [free]. *)
+      let nbf = ref 0 in
+      let stop j =
+        running.(j) <- false;
+        if bfilled.(j) then begin
+          bfilled.(j) <- false;
+          decr nbf
+        end
+      in
       let free_job j =
         for i = 0 to m - 1 do
           if machine_of.(i) = j then machine_of.(i) <- -1
         done;
-        running.(j) <- false;
-        bfilled.(j) <- false
+        stop j
       in
       let free i = machine_of.(i) = -1 in
       let free_unreserved i = machine_of.(i) = -1 && not reserved.(i) in
@@ -116,37 +125,106 @@ let policy ?width ?on_event inst =
         done;
         running.(j) <- true;
         bfilled.(j) <- backfilled;
+        if backfilled then incr nbf;
         started.(j) <- time;
         match on_event with
         | None -> ()
         | Some f -> f (Started { job = j; time; backfilled })
       in
       let predicted_total j = int_of_float (Float.ceil (Predictor.predict pred j)) in
-      let buf = Array.make m (-1) in
-      fun ~time ~remaining ~eligible ->
-        Ready.sync ready ~prev:buf ~remaining ~eligible;
-        (* Completion feedback: the engine reveals finished jobs by
-           dropping them from [remaining], and only a running job can
-           finish.  Each one's actual runtime corrects the predictor,
-           in ascending job index. *)
-        let continue_frees = ref true in
-        while !continue_frees do
-          let j = ref max_int in
-          for i = 0 to m - 1 do
-            let k = machine_of.(i) in
-            if k >= 0 && k < !j && not remaining.(k) then j := k
-          done;
-          if !j = max_int then continue_frees := false
-          else begin
-            Predictor.observe pred ~job:!j ~runtime:(time - started.(!j));
-            free_job !j
+      (* The head's reservation: walk FCFS-running jobs by predicted
+         completion until [h]'s width [w_h] is covered, marking the
+         machines they hold in [reserved]; the last one needed sets
+         the shadow time, which is returned.  Every running job holds
+         a machine, so [machine_of] lists them all. *)
+      let reserve ~time h w_h =
+        let have = pick h m virt in
+        Array.fill reserved 0 m false;
+        for k = 0 to have - 1 do
+          reserved.(out.(k)) <- true
+        done;
+        let nrun = ref 0 in
+        for i = 0 to m - 1 do
+          let j = machine_of.(i) in
+          if j >= 0 && (not bfilled.(j)) && not listed.(j) then begin
+            listed.(j) <- true;
+            let elapsed = time - started.(j) in
+            let p = time + Int.max 1 (predicted_total j - elapsed) in
+            let k = ref !nrun in
+            while
+              !k > 0
+              && (pcs.(!k - 1) > p
+                 || (pcs.(!k - 1) = p && by_pc.(!k - 1) > j))
+            do
+              by_pc.(!k) <- by_pc.(!k - 1);
+              pcs.(!k) <- pcs.(!k - 1);
+              decr k
+            done;
+            by_pc.(!k) <- j;
+            pcs.(!k) <- p;
+            incr nrun
           end
         done;
+        let cap_h = capable_mask.(h) in
+        let acc = ref have and shadow = ref max_int in
+        for k = 0 to !nrun - 1 do
+          let j = by_pc.(k) in
+          listed.(j) <- false;
+          if !acc < w_h then begin
+            let got = ref 0 in
+            for i = 0 to m - 1 do
+              if machine_of.(i) = j && cap_h.(i) then begin
+                reserved.(i) <- true;
+                incr got
+              end
+            done;
+            if !got > 0 then begin
+              acc := !acc + !got;
+              shadow := pcs.(k)
+            end
+          end
+        done;
+        !shadow
+      in
+      (* Completion feedback: the engine reveals finished jobs by
+         dropping them from [remaining], and only a running job can
+         finish.  One pass over the machines frees them; then each
+         job's actual runtime corrects the predictor, in ascending job
+         index. *)
+      let done_jobs = Array.make m 0 in
+      let complete ~time ~remaining =
+        let nd = ref 0 in
+        for i = 0 to m - 1 do
+          let j = machine_of.(i) in
+          if j >= 0 && not remaining.(j) then begin
+            machine_of.(i) <- -1;
+            (* Listed at its first machine only. *)
+            if running.(j) then begin
+              running.(j) <- false;
+              let k = ref !nd in
+              while !k > 0 && done_jobs.(!k - 1) > j do
+                done_jobs.(!k) <- done_jobs.(!k - 1);
+                decr k
+              done;
+              done_jobs.(!k) <- j;
+              incr nd
+            end
+          end
+        done;
+        for k = 0 to !nd - 1 do
+          let j = done_jobs.(k) in
+          Predictor.observe pred ~job:j ~runtime:(time - started.(j));
+          stop j
+        done
+      in
+      let buf = Array.make m (-1) in
+      (* Scheduling passes: each pass either starts the FCFS head
+         (possibly preempting backfilled jobs) and rescans, or
+         backfills behind the head's reservation and stops.  At most
+         one FCFS start per pass, so <= n passes.  Leaves the row in
+         [buf]. *)
+      let schedule ~time =
         let e = Ready.size ready in
-        (* Scheduling passes: each pass either starts the FCFS head
-           (possibly preempting backfilled jobs) and rescans, or
-           computes the head's reservation, backfills behind it and
-           stops.  At most one FCFS start per pass, so <= n passes. *)
         let continue_passes = ref true in
         while !continue_passes do
           continue_passes := false;
@@ -159,7 +237,9 @@ let policy ?width ?on_event inst =
             let hk = !hk in
             let h = queue.(hk) in
             let w_h = widths.(h) in
-            if pick h w_h free = w_h || pick h w_h virt = w_h then begin
+            if
+              pick h w_h free = w_h || (!nbf > 0 && pick h w_h virt = w_h)
+            then begin
               (* Preempt the backfilled jobs holding the chosen
                  machines; there are none when enough were free. *)
               for k = 0 to w_h - 1 do
@@ -175,86 +255,51 @@ let policy ?width ?on_event inst =
               continue_passes := true
             end
             else begin
-              (* Reservation: walk FCFS-running jobs by predicted
-                 completion until the head's width is covered; the
-                 last one needed sets the shadow time.  Every running
-                 job holds a machine, so [machine_of] lists them all. *)
-              let have = pick h m virt in
-              Array.fill reserved 0 m false;
-              for k = 0 to have - 1 do
-                reserved.(out.(k)) <- true
-              done;
-              let nrun = ref 0 in
-              for i = 0 to m - 1 do
-                let j = machine_of.(i) in
-                if j >= 0 && (not bfilled.(j)) && not listed.(j) then begin
-                  listed.(j) <- true;
-                  let elapsed = time - started.(j) in
-                  let p = time + Int.max 1 (predicted_total j - elapsed) in
-                  let k = ref !nrun in
-                  while
-                    !k > 0
-                    && (pcs.(!k - 1) > p
-                       || (pcs.(!k - 1) = p && by_pc.(!k - 1) > j))
-                  do
-                    by_pc.(!k) <- by_pc.(!k - 1);
-                    pcs.(!k) <- pcs.(!k - 1);
-                    decr k
-                  done;
-                  by_pc.(!k) <- j;
-                  pcs.(!k) <- p;
-                  incr nrun
-                end
-              done;
-              let cap_h = capable_mask.(h) in
-              let acc = ref have and shadow = ref max_int in
-              for k = 0 to !nrun - 1 do
-                let j = by_pc.(k) in
-                listed.(j) <- false;
-                if !acc < w_h then begin
-                  let got = ref 0 in
-                  for i = 0 to m - 1 do
-                    if machine_of.(i) = j && cap_h.(i) then begin
-                      reserved.(i) <- true;
-                      incr got
-                    end
-                  done;
-                  if !got > 0 then begin
-                    acc := !acc + !got;
-                    shadow := pcs.(k)
-                  end
-                end
-              done;
-              let shadow = !shadow in
               (* Conservative backfill into the hole, FCFS order: fit
                  on non-reserved machines, or predict completion by the
                  shadow time.  Every queued job before the head is
                  running, a candidate needs [w_c] free machines, and
                  the scan ends when fewer than the narrowest width are
-                 left. *)
+                 left.  Only the scan reads the reservation, so it is
+                 built only when the scan will run. *)
               let nfree = ref 0 in
               for i = 0 to m - 1 do
                 if machine_of.(i) = -1 then incr nfree
               done;
-              let c = ref (hk + 1) in
-              while !nfree >= min_width && !c < e do
-                let c' = queue.(!c) in
-                if not running.(c') then begin
-                  let w_c = widths.(c') in
-                  if
-                    w_c <= !nfree
-                    && (pick c' w_c free_unreserved = w_c
-                       || (time + predicted_total c' <= shadow
-                          && pick c' w_c free = w_c))
-                  then begin
-                    start ~time ~backfilled:true c' w_c;
-                    nfree := !nfree - w_c
-                  end
-                end;
-                incr c
-              done
+              if !nfree >= min_width && hk + 1 < e then begin
+                let shadow = reserve ~time h w_h in
+                let c = ref (hk + 1) in
+                while !nfree >= min_width && !c < e do
+                  let c' = queue.(!c) in
+                  if not running.(c') then begin
+                    let w_c = widths.(c') in
+                    if
+                      w_c <= !nfree
+                      && (pick c' w_c free_unreserved = w_c
+                         || (time + predicted_total c' <= shadow
+                            && pick c' w_c free = w_c))
+                    then begin
+                      start ~time ~backfilled:true c' w_c;
+                      nfree := !nfree - w_c
+                    end
+                  end;
+                  incr c
+                done
+              end
             end
           end
         done;
-        Array.blit machine_of 0 buf 0 m;
+        Array.blit machine_of 0 buf 0 m
+      in
+      fun ~time ~remaining ~eligible ->
+        (* Only a completion changes the ready set.  Without one, the
+           passes would find the same head blocked the same way and
+           start nothing: a free machine the head can use is always
+           reserved, and a step later the shadow time grows by at most
+           the one step every candidate's predicted completion grows
+           by.  So the previous row stands. *)
+        if Ready.sync ready ~prev:buf ~remaining ~eligible then begin
+          complete ~time ~remaining;
+          schedule ~time
+        end;
         buf)

@@ -26,8 +26,11 @@
     index), exactly how pyss's EASY++ refines its per-user running
     average.  The FCFS queue is a {!Suu_core.Ready} set in index order,
     updated from the previous row, so a step costs O(m) per scheduling
-    pass plus the backfill scan over queued jobs after the head, which
-    is skipped when fewer machines are free than the narrowest width.
+    pass plus the backfill scan over queued jobs after the head.  The
+    scan, and the reservation only it reads, are skipped when fewer
+    machines are free than the narrowest width.  A step with no
+    completion since the previous one returns the previous row: only
+    the time has changed, and that cannot start a job.
 
     Determinism: queue order, machine ranking (highest [l_ij], ties to
     the lowest index) and the predictor seed are all derived from the

@@ -47,8 +47,7 @@ let policy inst =
       let mfree = Array.make m true in
       let ready = Ready.create order in
       let active = Ready.jobs ready in
-      fun ~time:_ ~remaining ~eligible ->
-        Ready.sync ready ~prev:buf ~remaining ~eligible;
+      let fill () =
         let k = Ready.size ready in
         Array.fill buf 0 m (-1);
         if k > 0 then begin
@@ -81,5 +80,10 @@ let policy inst =
               incr idx
             done
           done
-        end;
+        end
+      in
+      fun ~time:_ ~remaining ~eligible ->
+        (* The row is a function of the ready set alone, so while the
+           set holds still the previous row is this step's row. *)
+        if Ready.sync ready ~prev:buf ~remaining ~eligible then fill ();
         buf)

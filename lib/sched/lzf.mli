@@ -18,11 +18,9 @@
     {!Suu_core.Ready} set, updated from the previous row, and each pass
     stops once no machine is free: a step costs O(m + completions) to
     update the set plus the jobs the passes visit, at most [m] passes
-    over it.  It allocates nothing; no LP, no plan cache. *)
-
-val z_ratio : Suu_core.Instance.t -> int -> float
-(** [z_ratio inst j] is [(1 - qb) / qb] for [qb = min_i q_ij]
-    ([infinity] when [qb = 0]). *)
+    over it.  The row depends on the ready set alone, so a step after
+    one with no completion returns the previous row and costs only the
+    O(m) update.  It allocates nothing; no LP, no plan cache. *)
 
 val policy : Suu_core.Instance.t -> Suu_core.Policy.t
 (** The LZF policy, named ["lzf"].  Applicable to every dag shape:

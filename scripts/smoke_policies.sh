@@ -2,9 +2,10 @@
 # Policy smoke: the lib/sched family (lzf, backfill), greedy and the
 # paper's SUU-C and SUU-T (through auto) end to end over a real socket.
 # Serves simulate requests for lzf and backfill on instances converted
-# from the checked-in SWF trace and on synthetic instances, and auto,
-# lzf, backfill and greedy on synthetic chains and forests, and replays
-# each request at the same seed — the responses must be byte-identical
+# from the checked-in SWF trace and on synthetic instances, auto, lzf,
+# backfill and greedy on synthetic chains and forests, and lzf,
+# backfill and greedy under near-one hazards, and replays each request
+# at the same seed — the responses must be byte-identical
 # (0 mismatches): the online policies promise deterministic
 # tie-breaking, with predictor state seeded from (instance digest,
 # policy, seed) only, and the LP policies draw their delays from the
@@ -69,6 +70,22 @@ for shape in chains forest; do
       MISMATCH=$((MISMATCH + 1))
     fi
   done
+done
+
+# --- near-one hazards leave many steps without a completion, where
+#     lzf and greedy return their previous row and backfill skips a
+#     settled queue: those reused rows must replay too ---
+for pol in lzf backfill greedy; do
+  for side in a b; do
+    "$CLI" client simulate --port "$PORT" --hazard near-one -n 64 -m 16 \
+      --reps 8 --seed 13 --policy "$pol" > "$SCRATCH/$pol-near-one-$side.out"
+  done
+  grep -q '^mean ' "$SCRATCH/$pol-near-one-a.out"
+  if ! cmp -s "$SCRATCH/$pol-near-one-a.out" "$SCRATCH/$pol-near-one-b.out"
+  then
+    echo "replay mismatch: hazard=near-one policy=$pol" >&2
+    MISMATCH=$((MISMATCH + 1))
+  fi
 done
 
 [ "$MISMATCH" -eq 0 ]
