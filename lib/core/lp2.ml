@@ -19,7 +19,9 @@ let allowed_machines inst ~top_machines j =
       in
       List.filteri (fun idx _ -> idx < k) sorted
 
-let solve_impl ?top_machines ~solver inst ~chains =
+(* The (LP2) problem over the jobs in [chains], with the variables of
+   its x_ij (keyed by (i, j)) and of its d_j (-1 for uncovered jobs). *)
+let build ?top_machines inst ~chains =
   let m = Instance.m inst in
   let n = Instance.n inst in
   let covered = Array.make n false in
@@ -91,6 +93,15 @@ let solve_impl ?top_machines ~solver inst ~chains =
       Suu_lp.Problem.add_constraint p [ (dvar.(j), 1.0) ] Suu_lp.Problem.Ge
         1.0)
     jobs;
+  (p, xvar, dvar)
+
+let problem_for_testing ?top_machines inst ~chains =
+  let p, _, _ = build ?top_machines inst ~chains in
+  p
+
+let solve_impl ?top_machines ~solver inst ~chains =
+  let m = Instance.m inst and n = Instance.n inst in
+  let p, xvar, dvar = build ?top_machines inst ~chains in
   (* (LP2) has chain-length and coupling rows (LP1 does not), so it is
      not a min-load cover: MWU does not apply and maps to the dense
      default.  [Revised] routes to the revised simplex — same optimal

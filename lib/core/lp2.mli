@@ -43,6 +43,12 @@ val solve :
     [Invalid_argument] when chains repeat a job or mention one out of
     range. *)
 
+val problem_for_testing :
+  ?top_machines:int -> Instance.t -> chains:Suu_dag.Chains.t -> Suu_lp.Problem.t
+(** The problem {!solve} hands to its exact backend, with the same
+    arguments and the same validation; for checking solvers against each
+    other at LP2 scale. *)
+
 val round : Instance.t -> frac -> Assignment.t
 (** [round inst frac] applies the Lemma-6 rounding: the Lemma-2 network
     with the job→machine edge capacity lowered to [ceil(6 d*_j)].  Every

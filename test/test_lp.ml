@@ -674,11 +674,14 @@ let coeff rng =
   if Suu_prng.Rng.bool rng then float_of_int (Suu_prng.Rng.int rng 7 - 3)
   else Suu_prng.Rng.range rng ~lo:(-3.0) ~hi:3.0
 
-let sparse_lp seed =
+let sparse_lp ?(max_vars = 14) ?(max_rows = 14)
+    ?(densities = [| 0.15; 0.3; 0.6 |]) seed =
   let rng = Suu_prng.Rng.create ~seed in
-  let nv = 2 + Suu_prng.Rng.int rng 14 in
-  let nc = 1 + Suu_prng.Rng.int rng 14 in
-  let density = [| 0.15; 0.3; 0.6 |].(Suu_prng.Rng.int rng 3) in
+  let nv = 2 + Suu_prng.Rng.int rng max_vars in
+  let nc = 1 + Suu_prng.Rng.int rng max_rows in
+  let density =
+    densities.(Suu_prng.Rng.int rng (Array.length densities))
+  in
   let obj = Array.init nv (fun _ -> coeff rng) in
   (* Most problems get right-hand sides that keep a random integer
      point [x0] feasible, negative wherever the row is negative at
@@ -869,12 +872,51 @@ let prop_oracle_lp1 =
 let prop_oracle_lp2 =
   oracle_prop ~count:200 ~name:"tableau = oracle on LP2 shapes" lp2_lp
 
+(* Rows of a few entries over 40 to 100 columns start sparse in the
+   tableau, and fill-in turns many of them dense part-way through the
+   solve. *)
+let prop_oracle_fill_in =
+  oracle_prop ~count:150 ~name:"tableau = oracle as rows fill in"
+    (fun seed ->
+      snd
+        (sparse_lp ~max_vars:40 ~max_rows:30 ~densities:[| 0.03; 0.06 |]
+           (20 + seed)))
+
 let prop_oracle_iteration_limit =
   QCheck.Test.make ~count:300 ~name:"tableau = oracle under a tiny max_iters"
     QCheck.(pair small_int (int_bound 6))
     (fun (seed, max_iters) ->
       let lp = if seed mod 2 = 0 then redundant_lp seed else lp2_lp seed in
       agrees_with_oracle ~max_iters (to_problem lp))
+
+(* Real (LP2) problems of several hundred rows, as SUU-C and SUU-T
+   build them: fill-in is heavy at this scale, unlike in the small
+   random families above. *)
+let test_oracle_lp2_scale () =
+  let module W = Suu_workload.Workload in
+  let hazard = W.Uniform { lo = 0.2; hi = 0.95 } in
+  let check name p =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (%d rows)" name (P.num_constraints p))
+      true (agrees_with_oracle p)
+  in
+  let n = 96 and m = 8 in
+  let chains = W.random_chains hazard ~n ~z:(n / 8) ~m ~seed:3 in
+  (match Suu_dag.Chains.of_dag (Suu_core.Instance.dag chains) with
+  | Some c -> check "chains" (Suu_core.Lp2.problem_for_testing chains ~chains:c)
+  | None -> Alcotest.fail "chains instance is not chains");
+  let forest =
+    W.forest hazard ~n ~trees:(n / 16) ~orientation:`Mixed ~m ~seed:3
+  in
+  match Suu_dag.Forest.decompose (Suu_core.Instance.dag forest) with
+  | Some blocks ->
+      Array.iteri
+        (fun b c ->
+          check
+            (Printf.sprintf "forest block %d" b)
+            (Suu_core.Lp2.problem_for_testing forest ~chains:c))
+        blocks
+  | None -> Alcotest.fail "forest instance is not a forest"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -894,6 +936,8 @@ let () =
             test_duplicate_terms_merged;
           Alcotest.test_case "zero-rhs >=" `Quick test_zero_rhs_ge;
           Alcotest.test_case "solve_exn" `Quick test_solve_exn_raises;
+          Alcotest.test_case "= oracle on LP2 at n = 96, m = 8" `Quick
+            test_oracle_lp2_scale;
         ] );
       ( "problem",
         [
@@ -933,6 +977,7 @@ let () =
           q prop_oracle_redundant;
           q prop_oracle_lp1;
           q prop_oracle_lp2;
+          q prop_oracle_fill_in;
           q prop_oracle_iteration_limit;
         ] );
     ]
