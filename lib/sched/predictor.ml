@@ -5,7 +5,10 @@ type cls = {
   window : float array; (* ring buffer of the last-k runtimes *)
   mutable filled : int; (* min(observations, window length) *)
   mutable next : int; (* ring write position *)
-  mutable sum : float; (* sum of the [filled] live entries *)
+  sum : float array;
+  (* one slot: the sum of the [filled] live entries, kept in a float
+     array so that updating it allocates nothing (a mutable float field
+     of this mixed record would be boxed at every write) *)
   mutable total : int; (* observations ever *)
   initial : float; (* jittered model estimate, used while empty *)
 }
@@ -69,7 +72,8 @@ let of_model md ~seed =
   let classes =
     Array.mapi
       (fun i est ->
-        { window = Array.make md.mwindow 0.0; filled = 0; next = 0; sum = 0.0;
+        { window = Array.make md.mwindow 0.0; filled = 0; next = 0;
+          sum = [| 0.0 |];
           total = 0; initial = Float.max 1.0 (est *. factor.(i)) })
       md.estimate
   in
@@ -82,16 +86,16 @@ let create ?(window = 8) ?(jitter = 0.1) inst ~seed =
 let predict t j =
   let c = t.classes.(t.class_of.(j)) in
   if c.filled = 0 then c.initial
-  else Float.max 1.0 (c.sum /. float_of_int c.filled)
+  else Float.max 1.0 (c.sum.(0) /. float_of_int c.filled)
 
 let observe t ~job ~runtime =
   let c = t.classes.(t.class_of.(job)) in
   let r = float_of_int (max 1 runtime) in
   let k = Array.length c.window in
-  if c.filled = k then c.sum <- c.sum -. c.window.(c.next)
+  if c.filled = k then c.sum.(0) <- c.sum.(0) -. c.window.(c.next)
   else c.filled <- c.filled + 1;
   c.window.(c.next) <- r;
-  c.sum <- c.sum +. r;
+  c.sum.(0) <- c.sum.(0) +. r;
   c.next <- (c.next + 1) mod k;
   c.total <- c.total + 1
 

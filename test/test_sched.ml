@@ -318,6 +318,18 @@ let test_predictor_floor_and_validation () =
     (Invalid_argument "Predictor.create: window must be >= 1") (fun () ->
       ignore (Predictor.create ~window:0 inst ~seed:1))
 
+let test_predictor_observe_allocates_nothing () =
+  (* The window sum lives in float-only storage, so recording a runtime
+     boxes nothing; the window fills and then wraps. *)
+  let inst = W.independent uniform ~n:4 ~m:2 ~seed:26 in
+  let p = Predictor.create ~window:3 inst ~seed:5 in
+  let w0 = Gc.minor_words () in
+  for r = 1 to 1000 do
+    Predictor.observe p ~job:(r land 3) ~runtime:r
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 1000 calls" 0.0 (w1 -. w0)
+
 (* --- registry --- *)
 
 let test_registry_has_sched_policies () =
@@ -428,6 +440,8 @@ let () =
             test_predictor_deterministic;
           Alcotest.test_case "floor and validation" `Quick
             test_predictor_floor_and_validation;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_predictor_observe_allocates_nothing;
         ] );
       ( "registry",
         [
