@@ -172,7 +172,7 @@ let e1 () =
   note
     "expected shape: OBL's log2-slope clearly positive; SEM's much \
      smaller (Table 1: O(log n) -> O(log log min(m,n))).";
-  (* Large-n extension: the MWU backend replaces the dense simplex so the
+  (* Large-n extension: the MWU backend replaces the exact simplex so the
      sweep reaches n = 1024 (ablation A2 justifies the swap). *)
   let solver = Suu_core.Solver_choice.Mwu 0.1 in
   let big = [ 256; 512; 1024 ] in
@@ -952,7 +952,7 @@ let perf () =
                inst64 ~jobs:jobs64 ~target:0.5));
       (* The serve-path workload: LP1 at every doubling target
          L_1..L_K for one survivor set.  The cold entry re-solves each
-         round from scratch (dense tableau); the warm entry mirrors
+         round from scratch (the tableau); the warm entry mirrors
          {!Suu_core.Plan_cache}'s basis store — each round warm-starts
          from its own basis of the previous iteration (the round-exact
          key; zero pivots in steady state) or, the first time, from the

@@ -73,7 +73,7 @@ let solve_revised ?basis inst ~jobs ~target =
   | Suu_lp.Simplex.Unbounded, _ -> failwith "lp1: unbounded"
   | Suu_lp.Simplex.Iteration_limit, _ -> failwith "lp1: iteration limit"
 
-(* Below this many (machine, job) cells the dense simplex is already
+(* Below this many (machine, job) cells the simplex is already
    microseconds-cheap and the MWU constant factors do not pay for
    themselves — and CI leans on the fallback being deterministic: a tiny
    instance served with [--solver mwu] answers byte-identically to a

@@ -45,7 +45,7 @@ val solve :
     weak-duality certificate: accepted when
     [value / lower_bound <= mwu_gap_limit] (default
     {!Solver_choice.guarantee}); on a failed certificate — or an
-    instance so small the dense simplex is cheaper
+    instance so small the simplex is cheaper
     ([m * |jobs| <= 16]) — the exact simplex result is returned
     instead.  The outcome is counted in the obs registry
     ([lp1.mwu.certified], [lp1.mwu.fallback.cert],

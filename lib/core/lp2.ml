@@ -103,7 +103,7 @@ let solve_impl ?top_machines ~solver inst ~chains =
   let m = Instance.m inst and n = Instance.n inst in
   let p, xvar, dvar = build ?top_machines inst ~chains in
   (* (LP2) has chain-length and coupling rows (LP1 does not), so it is
-     not a min-load cover: MWU does not apply and maps to the dense
+     not a min-load cover: MWU does not apply and maps to the tableau
      default.  [Revised] routes to the revised simplex — same optimal
      value, independent pivoting, possibly another optimal vertex. *)
   let value, sol =

@@ -36,7 +36,7 @@ val solve :
 (** [solve inst ~chains] solves the relaxation over the jobs mentioned in
     [chains].  [solver] picks the exact backend: [Revised] uses the
     revised simplex, anything else (including [Mwu _], whose min-load
-    cover shape does not fit the chain-length rows) the dense tableau.
+    cover shape does not fit the chain-length rows) the tableau simplex.
     Both are exact, so [value] agrees, but they can stop at different
     optimal vertices (measured on LP2 blocks of the benchmark's forest
     instance), and so round to different plans.  Raises

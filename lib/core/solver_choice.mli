@@ -1,7 +1,7 @@
 (** Choice of fractional-LP backend for the (LP1)-shaped relaxations. *)
 
 type t =
-  | Simplex  (** exact dense two-phase simplex ({!Suu_lp.Simplex}) *)
+  | Simplex  (** exact two-phase tableau simplex ({!Suu_lp.Simplex}) *)
   | Revised
       (** exact revised simplex ({!Suu_lp.Revised_simplex}) with
           warm-started restarts: across a doubling sequence the optimal
@@ -13,7 +13,7 @@ type t =
           every solution carries a weak-duality certificate that {!Lp1}
           checks before trusting it (falling back to the simplex when
           the certified gap exceeds {!guarantee}).  Use for large
-          instances where the dense tableau would be slow. *)
+          instances where the tableau would be slow. *)
 
 val default : t
 (** [Simplex] — the exact backend, for offline experiments and as the

@@ -70,10 +70,14 @@ type tableau = {
   dense_ents : int array; (* gather scratch, length rows *)
 }
 
-let grown a len fill =
-  let b = Array.make (max 4 (2 * len)) fill in
-  Array.blit a 0 b 0 len;
-  b
+(* [a], or a copy of its first [len] entries, with room for [need]. *)
+let with_room a len need fill =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 let densify t r =
   let d = Array.make t.cols 0.0 in
@@ -85,8 +89,7 @@ let densify t r =
   t.idx.(r) <- [||];
   t.len.(r) <- 0;
   t.dense.(r) <- true;
-  if t.n_dense = Array.length t.dense_rows then
-    t.dense_rows <- grown t.dense_rows t.n_dense 0;
+  t.dense_rows <- with_room t.dense_rows t.n_dense (t.n_dense + 1) 0;
   let i = ref t.n_dense in
   while !i > 0 && t.dense_rows.(!i - 1) > r do
     t.dense_rows.(!i) <- t.dense_rows.(!i - 1);
@@ -95,19 +98,22 @@ let densify t r =
   t.dense_rows.(!i) <- r;
   t.n_dense <- t.n_dense + 1
 
+(* Make room in the sparse row [r] for [extra] more entries. *)
+let reserve t r extra =
+  let len = t.len.(r) in
+  t.idx.(r) <- with_room t.idx.(r) len (len + extra) 0;
+  t.vals.(r) <- with_room t.vals.(r) len (len + extra) 0.0
+
 (* Store [v] at column [j] of the sparse row [r], which must not store
-   [j] yet. *)
+   [j] yet and must have room, and list it in column [j]'s index. *)
 let[@inline] append t r j v =
   let k = t.len.(r) in
-  if k = Array.length t.idx.(r) then begin
-    t.idx.(r) <- grown t.idx.(r) k 0;
-    t.vals.(r) <- grown t.vals.(r) k 0.0
-  end;
   t.idx.(r).(k) <- j;
   t.vals.(r).(k) <- v;
   t.len.(r) <- k + 1;
   let c = t.col_len.(j) in
-  if c = Array.length t.col_ent.(j) then t.col_ent.(j) <- grown t.col_ent.(j) c 0;
+  if c = Array.length t.col_ent.(j) then
+    t.col_ent.(j) <- with_room t.col_ent.(j) c (c + 1) 0;
   t.col_ent.(j).(c) <- (r lsl pos_bits) lor k;
   t.col_len.(j) <- c + 1
 
@@ -376,12 +382,14 @@ let pivot t ~row ~col =
               Array.unsafe_set d j (0.0 -. (f *. Array.unsafe_get work j))
           done
         end
-        else
+        else begin
+          reserve t r (nnz - !matched);
           for q = 0 to nnz - 1 do
             let j = Array.unsafe_get nz q in
             if Array.unsafe_get mark j <> stamp then
               append t r j (0.0 -. (f *. Array.unsafe_get work j))
           done
+        end
       end;
       if prhs <> 0.0 then t.rhs.(r) <- t.rhs.(r) -. (f *. prhs)
     end

@@ -1,4 +1,4 @@
-(** Dense two-phase primal simplex.
+(** Two-phase primal simplex on a full tableau.
 
     Solves the minimization problems built with {!Problem}.  Uses Dantzig
     pricing with an automatic switch to Bland's rule to guarantee
@@ -8,13 +8,17 @@
     (coverage, load, one per chain, [x <= d] per allowed job–machine pair,
     [d >= 1]), which at [n = 256, m = 16] is 4,656 rows by ~9.5k columns.
 
-    A pivot costs one pass over the entering column (ratio test), one over
-    the pivot row, and an update of only the rows with a nonzero in the
-    entering column at only the pivot row's nonzero columns.  Every entry
-    it updates sees the same floating-point operations, in the same order,
-    as a sweep of the whole tableau; the skipped updates would subtract
-    [f *. 0.0], which can at most flip the sign of a zero.  So the pivot
-    sequence, the optimum, [x] and the duals are those of the full sweep.
+    The tableau's memory follows its nonzeros: a row is stored sparse
+    until it would fill more than an eighth of the columns, and dense
+    from then on; a column index lists each column's sparse entries.  A
+    pivot costs one pass over the entering column's entries (ratio
+    test), one over the pivot row, and an update of only the rows with a
+    nonzero in the entering column at only the pivot row's nonzero
+    columns.  Every entry it updates sees the same floating-point
+    operations, in the same order, as a sweep of the whole dense
+    tableau; the skipped updates would subtract [f *. 0.0], which can at
+    most flip the sign of a zero.  So the pivot sequence, the optimum,
+    [x] and the duals are those of the full sweep.
 
     All comparisons use an absolute tolerance of [1e-9]; callers should
     treat returned values as accurate to roughly [1e-7] relative. *)
