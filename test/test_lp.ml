@@ -889,6 +889,37 @@ let prop_oracle_iteration_limit =
       let lp = if seed mod 2 = 0 then redundant_lp seed else lp2_lp seed in
       agrees_with_oracle ~max_iters (to_problem lp))
 
+(* The ratio test's tie-break is order-sensitive: rows 0..2 tie with x
+   within eps in a chain (1 + 1.2e-9, 1 + 0.6e-9, 1) whose ends do not
+   tie, so visiting them in row order picks row 2, and any order that
+   visits row 0 last, or row 1 after row 2, picks another row.  Row 0
+   gains x as fill-in when y enters on row 3, so the column index lists
+   it after rows 2 and 3.  Forty variables that never enter keep rows 0,
+   2 and 3 below the tableau's dense threshold; five of them put row 1
+   above it, so the gather merges a dense row between sparse ones. *)
+let test_oracle_ratio_row_order () =
+  let lp =
+    {
+      obj = Array.init 42 (function 0 -> -1.0 | 1 -> -10.0 | _ -> 0.0);
+      rows =
+        [
+          ([ (1, 1.0) ], P.Le, 1.0 +. 1.2e-9);
+          ( (0, 1.0) :: List.init 5 (fun k -> (2 + k, 1.0)),
+            P.Le,
+            1.0 +. 0.6e-9 );
+          ([ (0, 1.0) ], P.Le, 1.0);
+          ([ (1, 1.0); (0, -1.0) ], P.Le, 0.0);
+        ];
+    }
+  in
+  let p = to_problem lp in
+  Alcotest.(check bool) "= oracle" true (agrees_with_oracle p);
+  match S.solve p with
+  | S.Optimal { x; _ } ->
+      Alcotest.(check (array (float 0.0)))
+        "x on row 2's bound" [| 1.0; 1.0 |] (Array.sub x 0 2)
+  | _ -> Alcotest.fail "not optimal"
+
 (* Real (LP2) problems of several hundred rows, as SUU-C and SUU-T
    build them: fill-in is heavy at this scale, unlike in the small
    random families above. *)
@@ -938,6 +969,8 @@ let () =
           Alcotest.test_case "solve_exn" `Quick test_solve_exn_raises;
           Alcotest.test_case "= oracle on LP2 at n = 96, m = 8" `Quick
             test_oracle_lp2_scale;
+          Alcotest.test_case "ratio test visits rows in order" `Quick
+            test_oracle_ratio_row_order;
         ] );
       ( "problem",
         [
