@@ -131,7 +131,7 @@ let policy ?width ?on_event inst =
         | None -> ()
         | Some f -> f (Started { job = j; time; backfilled })
       in
-      let predicted_total j = int_of_float (Float.ceil (Predictor.predict pred j)) in
+      let predicted_total j = Predictor.predicted_steps pred j in
       (* The head's reservation: walk FCFS-running jobs by predicted
          completion until [h]'s width [w_h] is covered, marking the
          machines they hold in [reserved]; the last one needed sets

@@ -83,10 +83,12 @@ let create ?(window = 8) ?(jitter = 0.1) inst ~seed =
   check "Predictor.create" ~window ~jitter;
   of_model (model ~window ~jitter inst) ~seed
 
-let predict t j =
+let[@inline] predict t j =
   let c = t.classes.(t.class_of.(j)) in
   if c.filled = 0 then c.initial
   else Float.max 1.0 (c.sum.(0) /. float_of_int c.filled)
+
+let predicted_steps t j = int_of_float (Float.ceil (predict t j))
 
 let observe t ~job ~runtime =
   let c = t.classes.(t.class_of.(job)) in

@@ -60,6 +60,10 @@ val predict : t -> int -> float
     the mean of its class's window when nonempty, the jittered model
     estimate otherwise. *)
 
+val predicted_steps : t -> int -> int
+(** [predicted_steps t j] is [int_of_float (Float.ceil (predict t j))],
+    the prediction in whole steps, computed without allocating. *)
+
 val observe : t -> job:int -> runtime:int -> unit
 (** [observe t ~job ~runtime] records a completed runtime into [job]'s
     class window (runtimes < 1 are clamped to 1). *)

@@ -320,7 +320,9 @@ let test_predictor_floor_and_validation () =
 
 let test_predictor_observe_allocates_nothing () =
   (* The window sum lives in float-only storage, so recording a runtime
-     boxes nothing; the window fills and then wraps. *)
+     boxes nothing; the window fills and then wraps.  The whole-step
+     prediction backfill reads is an int, so reading it boxes nothing
+     either. *)
   let inst = W.independent uniform ~n:4 ~m:2 ~seed:26 in
   let p = Predictor.create ~window:3 inst ~seed:5 in
   let w0 = Gc.minor_words () in
@@ -328,7 +330,20 @@ let test_predictor_observe_allocates_nothing () =
     Predictor.observe p ~job:(r land 3) ~runtime:r
   done;
   let w1 = Gc.minor_words () in
-  Alcotest.(check (float 0.0)) "minor words over 1000 calls" 0.0 (w1 -. w0)
+  Alcotest.(check (float 0.0)) "minor words over 1000 calls" 0.0 (w1 -. w0);
+  let steps = ref 0 in
+  let w0 = Gc.minor_words () in
+  for j = 0 to 999 do
+    steps := !steps + Predictor.predicted_steps p (j land 3)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "predicted_steps, 1000 calls" 0.0 (w1 -. w0);
+  Alcotest.(check int) "predicted_steps = ceil predict"
+    (List.fold_left
+       (fun acc j ->
+         acc + (250 * int_of_float (Float.ceil (Predictor.predict p j))))
+       0 [ 0; 1; 2; 3 ])
+    !steps
 
 (* --- registry --- *)
 
@@ -440,7 +455,7 @@ let () =
             test_predictor_deterministic;
           Alcotest.test_case "floor and validation" `Quick
             test_predictor_floor_and_validation;
-          Alcotest.test_case "observe allocates nothing" `Quick
+          Alcotest.test_case "observe and predicted_steps allocate nothing" `Quick
             test_predictor_observe_allocates_nothing;
         ] );
       ( "registry",
