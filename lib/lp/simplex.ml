@@ -156,6 +156,12 @@ let build problem =
       nz_ents = Array.make nrows 0; n_nz_ents = 0;
       dense_ents = Array.make nrows 0 }
   in
+  (* Phase-1 reduced costs: cost 1 on every artificial column, then
+     price out the initial (artificial) basics by subtracting their
+     rows, in row order, as each is built. *)
+  for j = first_artificial to cols - 1 do
+    z1.(j) <- 1.0
+  done;
   let slack_next = ref nstruct and art_next = ref first_artificial in
   let r = ref 0 in
   Problem.iter_constraints problem (fun terms sense rhs ->
@@ -218,30 +224,16 @@ let build problem =
           append t row art 1.0;
           basis.(row) <- art;
           t.dual_of_row.(row) <- (art, -.fsign));
+      if basis.(row) >= first_artificial then begin
+        for k = 0 to t.len.(row) - 1 do
+          let j = t.idx.(row).(k) in
+          z1.(j) <- z1.(j) -. t.vals.(row).(k)
+        done;
+        z1.(cols) <- z1.(cols) -. t.rhs.(row)
+      end;
       if t.len.(row) > t.dense_above then densify t row;
       incr r);
   Array.fill t.mark 0 cols (-1);
-  (* Phase-1 reduced costs: cost 1 on every artificial column, then
-     price out the initial (artificial) basics by subtracting their
-     rows. *)
-  for j = first_artificial to cols - 1 do
-    z1.(j) <- 1.0
-  done;
-  for r = 0 to nrows - 1 do
-    if basis.(r) >= first_artificial then begin
-      let vals = t.vals.(r) in
-      if t.dense.(r) then
-        for j = 0 to cols - 1 do
-          z1.(j) <- z1.(j) -. vals.(j)
-        done
-      else
-        for k = 0 to t.len.(r) - 1 do
-          let j = t.idx.(r).(k) in
-          z1.(j) <- z1.(j) -. vals.(k)
-        done;
-      z1.(cols) <- z1.(cols) -. t.rhs.(r)
-    end
-  done;
   (* The z rows store reduced costs in [0, cols) and minus the current
      objective value at index [cols]. *)
   t
