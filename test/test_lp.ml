@@ -730,8 +730,8 @@ let sparse_lp ?(max_vars = 14) ?(max_rows = 14)
 
 (* Copies and sums of existing rows leave artificial basics at level
    zero after phase 1, which is what [expel_artificials] pivots out. *)
-let redundant_lp seed =
-  let rng, lp = sparse_lp seed in
+let redundant_lp ?max_vars ?max_rows ?densities seed =
+  let rng, lp = sparse_lp ?max_vars ?max_rows ?densities seed in
   let rows = Array.of_list lp.rows in
   let pick () = rows.(Suu_prng.Rng.int rng (Array.length rows)) in
   let extra =
@@ -872,15 +872,23 @@ let prop_oracle_lp1 =
 let prop_oracle_lp2 =
   oracle_prop ~count:200 ~name:"tableau = oracle on LP2 shapes" lp2_lp
 
-(* Rows of a few entries over 40 to 100 columns start sparse in the
-   tableau, and fill-in turns many of them dense part-way through the
-   solve. *)
+(* Rows of a few entries over up to ~100 columns start sparse in the
+   tableau, and in about half of these problems fill-in turns some of
+   them dense part-way through the solve.  With redundant rows,
+   [expel_artificials] scans sparse rows for their lowest usable
+   column. *)
+let wide = (40, 30, [| 0.03; 0.06 |])
+
 let prop_oracle_fill_in =
+  let max_vars, max_rows, densities = wide in
   oracle_prop ~count:150 ~name:"tableau = oracle as rows fill in"
-    (fun seed ->
-      snd
-        (sparse_lp ~max_vars:40 ~max_rows:30 ~densities:[| 0.03; 0.06 |]
-           (20 + seed)))
+    (fun seed -> snd (sparse_lp ~max_vars ~max_rows ~densities seed))
+
+let prop_oracle_fill_in_redundant =
+  let max_vars, max_rows, densities = wide in
+  oracle_prop ~count:150
+    ~name:"tableau = oracle as rows fill in, with redundant rows"
+    (redundant_lp ~max_vars ~max_rows ~densities)
 
 let prop_oracle_iteration_limit =
   QCheck.Test.make ~count:300 ~name:"tableau = oracle under a tiny max_iters"
@@ -888,6 +896,21 @@ let prop_oracle_iteration_limit =
     (fun (seed, max_iters) ->
       let lp = if seed mod 2 = 0 then redundant_lp seed else lp2_lp seed in
       agrees_with_oracle ~max_iters (to_problem lp))
+
+(* Seeds of the wide families at which [expel_artificials] meets a
+   sparse row whose first stored usable column is not its lowest: these
+   agree with the oracle only when the lowest is taken. *)
+let test_oracle_expel_lowest_column () =
+  let max_vars, max_rows, densities = wide in
+  let check lp =
+    Alcotest.(check bool) "= oracle" true (agrees_with_oracle (to_problem lp))
+  in
+  List.iter
+    (fun seed -> check (snd (sparse_lp ~max_vars ~max_rows ~densities seed)))
+    [ 99; 943 ];
+  List.iter
+    (fun seed -> check (redundant_lp ~max_vars ~max_rows ~densities seed))
+    [ 385; 1077 ]
 
 (* The ratio test's tie-break is order-sensitive: rows 0..2 tie with x
    within eps in a chain (1 + 1.2e-9, 1 + 0.6e-9, 1) whose ends do not
@@ -971,6 +994,8 @@ let () =
             test_oracle_lp2_scale;
           Alcotest.test_case "ratio test visits rows in order" `Quick
             test_oracle_ratio_row_order;
+          Alcotest.test_case "expel takes a sparse row's lowest column" `Quick
+            test_oracle_expel_lowest_column;
         ] );
       ( "problem",
         [
@@ -1011,6 +1036,7 @@ let () =
           q prop_oracle_lp1;
           q prop_oracle_lp2;
           q prop_oracle_fill_in;
+          q prop_oracle_fill_in_redundant;
           q prop_oracle_iteration_limit;
         ] );
     ]
