@@ -44,7 +44,10 @@ val solve :
     range. *)
 
 val problem_for_testing :
-  ?top_machines:int -> Instance.t -> chains:Suu_dag.Chains.t -> Suu_lp.Problem.t
+  ?top_machines:int ->
+  Instance.t ->
+  chains:Suu_dag.Chains.t ->
+  Suu_lp.Problem.t
 (** The problem {!solve} hands to its exact backend, with the same
     arguments and the same validation; for checking solvers against each
     other at LP2 scale. *)

@@ -83,6 +83,7 @@ let create ?(window = 8) ?(jitter = 0.1) inst ~seed =
   check "Predictor.create" ~window ~jitter;
   of_model (model ~window ~jitter inst) ~seed
 
+(* Inlined into [predicted_steps], which so never boxes the float. *)
 let[@inline] predict t j =
   let c = t.classes.(t.class_of.(j)) in
   if c.filled = 0 then c.initial
