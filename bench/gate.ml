@@ -84,15 +84,6 @@ let checks =
         phase "engine.exec";
         phase "lp1.solve";
         phase "lp.rounding";
-        (* LP hot path: the warm revised doubling sequence against the
-           cold tableau.  5x is the acceptance criterion on the full
-           workload; tiny runs solve a shorter sequence (fewer rounds
-           amortizing each factorization). *)
-        c "cold/warm LP1 doubling sequence"
-          [ "bechamel_ns_per_run"; "suu lp1-simplex-seq-64x8" ]
-          (Ratio_at_least
-             ( [ K "bechamel_ns_per_run"; K "suu lp1-revised-warm-seq-64x8" ],
-               Scaled (5.0, 3.0) ));
         (* Certified MWU must stay the cheap serve-path default. *)
         c "lp1 certified MWU ns/run"
           [ "bechamel_ns_per_run"; "suu lp1-mwu-certified-64x8" ]

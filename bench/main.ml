@@ -931,7 +931,6 @@ let perf () =
       ~jobs:(Array.init 16 Fun.id)
   in
   let k64 = Suu_core.Mathx.rounds_k ~n:64 ~m:8 in
-  let warm_bases64 = Array.make (k64 + 1) None in
   let run_sem () =
     Runner.expected_makespan inst64 (Suu_core.Suu_i_sem.policy inst64)
       ~seed:11 ~reps:1
@@ -950,37 +949,15 @@ let perf () =
         (Staged.stage (fun () ->
              Suu_core.Lp1.solve ~solver:(Suu_core.Solver_choice.Mwu 0.1)
                inst64 ~jobs:jobs64 ~target:0.5));
-      (* The serve-path workload: LP1 at every doubling target
-         L_1..L_K for one survivor set.  The cold entry re-solves each
-         round from scratch (the tableau); the warm entry mirrors
-         {!Suu_core.Plan_cache}'s basis store — each round warm-starts
-         from its own basis of the previous iteration (the round-exact
-         key; zero pivots in steady state) or, the first time, from the
-         previous round's basis (the latest key; a few repair
-         pivots). *)
+      (* LP1 at every doubling target L_1..L_K for one survivor set,
+         each round solved from scratch by the tableau: what an SUU-I
+         policy's plan-cache misses cost over one replication. *)
       Test.make ~name:"lp1-simplex-seq-64x8"
         (Staged.stage (fun () ->
              for k = 1 to k64 do
                ignore
                  (Suu_core.Lp1.solve inst64 ~jobs:jobs64
                     ~target:(Suu_core.Mathx.target_for_round k))
-             done));
-      Test.make ~name:"lp1-revised-warm-seq-64x8"
-        (Staged.stage (fun () ->
-             let chained = ref None in
-             for k = 1 to k64 do
-               let hint =
-                 match warm_bases64.(k) with
-                 | Some _ as own -> own
-                 | None -> !chained
-               in
-               let frac =
-                 Suu_core.Lp1.solve ~solver:Suu_core.Solver_choice.Revised
-                   ?basis:hint inst64 ~jobs:jobs64
-                   ~target:(Suu_core.Mathx.target_for_round k)
-               in
-               warm_bases64.(k) <- frac.Suu_core.Lp1.basis;
-               chained := frac.Suu_core.Lp1.basis
              done));
       Test.make ~name:"lemma2-rounding-64x8"
         (Staged.stage (fun () ->
@@ -2118,12 +2095,28 @@ let replay_bench () =
   in
   (* direct: the reference output, no store anywhere. *)
   let direct = run_cells None cells ~reps in
-  (* cold: fresh store, everything computed and committed. *)
-  let store_a = RS.open_store dir_a in
-  let t0 = Unix.gettimeofday () in
-  let cold = run_cells (Some store_a) cells ~reps in
-  let cold_sec = Unix.gettimeofday () -. t0 in
-  RS.close store_a;
+  (* cold: fresh store, everything computed and committed.  One cold
+     pass takes about a millisecond at tiny scale, so one timing follows
+     whatever else the host is doing: [cold_sec] is the median of
+     [cold_runs] passes, each into a fresh store.  The last one's store
+     serves the warm pass. *)
+  let cold_runs = 5 in
+  let cold_pass () =
+    rm_rf dir_a;
+    let store_a = RS.open_store dir_a in
+    let t0 = Unix.gettimeofday () in
+    let out = run_cells (Some store_a) cells ~reps in
+    let sec = Unix.gettimeofday () -. t0 in
+    RS.close store_a;
+    (out, sec)
+  in
+  let colds = List.init cold_runs (fun _ -> cold_pass ()) in
+  let cold = fst (List.hd colds) in
+  let cold_sec =
+    let times = Array.of_list (List.map snd colds) in
+    Array.sort Float.compare times;
+    times.(cold_runs / 2)
+  in
   (* warm: same store, everything served. *)
   let store_a = RS.open_store dir_a in
   let served0, computed0 = sample () in
@@ -2163,13 +2156,17 @@ let replay_bench () =
   in
   let resumed = run_cells (Some store_b) cells ~reps in
   RS.close store_b;
-  let identical = String.equal direct cold && String.equal cold warm in
+  let identical =
+    List.for_all (fun (out, _) -> String.equal direct out) colds
+    && String.equal cold warm
+  in
   let resumed_identical = String.equal direct resumed in
   let truncated = truncated1 - truncated0 in
   let total_reps = List.length cells * reps in
   note "cells=%d reps/cell=%d (%d replications per full sweep)"
     (List.length cells) reps total_reps;
-  note "cold %.4fs, warm %.4fs (speedup %.1fx)" cold_sec warm_sec
+  note "cold %.4fs (median of %d), warm %.4fs (speedup %.1fx)" cold_sec
+    cold_runs warm_sec
     (cold_sec /. Float.max warm_sec 1e-9);
   note "warm pass: served=%d computed=%d" warm_served warm_computed;
   note "outputs identical (direct=cold=warm): %b" identical;

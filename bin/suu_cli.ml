@@ -330,6 +330,15 @@ let port_arg ~default =
     & info [ "port" ] ~docv:"PORT"
         ~doc:"TCP port (0 picks an ephemeral port when serving).")
 
+let solver_conv =
+  let parse s =
+    match Suu_core.Solver_choice.of_string s with
+    | Result.Ok c -> Ok c
+    | Result.Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, fun ppf c ->
+      Format.pp_print_string ppf (Suu_core.Solver_choice.name c))
+
 let serve_cmd =
   let doc = "Run the scheduling service daemon (SIGINT/SIGTERM drains)." in
   let workers =
@@ -356,15 +365,6 @@ let serve_cmd =
       & info [ "sim-jobs" ] ~docv:"D"
           ~doc:"Domains per simulate request (default: SUU_JOBS or cores).")
   in
-  let solver_conv =
-    let parse s =
-      match Suu_core.Solver_choice.of_string s with
-      | Result.Ok c -> Ok c
-      | Result.Error msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, fun ppf c ->
-        Format.pp_print_string ppf (Suu_core.Solver_choice.to_string c))
-  in
   let solver =
     Arg.(
       value
@@ -372,7 +372,7 @@ let serve_cmd =
       & info [ "solver" ] ~docv:"NAME"
           ~doc:
             "LP backend for every policy this server builds: simplex, \
-             revised, mwu or mwu-EPS.  Default: the SUU_SOLVER \
+             mwu or mwu-EPS.  Default: the SUU_SOLVER \
              environment variable, else mwu-0.1 — certified \
              multiplicative weights with automatic simplex fallback \
              for tiny instances and failed optimality certificates.")
@@ -441,7 +441,7 @@ let router host port shards_n attach workers queue solver journal_dir
             string_of_int queue ]
           @ (match solver with
             | Some s ->
-                [ "--solver"; Suu_core.Solver_choice.to_string s ]
+                [ "--solver"; Suu_core.Solver_choice.name s ]
             | None -> [])
           @
           match journal_dir with
@@ -566,15 +566,6 @@ let router_cmd =
     Arg.(
       value & opt int 64
       & info [ "queue" ] ~docv:"Q" ~doc:"Request-queue capacity per shard.")
-  in
-  let solver_conv =
-    let parse s =
-      match Suu_core.Solver_choice.of_string s with
-      | Result.Ok c -> Ok c
-      | Result.Error msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, fun ppf c ->
-        Format.pp_print_string ppf (Suu_core.Solver_choice.to_string c))
   in
   let solver =
     Arg.(

@@ -1,4 +1,4 @@
-type frac = { x : float array array; value : float; basis : int array option }
+type frac = { x : float array array; value : float }
 
 let validate inst ~jobs ~target =
   if Array.length jobs = 0 then invalid_arg "Lp1.solve: no jobs";
@@ -12,11 +12,6 @@ let validate inst ~jobs ~target =
       seen.(j) <- true)
     jobs
 
-(* The (LP1) build is shared by both exact backends.  Variable set and
-   constraint order depend only on (instance, jobs) — which pairs have
-   positive clipped log failure is target-independent — so two targets
-   of a doubling sequence standardize to the same column layout, which
-   is what makes a basis from one target meaningful for the next. *)
 let build_problem inst ~jobs ~target =
   let m = Instance.m inst in
   let p = Suu_lp.Problem.create ~name:"lp1" () in
@@ -54,6 +49,10 @@ let build_problem inst ~jobs ~target =
   done;
   (p, var)
 
+let problem_for_testing inst ~jobs ~target =
+  validate inst ~jobs ~target;
+  fst (build_problem inst ~jobs ~target)
+
 let extract inst var sol =
   let x = Array.make_matrix (Instance.m inst) (Instance.n inst) 0.0 in
   Hashtbl.iter (fun (i, j) v -> x.(i).(j) <- Float.max 0.0 sol.(v)) var;
@@ -62,16 +61,7 @@ let extract inst var sol =
 let solve_simplex inst ~jobs ~target =
   let p, var = build_problem inst ~jobs ~target in
   let value, sol = Suu_lp.Simplex.solve_exn p in
-  { x = extract inst var sol; value; basis = None }
-
-let solve_revised ?basis inst ~jobs ~target =
-  let p, var = build_problem inst ~jobs ~target in
-  match Suu_lp.Revised_simplex.solve_basis ?basis p with
-  | Suu_lp.Simplex.Optimal { objective; x = sol }, out ->
-      { x = extract inst var sol; value = objective; basis = out }
-  | Suu_lp.Simplex.Infeasible, _ -> failwith "lp1: infeasible"
-  | Suu_lp.Simplex.Unbounded, _ -> failwith "lp1: unbounded"
-  | Suu_lp.Simplex.Iteration_limit, _ -> failwith "lp1: iteration limit"
+  { x = extract inst var sol; value }
 
 (* Below this many (machine, job) cells the simplex is already
    microseconds-cheap and the MWU constant factors do not pay for
@@ -129,12 +119,11 @@ let solve_mwu inst ~jobs ~target ~eps ~gap_limit ~guarantee =
           x.(i).(jobs.(jj)) <- xk.(i).(jj)
         done
       done;
-      { x; value; basis = None }
+      { x; value }
     end
   end
 
-let solve ?(solver = Solver_choice.default) ?basis ?mwu_gap_limit inst ~jobs
-    ~target =
+let solve ?(solver = Solver_choice.default) ?mwu_gap_limit inst ~jobs ~target =
   validate inst ~jobs ~target;
   Suu_obs.Span.with_span
     ~attrs:[ ("solver", Solver_choice.name solver) ]
@@ -142,7 +131,6 @@ let solve ?(solver = Solver_choice.default) ?basis ?mwu_gap_limit inst ~jobs
     (fun () ->
       match solver with
       | Solver_choice.Simplex -> solve_simplex inst ~jobs ~target
-      | Solver_choice.Revised -> solve_revised ?basis inst ~jobs ~target
       | Solver_choice.Mwu eps ->
           let guarantee = Solver_choice.guarantee solver in
           let gap_limit =

@@ -17,16 +17,10 @@
 type frac = {
   x : float array array;  (** fractional assignment, [m x n] *)
   value : float;  (** the optimal (or near-optimal) load [t] *)
-  basis : int array option;
-      (** for {!Solver_choice.Revised} only: the optimal basis, opaque
-          to callers, to pass back as [?basis] when re-solving with a
-          scaled target (the doubling sequence).  [None] for the other
-          backends and for non-warm-startable optima. *)
 }
 
 val solve :
   ?solver:Solver_choice.t ->
-  ?basis:int array ->
   ?mwu_gap_limit:float ->
   Instance.t ->
   jobs:int array ->
@@ -34,12 +28,6 @@ val solve :
   frac
 (** [solve inst ~jobs ~target] solves the relaxation restricted to [jobs].
     Entries of [x] outside [jobs] are zero.
-
-    [basis] (meaningful with [~solver:Revised]) warm-starts the revised
-    simplex from a basis returned by a previous solve over the {e same}
-    [jobs] set — e.g. the previous round of a doubling sequence.  A
-    basis that no longer fits is discarded and the solve runs cold, so
-    warm starting never changes the result, only its cost.
 
     With [~solver:(Mwu eps)] each solution is verified against its own
     weak-duality certificate: accepted when
@@ -56,3 +44,8 @@ val solve :
     [target], or duplicate jobs; [Failure] if the LP solver fails
     (cannot happen on well-formed instances: assigning every machine to
     every job long enough is always feasible). *)
+
+val problem_for_testing :
+  Instance.t -> jobs:int array -> target:float -> Suu_lp.Problem.t
+(** The problem the exact backend of {!solve} solves, with the same
+    validation; for checking it against an independent solver. *)

@@ -99,19 +99,13 @@ let problem_for_testing ?top_machines inst ~chains =
   let p, _, _ = build ?top_machines inst ~chains in
   p
 
-let solve_impl ?top_machines ~solver inst ~chains =
+let solve_impl ?top_machines inst ~chains =
   let m = Instance.m inst and n = Instance.n inst in
   let p, xvar, dvar = build ?top_machines inst ~chains in
   (* (LP2) has chain-length and coupling rows (LP1 does not), so it is
-     not a min-load cover: MWU does not apply and maps to the tableau
-     default.  [Revised] routes to the revised simplex — same optimal
-     value, independent pivoting, possibly another optimal vertex. *)
-  let value, sol =
-    match solver with
-    | Solver_choice.Revised -> Suu_lp.Revised_simplex.solve_exn p
-    | Solver_choice.Simplex | Solver_choice.Mwu _ ->
-        Suu_lp.Simplex.solve_exn p
-  in
+     not a min-load cover: MWU does not apply, and every solver solves
+     it with the exact tableau. *)
+  let value, sol = Suu_lp.Simplex.solve_exn p in
   let x = Array.make_matrix m n 0.0 in
   Hashtbl.iter (fun (i, j) v -> x.(i).(j) <- Float.max 0.0 sol.(v)) xvar;
   let d =
@@ -123,7 +117,7 @@ let solve ?top_machines ?(solver = Solver_choice.default) inst ~chains =
   Suu_obs.Span.with_span
     ~attrs:[ ("solver", Solver_choice.name solver) ]
     "lp2.solve"
-    (fun () -> solve_impl ?top_machines ~solver inst ~chains)
+    (fun () -> solve_impl ?top_machines inst ~chains)
 
 let round_impl inst frac =
   let n = Instance.n inst in

@@ -34,14 +34,12 @@ val solve :
   chains:Suu_dag.Chains.t ->
   frac
 (** [solve inst ~chains] solves the relaxation over the jobs mentioned in
-    [chains].  [solver] picks the exact backend: [Revised] uses the
-    revised simplex, anything else (including [Mwu _], whose min-load
-    cover shape does not fit the chain-length rows) the tableau simplex.
-    Both are exact, so [value] agrees, but they can stop at different
-    optimal vertices (measured on LP2 blocks of the benchmark's forest
-    instance), and so round to different plans.  Raises
-    [Invalid_argument] when chains repeat a job or mention one out of
-    range. *)
+    [chains] with the exact tableau simplex ({!Suu_lp.Simplex}), whatever
+    [solver] says: MWU's min-load cover shape does not fit the
+    chain-length rows.  [solver] only labels the [lp2.solve] trace span
+    (its [solver] attribute), so callers that thread one solver through
+    LP1 and LP2 report it on both.  Raises [Invalid_argument] when chains
+    repeat a job or mention one out of range. *)
 
 val problem_for_testing :
   ?top_machines:int ->

@@ -179,71 +179,18 @@ let create ?solver ?max_entries inst =
 
 let shard_of store khash = store.shards.(khash land (Array.length store.shards - 1))
 
-(* --- the warm-start basis store --- *)
-
-(* Optimal bases for the Revised backend, under two keys per solve.
-   The exact key (with the round) serves re-solves of an evicted plan:
-   warm-starting from the plan's own optimal basis verifies in zero
-   pivots.  The latest key (WITHOUT the round) serves the doubling
-   sequence: the (LP1) variable set depends only on
-   (instance, survivors) — which pairs have positive clipped log mass
-   is target-independent — so the basis left by round [k] seeds round
-   [k+1] of the same survivor set, where only the RHS and coefficient
-   clipping moved (a few repair pivots instead of a cold phase 1).
-   Purely an optimization hint: {!Suu_lp.Revised_simplex.solve_basis}
-   re-validates every basis against the fresh problem and falls back to
-   the cold two-phase path, so a stale entry can never change a plan.
-   Bounded by wholesale reset — losing hints costs one phase 1, not
-   correctness. *)
-let basis_lock = Mutex.create ()
-let basis_table : (string, int array) Hashtbl.t = Hashtbl.create 64
-let basis_capacity = 4096
-
-let basis_key t ~survivors ~round =
-  let b =
-    Buffer.create (String.length t.key_prefix + 4 + (4 * Array.length survivors))
-  in
-  Buffer.add_string b t.key_prefix;
-  (* round = -1 is the latest-of-any-round key; real rounds are >= 1. *)
-  Buffer.add_int32_le b (Int32.of_int round);
-  Array.iter (fun j -> Buffer.add_int32_le b (Int32.of_int j)) survivors;
-  Buffer.contents b
-
-let basis_find ~exact ~latest =
-  Mutex.lock basis_lock;
-  let b =
-    match Hashtbl.find_opt basis_table exact with
-    | Some _ as hit -> hit
-    | None -> Hashtbl.find_opt basis_table latest
-  in
-  Mutex.unlock basis_lock;
-  b
-
-let basis_store ~exact ~latest basis =
-  Mutex.lock basis_lock;
-  if Hashtbl.length basis_table + 1 >= basis_capacity then
-    Hashtbl.reset basis_table;
-  Hashtbl.replace basis_table exact basis;
-  Hashtbl.replace basis_table latest basis;
-  Mutex.unlock basis_lock
-
 (* --- the plan pipeline --- *)
 
-let pipeline ?solver ?basis inst ~round ~survivors =
+let fresh_plan ?solver inst ~round ~survivors =
   if Array.length survivors = 0 then
     invalid_arg "Plan_cache.fresh_plan: empty survivor set";
   Suu_obs.Span.with_span "plan_cache.solve" (fun () ->
       let target = Mathx.target_for_round round in
-      let { Lp1.x; value; basis = out } =
-        Lp1.solve ?solver ?basis inst ~jobs:survivors ~target
-      in
+      let { Lp1.x; value } = Lp1.solve ?solver inst ~jobs:survivors ~target in
       let rounded =
         Rounding.round inst ~jobs:survivors ~target ~frac:x ~frac_value:value
       in
-      (Oblivious.of_assignment rounded, out))
-
-let fresh_plan ?solver inst ~round ~survivors =
-  fst (pipeline ?solver inst ~round ~survivors)
+      Oblivious.of_assignment rounded)
 
 (* Called with the shard lock held.  Drop the least-recently-used half:
    entries are stamped on every lookup, so sorting by stamp keeps the
@@ -299,25 +246,7 @@ let lookup t ~count ~round ~survivors =
         Suu_obs.Counter.incr (g_misses ())
       end;
       let finish () =
-        let resolved = Option.value t.solver ~default:Solver_choice.default in
-        let bkeys =
-          match resolved with
-          | Solver_choice.Revised ->
-              Some
-                ( basis_key t ~survivors ~round,
-                  basis_key t ~survivors ~round:(-1) )
-          | _ -> None
-        in
-        let basis =
-          Option.bind bkeys (fun (exact, latest) ->
-              basis_find ~exact ~latest)
-        in
-        let plan, basis_out =
-          pipeline ?solver:t.solver ?basis t.inst ~round ~survivors
-        in
-        (match (bkeys, basis_out) with
-        | Some (exact, latest), Some b -> basis_store ~exact ~latest b
-        | _ -> ());
+        let plan = fresh_plan ?solver:t.solver t.inst ~round ~survivors in
         let dropped =
           if KH.length sh.table >= sh.capacity then evict_lru_half sh
           else 0

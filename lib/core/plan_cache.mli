@@ -32,12 +32,8 @@
     arbitrary churn from trace-dependent survivor sets, where the old
     insertion-order clear-half evicted exactly the hottest entries.
 
-    For [Solver_choice.Revised] handles the store also keeps the last
-    optimal basis per (instance, solver, survivor set) — without the
-    round — so round [k+1] of a doubling sequence warm-starts from
-    round [k]'s basis (the (LP1) variable set is target-independent).
-    Bases are hints: the solver re-validates them and solves cold when
-    they no longer fit, so this can never change a plan. *)
+    The store holds plans only: every miss solves its (LP1) from
+    scratch with the handle's solver. *)
 
 type t
 

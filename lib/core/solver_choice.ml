@@ -1,4 +1,4 @@
-type t = Simplex | Revised | Mwu of float
+type t = Simplex | Mwu of float
 
 let default = Simplex
 
@@ -8,20 +8,16 @@ let default = Simplex
 let serve_default = Mwu 0.1
 
 let guarantee = function
-  | Simplex | Revised -> 1.0
+  | Simplex -> 1.0
   | Mwu eps -> 1.0 +. (5.0 *. eps)
 
 let name = function
   | Simplex -> "simplex"
-  | Revised -> "revised"
   | Mwu eps -> Printf.sprintf "mwu-%g" eps
-
-let to_string = name
 
 let of_string s =
   match s with
   | "simplex" -> Ok Simplex
-  | "revised" -> Ok Revised
   | "mwu" -> Ok serve_default
   | _ ->
       let pfx = "mwu-" in
@@ -36,5 +32,5 @@ let of_string s =
       | Some _ -> Error "mwu eps must be in (0, 0.5]"
       | None ->
           Error
-            (Printf.sprintf
-               "unknown solver %S (have: simplex, revised, mwu, mwu-EPS)" s))
+            (Printf.sprintf "unknown solver %S (have: simplex, mwu, mwu-EPS)"
+               s))

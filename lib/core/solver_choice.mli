@@ -1,12 +1,9 @@
 (** Choice of fractional-LP backend for the (LP1)-shaped relaxations. *)
 
 type t =
-  | Simplex  (** exact two-phase tableau simplex ({!Suu_lp.Simplex}) *)
-  | Revised
-      (** exact revised simplex ({!Suu_lp.Revised_simplex}) with
-          warm-started restarts: across a doubling sequence the optimal
-          basis of round [k] seeds round [k+1] (see {!Plan_cache}),
-          skipping phase 1 when the basis survives the target change. *)
+  | Simplex
+      (** exact two-phase tableau simplex ({!Suu_lp.Simplex}), the only
+          exact backend *)
   | Mwu of float
       (** Garg–Könemann multiplicative weights with the given [eps]
           ({!Suu_lp.Mwu}); value within [1 + O(eps)] of optimal, and
@@ -26,19 +23,17 @@ val serve_default : t
 
 val guarantee : t -> float
 (** [guarantee s] is an upper bound on [value / optimum] for solutions
-    produced by [s]: [1.0] for both simplex backends, [1 + 5 eps] for
-    MWU.  For MWU the bound is enforced per solve: {!Lp1} accepts an
-    MWU solution only when its certified duality gap is within this
-    constant (and debug-asserts the comparison), so a future MWU change
-    cannot silently degrade the ratio. *)
+    produced by [s]: [1.0] for the simplex, [1 + 5 eps] for MWU.  For
+    MWU the bound is enforced per solve: {!Lp1} accepts an MWU solution
+    only when its certified duality gap is within this constant (and
+    debug-asserts the comparison), so a future MWU change cannot
+    silently degrade the ratio. *)
 
 val name : t -> string
-(** Short label for telemetry: ["simplex"], ["revised"], ["mwu-0.1"], ... *)
-
-val to_string : t -> string
-(** Alias of {!name}; inverse of {!of_string} for every [t]. *)
+(** Short label for telemetry and the CLI: ["simplex"], ["mwu-0.1"],
+    ...; inverse of {!of_string} for every [t]. *)
 
 val of_string : string -> (t, string) result
-(** Parse a wire/CLI spelling: ["simplex"], ["revised"], ["mwu"]
+(** Parse a wire/CLI spelling: ["simplex"], ["mwu"]
     (meaning {!serve_default}) or ["mwu-EPS"] with [EPS] in (0, 0.5].
     [Error] carries a human-readable message. *)

@@ -52,8 +52,8 @@ val prepare :
   chains:Suu_dag.Chains.t ->
   prepared
 (** [prepare inst ~chains] runs the LP and rounding stages (once;
-    deterministic).  [solver] selects the (LP2) backend (see
-    {!Lp2.solve}). *)
+    deterministic).  [solver] only labels the (LP2) solve's trace span:
+    (LP2) always solves with the exact tableau (see {!Lp2.solve}). *)
 
 val policy_of_prepared :
   ?solver:Solver_choice.t ->

@@ -60,7 +60,7 @@ type config = {
   solver : Suu_core.Solver_choice.t option;
       (** LP backend for every policy this server builds.  [None] (the
           default) consults the [SUU_SOLVER] environment variable
-          ([simplex], [revised], [mwu], [mwu-EPS]) and falls back to
+          ([simplex], [mwu], [mwu-EPS]) and falls back to
           {!Suu_core.Solver_choice.serve_default} — certified MWU with
           automatic simplex fallback for tiny instances and failed
           certificates.  A malformed [SUU_SOLVER] fails {!start}. *)

@@ -10,7 +10,39 @@
 # Their replies must equal the files under scripts/pins/ byte for byte:
 # they pin the vertex the exact tableau reaches at scale, which the
 # rounded plan and its makespan follow.
+#
+# A solver name the library does not know ("revised" is no longer one)
+# must stop the daemon at start-up, whether it comes from --solver or
+# from SUU_SOLVER.
 . "$(dirname "$0")/smoke_lib.sh"
+
+# reject_at_startup LABEL CMD... — CMD must exit non-zero within seconds
+# with "unknown solver" on its output, without ever listening.  A hang
+# is killed and reported as such (137).
+reject_at_startup() {
+  label=$1
+  shift
+  status=0
+  timeout --preserve-status -s KILL 10 "$@" \
+    > "$SCRATCH/badsolver.log" 2>&1 || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
+    echo "smoke_solver: $label did not fail at start-up (status $status)" >&2
+    exit 1
+  fi
+  if grep -q listening "$SCRATCH/badsolver.log"; then
+    echo "smoke_solver: $label started listening" >&2
+    exit 1
+  fi
+  if ! grep -q "unknown solver" "$SCRATCH/badsolver.log"; then
+    echo "smoke_solver: $label failed without \"unknown solver\":" >&2
+    cat "$SCRATCH/badsolver.log" >&2
+    exit 1
+  fi
+}
+reject_at_startup "serve --solver revised" \
+  "$CLI" serve --port 0 --solver revised
+reject_at_startup "SUU_SOLVER=revised serve" \
+  env SUU_SOLVER=revised "$CLI" serve --port 0
 
 "$CLI" serve --port 0 --solver mwu > "$SCRATCH/solver-mwu.log" 2>&1 &
 MWU_PID=$!

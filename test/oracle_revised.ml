@@ -1,3 +1,15 @@
+(* Differential oracle: a revised simplex with an explicit basis
+   inverse, structurally independent of {!Suu_lp.Simplex}.  Where the
+   tableau carries every row through every pivot, this solver keeps
+   only [B⁻¹] (eta updates, a Gauss-Jordan refactorization every 64
+   iterations) and prices columns against the original constraint
+   matrix.  Always starts cold from the slack/artificial identity
+   basis.  test_lp.ml checks that both solvers agree on feasibility,
+   unboundedness and optimal values.  Not on any production path. *)
+
+module Problem = Suu_lp.Problem
+module Simplex = Suu_lp.Simplex
+
 let eps = 1e-9
 let feas_tol = 1e-7
 
@@ -159,7 +171,7 @@ let refactorize st binv =
 
 type phase_result = Opt | Unbounded_dir | Iters_exhausted
 
-let solve_basis ?max_iters ?basis problem =
+let solve ?max_iters problem =
   let st = standardize problem in
   let k = st.rows in
   let binv = Array.init k (fun r -> Array.init k (fun c -> if r = c then 1.0 else 0.0)) in
@@ -286,142 +298,7 @@ let solve_basis ?max_iters ?basis problem =
     in
     loop ()
   in
-  (* Warm start: adopt the caller's basis when it is structurally sound
-     (one column per row, in range, artificial-free, no repeats) and
-     numerically nonsingular against THIS problem's constraint matrix.
-     A basis carried over from a neighbouring problem (the previous
-     target of a doubling sequence) is usually primal {e infeasible}
-     here — the RHS and the clipped coefficients moved — so instead of
-     rejecting it we run a composite phase 1 from it: pivot to shrink
-     the total infeasibility sum(-xb | xb < 0) until the basis is
-     feasible.  Near-optimal starts need a handful of such pivots where
-     the cold two-phase path needs hundreds.  Every check and every
-     pivot runs against the fresh standardization, so staleness can
-     cost the repair attempt but never correctness; on any failure
-     (singular, repair stalls, pivot cap) the cold identity start is
-     restored and the usual two-phase path runs. *)
-  let install b =
-    Array.iter (fun j -> is_basic.(j) <- false) st.basis;
-    Array.blit b 0 st.basis 0 k;
-    Array.iter (fun j -> is_basic.(j) <- true) st.basis
-  in
-  let repair_feasibility () =
-    (* Composite phase 1 from the current (nonsingular) basis.  With
-       infeasible set I = { r | xb_r < -tol }, entering column j
-       changes the infeasibility sum at rate s_j = sum_{r in I} u_rj
-       (for xb := xb - t u); any j with s_j < 0 improves.  The step is
-       blocked by the first feasible basic driven to 0 or the first
-       infeasible basic crossing 0; both pivots keep the basis
-       artificial-free.  Bounded by a pivot cap: a stall or cycle
-       abandons the warm start rather than risking it. *)
-    let w = Array.make k 0.0 in
-    let max_pivots = 4 * k in
-    let pivots = ref 0 in
-    let verdict = ref None in
-    while !verdict = None do
-      compute_xb ();
-      Array.fill w 0 k 0.0;
-      let infeasible = ref false in
-      for r = 0 to k - 1 do
-        if xb.(r) < -.feas_tol then begin
-          infeasible := true;
-          for c = 0 to k - 1 do
-            w.(c) <- w.(c) +. binv.(r).(c)
-          done
-        end
-      done;
-      if not !infeasible then verdict := Some true
-      else if !pivots >= max_pivots then verdict := Some false
-      else begin
-        let enter = ref (-1) and best = ref (-.eps) in
-        for j = 0 to st.first_artificial - 1 do
-          if not is_basic.(j) then begin
-            let s = ref 0.0 in
-            let rows_j = st.col_rows.(j) and vals_j = st.col_vals.(j) in
-            for i = 0 to Array.length rows_j - 1 do
-              s := !s +. (w.(rows_j.(i)) *. vals_j.(i))
-            done;
-            if !s < !best then begin
-              best := !s;
-              enter := j
-            end
-          end
-        done;
-        if !enter < 0 then verdict := Some false
-        else begin
-          compute_u !enter;
-          let leave = ref (-1) and best_ratio = ref infinity in
-          for r = 0 to k - 1 do
-            let ratio =
-              if xb.(r) >= -.feas_tol then
-                if u.(r) > eps then Float.max 0.0 xb.(r) /. u.(r)
-                else infinity
-              else if u.(r) < -.eps then xb.(r) /. u.(r)
-              else infinity
-            in
-            if
-              ratio < !best_ratio -. eps
-              || (ratio < !best_ratio +. eps
-                 && !leave >= 0
-                 && st.basis.(r) < st.basis.(!leave))
-            then begin
-              best_ratio := ratio;
-              leave := r
-            end
-          done;
-          if !leave < 0 || !best_ratio = infinity then verdict := Some false
-          else begin
-            pivot_update ~leave:!leave ~enter:!enter;
-            incr pivots
-          end
-        end
-      end
-    done;
-    !verdict = Some true
-  in
-  let warm =
-    match basis with
-    | None -> false
-    | Some b ->
-        let sound =
-          Array.length b = k
-          &&
-          let seen = Array.make st.first_artificial false in
-          Array.for_all
-            (fun j ->
-              j >= 0 && j < st.first_artificial
-              && (not seen.(j))
-              && begin
-                   seen.(j) <- true;
-                   true
-                 end)
-            b
-        in
-        if not sound then false
-        else begin
-          let cold = Array.copy st.basis in
-          install b;
-          let ok =
-            refactorize st binv
-            && begin
-                 compute_xb ();
-                 Array.for_all (fun v -> v >= -.feas_tol) xb
-                 || repair_feasibility ()
-               end
-          in
-          if not ok then begin
-            (* Restore the identity start: basis, flags and B⁻¹. *)
-            install cold;
-            for r = 0 to k - 1 do
-              for c = 0 to k - 1 do
-                binv.(r).(c) <- (if r = c then 1.0 else 0.0)
-              done
-            done
-          end;
-          ok
-        end
-  in
-  let phase1_needed = (not warm) && st.first_artificial < st.cols in
+  let phase1_needed = st.first_artificial < st.cols in
   let c1 j = if j >= st.first_artificial then 1.0 else 0.0 in
   let feasible =
     if not phase1_needed then true
@@ -462,7 +339,7 @@ let solve_basis ?max_iters ?basis problem =
       | Iters_exhausted -> raise Exit
   in
   match
-    if not feasible then (Simplex.Infeasible, None)
+    if not feasible then Simplex.Infeasible
     else begin
       let c2 j = if j < st.cols then st.c2.(j) else 0.0 in
       match run_phase c2 ~limit:st.first_artificial with
@@ -473,24 +350,13 @@ let solve_basis ?max_iters ?basis problem =
             let j = st.basis.(r) in
             if j < st.nstruct then x.(j) <- Float.max 0.0 xb.(r)
           done;
-          (* Export the optimal basis only when it can seed a future warm
-             start: a degenerate optimum may still carry a zero-level
-             artificial, which no restart is allowed to trust. *)
-          let out =
-            if Array.exists (fun j -> j >= st.first_artificial) st.basis then
-              None
-            else Some (Array.copy st.basis)
-          in
-          (Simplex.Optimal { objective = Problem.objective_value problem x; x },
-           out)
-      | Unbounded_dir -> (Simplex.Unbounded, None)
-      | Iters_exhausted -> (Simplex.Iteration_limit, None)
+          Simplex.Optimal { objective = Problem.objective_value problem x; x }
+      | Unbounded_dir -> Simplex.Unbounded
+      | Iters_exhausted -> Simplex.Iteration_limit
     end
   with
   | result -> result
-  | exception Exit -> (Simplex.Iteration_limit, None)
-
-let solve ?max_iters problem = fst (solve_basis ?max_iters problem)
+  | exception Exit -> Simplex.Iteration_limit
 
 let solve_exn ?max_iters problem =
   match solve ?max_iters problem with

@@ -208,36 +208,30 @@ let prop_lp1_mwu_close_to_simplex =
       && approx.Lp1.value <= (1.55 *. exact.Lp1.value) +. 1e-6
       && approx.Lp1.value >= exact.Lp1.value -. 1e-6)
 
-let prop_lp1_warm_doubling =
+let prop_lp1_oracle_doubling =
   QCheck.Test.make ~count:40
-    ~name:"warm revised LP1 = simplex across doubling rounds"
+    ~name:"revised LP1 = simplex across doubling rounds"
     QCheck.small_int (fun seed ->
-      (* The serve path re-solves LP1 for targets L_1, L_2, ... with
-         the same survivor set, warm-starting each round from the
-         previous round's optimal basis.  The warm chain must agree
-         with a cold dense solve at every round to 1e-9. *)
+      (* The clipped coefficients l'_ij = min(l_ij, L) move with the
+         target, so every round of a doubling sequence is its own LP.
+         On each, the tableau must agree with the independent revised
+         simplex (test/oracle_revised.ml) to 1e-9, and be feasible. *)
       let inst = random_instance seed in
       let n = Instance.n inst in
       let jobs = Array.init n Fun.id in
       let k_max = Mathx.rounds_k ~n ~m:(Instance.m inst) in
-      let ok = ref true in
-      let basis = ref None in
-      for k = 1 to k_max do
-        let target = Mathx.target_for_round k in
-        let warm =
-          Lp1.solve ~solver:Suu_core.Solver_choice.Revised ?basis:!basis inst
-            ~jobs ~target
-        in
-        let cold = Lp1.solve inst ~jobs ~target in
-        if
-          Float.abs (warm.Lp1.value -. cold.Lp1.value)
-          > 1e-9 *. Float.max 1.0 cold.Lp1.value
-          || not (lp1_feasible inst target warm)
-        then ok := false;
-        if warm.Lp1.basis = None then ok := false;
-        basis := warm.Lp1.basis
-      done;
-      !ok)
+      List.for_all
+        (fun k ->
+          let target = Mathx.target_for_round k in
+          let frac = Lp1.solve inst ~jobs ~target in
+          let oracle, _ =
+            Oracle_revised.solve_exn
+              (Lp1.problem_for_testing inst ~jobs ~target)
+          in
+          Float.abs (oracle -. frac.Lp1.value)
+          <= 1e-9 *. Float.max 1.0 frac.Lp1.value
+          && lp1_feasible inst target frac)
+        (List.init k_max (fun i -> i + 1)))
 
 let counter_get name = Suu_obs.Counter.get (Suu_obs.Registry.counter name)
 
@@ -312,11 +306,11 @@ let test_lp1_mwu_tiny_fallback () =
 let test_solver_choice_strings () =
   let module SC = Suu_core.Solver_choice in
   let roundtrip t =
-    match SC.of_string (SC.to_string t) with
+    match SC.of_string (SC.name t) with
     | Ok t' -> Alcotest.(check string) "round-trip" (SC.name t) (SC.name t')
     | Error e -> Alcotest.failf "round-trip failed: %s" e
   in
-  List.iter roundtrip [ SC.Simplex; SC.Revised; SC.Mwu 0.1; SC.Mwu 0.25 ];
+  List.iter roundtrip [ SC.Simplex; SC.Mwu 0.1; SC.Mwu 0.25 ];
   Alcotest.(check bool) "bare mwu is the serve default" true
     (SC.of_string "mwu" = Ok SC.serve_default);
   List.iter
@@ -324,7 +318,7 @@ let test_solver_choice_strings () =
       match SC.of_string s with
       | Ok _ -> Alcotest.failf "%S should be rejected" s
       | Error _ -> ())
-    [ ""; "mwu-0"; "mwu-0.9"; "mwu-"; "mwu-x"; "newton" ];
+    [ ""; "mwu-0"; "mwu-0.9"; "mwu-"; "mwu-x"; "newton"; "revised" ];
   checkf "simplex guarantee" 1.0 (SC.guarantee SC.Simplex);
   checkf "mwu guarantee" 1.5 (SC.guarantee (SC.Mwu 0.1))
 
@@ -1049,7 +1043,7 @@ let () =
         [
           q prop_lp1_feasible;
           q prop_lp1_mwu_close_to_simplex;
-          q prop_lp1_warm_doubling;
+          q prop_lp1_oracle_doubling;
           q prop_rounding_lemma2;
           q prop_rounding_lemma2_big_targets;
           q prop_rounding_with_job_cap;

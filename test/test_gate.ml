@@ -32,7 +32,6 @@ let artifacts =
       {|{"experiment": "perf", "scale": "tiny", "obs_overhead_pct": 1,
   "engine": {"steps_per_sec": 1000000}, "ratio_sweep": {"sequential_sec": 0.1},
   "bechamel_ns_per_run": {"suu lp1-simplex-seq-64x8": 10000,
-                          "suu lp1-revised-warm-seq-64x8": 2000,
                           "suu lp1-mwu-certified-64x8": 5000},
   "solver_parity": [{"policy": "suu-i-sem", "ratio": 1.01}, {"policy": "suu-i-obl", "ratio": 0.99}],
   "phases": {"engine.exec": {"p50_ms": 1}, "lp1.solve": {"p50_ms": 1}, "lp.rounding": {"p50_ms": 1}}}|}
@@ -138,17 +137,6 @@ let mutations =
         ("phase baseline under the noise floor",
          [ Set_base ([ "perf"; "phases"; "lp.rounding"; "p50_ms" ], num 0.05);
            Set ([ "phases"; "lp.rounding"; "p50_ms" ], num 30.0) ], true);
-        ("warm speedup under the tiny floor",
-         [ Set ([ "bechamel_ns_per_run"; "suu lp1-simplex-seq-64x8" ], num 5000.0) ], false);
-        ("warm speedup 4x at tiny scale",
-         [ Set ([ "bechamel_ns_per_run"; "suu lp1-revised-warm-seq-64x8" ], num 2500.0) ], true);
-        ("warm speedup 4x at full scale",
-         [ Set ([ "scale" ], J.String "full");
-           Set ([ "bechamel_ns_per_run"; "suu lp1-revised-warm-seq-64x8" ], num 2500.0) ], false);
-        ("warm entry zero",
-         [ Set ([ "bechamel_ns_per_run"; "suu lp1-revised-warm-seq-64x8" ], num 0.0) ], false);
-        ("warm entry missing",
-         [ Del [ "bechamel_ns_per_run"; "suu lp1-revised-warm-seq-64x8" ] ], false);
         ("certified MWU band",
          [ Set ([ "bechamel_ns_per_run"; "suu lp1-mwu-certified-64x8" ], num 15000.0) ], false);
         ("parity ratio above the band", [ Set ([ "solver_parity"; "0"; "ratio" ], num 1.3) ], false);

@@ -311,7 +311,9 @@ let prop_strong_duality =
 
 (* --- revised simplex (differential) --- *)
 
-module Rs = Suu_lp.Revised_simplex
+(* {!Oracle_revised} is a cold-only revised simplex kept in test/ as an
+   independent second solver. *)
+module Rs = Oracle_revised
 
 let test_revised_known_cases () =
   (* Re-run the hand-built cases through the second solver. *)
@@ -401,131 +403,6 @@ let prop_revised_matches_on_lp1_shape =
       let va, _ = solve_opt (build ()) in
       let vb, _ = optimal (Rs.solve (build ())) in
       Float.abs (va -. vb) < 1e-5 *. Float.max 1.0 va)
-
-(* --- warm-started revised simplex --- *)
-
-(* An LP1-shaped builder whose RHS scales with the doubling target
-   L_k = 2^(k-2): same variables and rows in the same order at every
-   target, so an optimal basis from one target is structurally valid
-   for the next — the exact situation {!Plan_cache} replays. *)
-let lp1_shape_case seed =
-  let rng = Suu_prng.Rng.create ~seed in
-  let m = 2 + Suu_prng.Rng.int rng 4 in
-  let n = 2 + Suu_prng.Rng.int rng 6 in
-  let a =
-    Array.init m (fun _ ->
-        Array.init n (fun _ -> Suu_prng.Rng.range rng ~lo:0.05 ~hi:1.0))
-  in
-  let targets =
-    Array.init n (fun _ -> Suu_prng.Rng.range rng ~lo:0.5 ~hi:2.0)
-  in
-  let build scale =
-    let p = P.create () in
-    let t = P.add_var ~obj:1.0 p in
-    let x = Array.init m (fun _ -> Array.init n (fun _ -> P.add_var p)) in
-    for j = 0 to n - 1 do
-      P.add_constraint p
-        (List.init m (fun i -> (x.(i).(j), a.(i).(j))))
-        P.Ge (targets.(j) *. scale)
-    done;
-    for i = 0 to m - 1 do
-      P.add_constraint p
-        ((t, -1.0) :: List.init n (fun j -> (x.(i).(j), 1.0)))
-        P.Le 0.0
-    done;
-    p
-  in
-  build
-
-let prop_warm_matches_cold_doubling =
-  QCheck.Test.make ~count:60
-    ~name:"warm revised = cold to 1e-9 across a doubling sequence"
-    QCheck.small_int (fun seed ->
-      let build = lp1_shape_case seed in
-      (* L_k = 2^(k-2) for k = 1..6, threading each round's optimal
-         basis into the next — round k+1 starts from round k's basis. *)
-      let ok = ref true in
-      let basis = ref None in
-      for k = 1 to 6 do
-        let scale = Float.pow 2.0 (float_of_int (k - 2)) in
-        let warm_r, out = Rs.solve_basis ?basis:!basis (build scale) in
-        let warm, _ = optimal warm_r in
-        let cold, _ = optimal (Rs.solve (build scale)) in
-        if Float.abs (warm -. cold) > 1e-9 *. Float.max 1.0 cold then
-          ok := false;
-        if k > 1 && out = None then ok := false;
-        basis := out
-      done;
-      !ok)
-
-let prop_warm_matches_cold_lp2_shape =
-  QCheck.Test.make ~count:60
-    ~name:"warm revised = cold to 1e-9 on LP2 shapes"
-    QCheck.small_int (fun seed ->
-      (* LP2's extra structure over LP1: chain-length rows, x <= d
-         coupling rows and d >= 1 rows. *)
-      let rng = Suu_prng.Rng.create ~seed in
-      let m = 2 + Suu_prng.Rng.int rng 3 in
-      let n = 2 + Suu_prng.Rng.int rng 4 in
-      let a =
-        Array.init m (fun _ ->
-            Array.init n (fun _ -> Suu_prng.Rng.range rng ~lo:0.05 ~hi:1.0))
-      in
-      let build () =
-        let p = P.create () in
-        let t = P.add_var ~obj:1.0 p in
-        let d = Array.init n (fun _ -> P.add_var p) in
-        let x = Array.init m (fun _ -> Array.init n (fun _ -> P.add_var p)) in
-        for j = 0 to n - 1 do
-          P.add_constraint p
-            (List.init m (fun i -> (x.(i).(j), a.(i).(j))))
-            P.Ge 1.0
-        done;
-        for i = 0 to m - 1 do
-          P.add_constraint p
-            ((t, -1.0) :: List.init n (fun j -> (x.(i).(j), 1.0)))
-            P.Le 0.0
-        done;
-        (* one chain over all jobs *)
-        P.add_constraint p
-          ((t, -1.0) :: List.init n (fun j -> (d.(j), 1.0)))
-          P.Le 0.0;
-        for i = 0 to m - 1 do
-          for j = 0 to n - 1 do
-            P.add_constraint p [ (x.(i).(j), 1.0); (d.(j), -1.0) ] P.Le 0.0
-          done
-        done;
-        for j = 0 to n - 1 do
-          P.add_constraint p [ (d.(j), 1.0) ] P.Ge 1.0
-        done;
-        p
-      in
-      let cold_r, basis = Rs.solve_basis (build ()) in
-      let cold, _ = optimal cold_r in
-      let warm_r, _ = Rs.solve_basis ?basis (build ()) in
-      let warm, _ = optimal warm_r in
-      Float.abs (warm -. cold) <= 1e-9 *. Float.max 1.0 cold)
-
-let prop_warm_garbage_basis_harmless =
-  QCheck.Test.make ~count:120
-    ~name:"a garbage warm basis never changes the answer"
-    QCheck.small_int (fun seed ->
-      let p () = random_general_lp seed in
-      let rng = Suu_prng.Rng.create ~seed:(seed + 7919) in
-      let rows = P.num_constraints (p ()) in
-      let garbage =
-        Array.init
-          (max 1 (Suu_prng.Rng.int rng (rows + 2)))
-          (fun _ -> Suu_prng.Rng.int rng 50 - 5)
-      in
-      match (Rs.solve (p ()), Rs.solve_basis ~basis:garbage (p ())) with
-      | ( S.Optimal { objective = oa; _ },
-          (S.Optimal { objective = ob; x = xb }, _) ) ->
-          Float.abs (oa -. ob) < 1e-6 *. Float.max 1.0 (Float.abs oa)
-          && P.constraint_violation (p ()) xb < 1e-6
-      | S.Infeasible, (S.Infeasible, _) -> true
-      | S.Unbounded, (S.Unbounded, _) -> true
-      | _, _ -> false)
 
 (* --- MWU --- *)
 
@@ -1027,9 +904,6 @@ let () =
           q prop_strong_duality;
           q prop_revised_matches_tableau;
           q prop_revised_matches_on_lp1_shape;
-          q prop_warm_matches_cold_doubling;
-          q prop_warm_matches_cold_lp2_shape;
-          q prop_warm_garbage_basis_harmless;
           q prop_mwu_feasible_and_near_optimal;
           q prop_oracle_sparse;
           q prop_oracle_redundant;

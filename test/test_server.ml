@@ -590,8 +590,7 @@ let reply svc body =
   P.response_to_string resp
 
 let solvers =
-  Suu_core.Solver_choice.[ ("exact", Simplex); ("revised", Revised);
-                           ("mwu", Mwu 0.1) ]
+  Suu_core.Solver_choice.[ ("exact", Simplex); ("mwu", Mwu 0.1) ]
 
 (* One long-lived service per solver, as a server holds: its entries
    (and their cached bounds) persist across the property's cases. *)
