@@ -6,15 +6,19 @@
    expected-makespan ratios against certified lower bounds, across sizes,
    and fits the growth of those ratios against the claimed asymptotics
    (log n for the previously-best algorithms, log log for this paper's).
-   Experiments E4-E7 and A1/A2 probe the supporting claims (exact optima,
+   Experiments E4-E8 and A1-A3 probe the supporting claims (exact optima,
    Appendix C, the competitive argument, Theorem 7's random delays, the
-   Lemma-2/6 rounding constants, the LP backends); `perf` runs bechamel
-   micro-benchmarks of every substrate.
+   machine-step breakdown, the Lemma-2/6 rounding constants, the LP
+   backends, greedy vs LP); `perf` runs bechamel micro-benchmarks of every
+   substrate, and table1, serve, chaos, replay and shard measure the
+   served system.
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe e1 e4 perf # selected experiments
-   Experiment ids: e1 e2 e3 e4 e5 e6 e7 a1 a2 perf (see DESIGN.md). *)
+   Experiment ids: e1 e1m e2 e3 e4 e5 e6 e7 e8 a1 a2 a3 perf table1 serve
+   chaos replay shard (see DESIGN.md and [experiments] below).  Flags:
+   --connections N and --workload SPEC for serve, --router for chaos. *)
 
 module W = Suu_workload.Workload
 module Table = Suu_util.Table
@@ -1043,6 +1047,64 @@ let chaos_pool () =
     W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
   |]
 
+(* A router's view of an in-process server. *)
+let shard_spec s =
+  let port = Suu_server.Server.port s in
+  { Suu_router.Router.id = Printf.sprintf "127.0.0.1:%d" port;
+    host = "127.0.0.1"; port; child = None; respawn = None }
+
+(* The closed-loop load generator of serve, chaos and shard: [clients]
+   threads, each on its own connection ([connect i]) with its own
+   request stream ([body] drawing from an Rng seeded [seed + i]), send
+   [per_client] requests back to back.  A call that raises, or a
+   connection that cannot be opened, counts as failed. *)
+type load = {
+  wall : float; (* seconds, until the last client finished *)
+  lats : float array; (* seconds per request, all clients *)
+  ok : int;
+  overloaded : int; (* Overloaded error replies *)
+  failed : int; (* other error replies and calls that raised *)
+}
+
+let closed_loop ~clients ~per_client ~seed ~connect body =
+  let module Client = Suu_server.Client in
+  let module P = Suu_server.Protocol in
+  let slots = Array.make clients ([], 0, 0, 0) in
+  let client i =
+    let rng = Suu_prng.Rng.create ~seed:(seed + i) in
+    let lats = ref [] and ok = ref 0 and over = ref 0 and failed = ref 0 in
+    (match connect i with
+    | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
+        failed := per_client
+    | c ->
+        for _ = 1 to per_client do
+          let body = body rng in
+          let s = Unix.gettimeofday () in
+          (match Client.call c body with
+          | P.Ok _ -> incr ok
+          | P.Err { code = P.Overloaded; _ } -> incr over
+          | P.Err _ -> incr failed
+          | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
+              incr failed);
+          lats := (Unix.gettimeofday () -. s) :: !lats
+        done;
+        Client.close c);
+    slots.(i) <- (!lats, !ok, !over, !failed)
+  in
+  let t0 = Unix.gettimeofday () in
+  List.iter Thread.join (List.init clients (Thread.create client));
+  let wall = Unix.gettimeofday () -. t0 in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 slots in
+  {
+    wall;
+    lats =
+      Array.of_list
+        (List.concat_map (fun (l, _, _, _) -> l) (Array.to_list slots));
+    ok = sum (fun (_, k, _, _) -> k);
+    overloaded = sum (fun (_, _, o, _) -> o);
+    failed = sum (fun (_, _, _, f) -> f);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* serve — load-test the suu-serve daemon: an in-process server on an
    ephemeral port, hammered by closed-loop client threads issuing a
@@ -1053,33 +1115,8 @@ let chaos_pool () =
    simulate request must produce byte-identical responses regardless
    of worker and domain counts. *)
 
-(* serve --connections N: the connection-scale pass.  One thread
-   multiplexes N non-blocking sockets over the same {!Suu_server.Reactor}
-   abstraction the server's loop uses (500 client threads would measure
-   the bench, not the server), pipelines a few describe requests on each,
-   and byte-compares every reply against a reference frame re-serialized
-   with the per-request id.  Replies interleave freely across workers, so
-   each connection's frames are compared as a multiset.  Returns the JSON
-   object embedded as BENCH_serve.json's "connection_scale" section,
-   whose dropped/mismatched counts the caller fails on. *)
-
-let connections_target = ref 500
-
-type cs_conn = {
-  cs_fd : Unix.file_descr;
-  cs_out : string;
-  mutable cs_off : int;
-  cs_expect_len : int;
-  cs_expect_sorted : string list;
-  cs_inbuf : Buffer.t;
-  mutable cs_done : bool;
-  mutable cs_ok : bool;
-  mutable cs_mismatch : bool;
-}
-
 (* Split a byte stream into whole frames; a line reading "done" ends a
-   frame.  A trailing partial frame is dropped (the caller only splits
-   streams whose byte count already matches the expected total). *)
+   frame.  A trailing partial frame is dropped. *)
 let split_frames s =
   let n = String.length s in
   let frames = ref [] and start = ref 0 and i = ref 0 in
@@ -1095,173 +1132,14 @@ let split_frames s =
   done;
   List.rev !frames
 
-let connection_scale () =
-  let module Server = Suu_server.Server in
-  let module Client = Suu_server.Client in
-  let module Reactor = Suu_server.Reactor in
-  let module P = Suu_server.Protocol in
-  let conns = max 1 !connections_target in
-  let pipelined = 4 in
-  note "";
-  section
-    (Printf.sprintf
-       "serve connection-scale: %d concurrent connections x %d pipelined \
-        requests"
-       conns pipelined);
-  (* A queue deep enough that nothing is refused: this pass measures
-     connection fan-in, not admission control (the load test above
-     already measures overload). *)
-  let config =
-    { Server.default_config with workers = 4; queue_capacity = 4096 }
-  in
-  let server = Server.start ~config () in
-  let port = Server.port server in
-  let inst =
-    W.independent (W.Uniform { lo = 0.2; hi = 0.95 }) ~n:10 ~m:4 ~seed:31
-  in
-  let reference =
-    let c = Client.connect ~port () in
-    let r = Client.call c (P.Describe inst) in
-    Client.close c;
-    r
-  in
-  let expected_frame id =
-    match reference with
-    | P.Ok { id = _; rtype; fields } ->
-        P.response_to_string (P.Ok { id = Some id; rtype; fields })
-    | P.Err { code; message; _ } ->
-        failwith
-          (Printf.sprintf "connection-scale reference describe failed: %s %s"
-             (P.error_code_to_string code) message)
-  in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-  let r = Reactor.create () in
-  let by_fd = Hashtbl.create (2 * conns) in
-  let t0 = Unix.gettimeofday () in
-  let states =
-    Array.init conns (fun i ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.set_nonblock fd;
-        (try Unix.connect fd addr
-         with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
-        let ids = List.init pipelined (fun j -> Printf.sprintf "c%d-%d" i j) in
-        let out =
-          String.concat ""
-            (List.map
-               (fun id ->
-                 P.request_to_string
-                   { P.id = Some id; deadline_ms = None; body = P.Describe inst })
-               ids)
-        in
-        let expect = List.map expected_frame ids in
-        let st =
-          {
-            cs_fd = fd;
-            cs_out = out;
-            cs_off = 0;
-            cs_expect_len =
-              List.fold_left (fun a f -> a + String.length f) 0 expect;
-            cs_expect_sorted = List.sort compare expect;
-            cs_inbuf = Buffer.create 512;
-            cs_done = false;
-            cs_ok = false;
-            cs_mismatch = false;
-          }
-        in
-        Hashtbl.replace by_fd fd st;
-        Reactor.add r fd ~read:true ~write:true;
-        st)
-  in
-  let live = ref conns in
-  let finish st =
-    if not st.cs_done then begin
-      st.cs_done <- true;
-      Reactor.remove r st.cs_fd;
-      (try Unix.close st.cs_fd with Unix.Unix_error _ -> ());
-      decr live;
-      let got = Buffer.contents st.cs_inbuf in
-      if String.length got >= st.cs_expect_len then
-        if List.sort compare (split_frames got) = st.cs_expect_sorted then
-          st.cs_ok <- true
-        else st.cs_mismatch <- true
-      (* short of the expected bytes: counted as dropped *)
-    end
-  in
-  let chunk = Bytes.create 65536 in
-  let handle_writable st =
-    if (not st.cs_done) && st.cs_off < String.length st.cs_out then
-      match
-        Unix.write_substring st.cs_fd st.cs_out st.cs_off
-          (String.length st.cs_out - st.cs_off)
-      with
-      | n ->
-          st.cs_off <- st.cs_off + n;
-          if st.cs_off >= String.length st.cs_out then
-            Reactor.modify r st.cs_fd ~read:true ~write:false
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> ()
-      | exception Unix.Unix_error _ -> finish st
-  in
-  let rec handle_readable st =
-    if not st.cs_done then
-      match Unix.read st.cs_fd chunk 0 (Bytes.length chunk) with
-      | 0 -> finish st
-      | n ->
-          Buffer.add_subbytes st.cs_inbuf chunk 0 n;
-          if Buffer.length st.cs_inbuf >= st.cs_expect_len then finish st
-          else handle_readable st
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> ()
-      | exception Unix.Unix_error _ -> finish st
-  in
-  let deadline = t0 +. 60.0 in
-  while !live > 0 && Unix.gettimeofday () < deadline do
-    List.iter
-      (fun (ev : Reactor.event) ->
-        match Hashtbl.find_opt by_fd ev.Reactor.fd with
-        | None -> ()
-        | Some st ->
-            if ev.Reactor.writable then handle_writable st;
-            if ev.Reactor.readable then handle_readable st)
-      (Reactor.wait r ~timeout_ms:200)
-  done;
-  Array.iter finish states;
-  let wall = Unix.gettimeofday () -. t0 in
-  Server.stop server;
-  let count f = Array.fold_left (fun a st -> if f st then a + 1 else a) 0 states in
-  let ok = count (fun st -> st.cs_ok) in
-  let mismatched = count (fun st -> st.cs_mismatch) in
-  let dropped = conns - ok - mismatched in
-  note
-    "connections=%d pipelined=%d ok=%d dropped=%d mismatched=%d wall=%.2fs \
-     (%.0f req/s, client reactor=%s)"
-    conns pipelined ok dropped mismatched wall
-    (float_of_int (ok * pipelined) /. wall)
-    (Reactor.backend r);
-  J.Obj
-    [ ("connections", int conns); ("pipelined", int pipelined); ("ok", int ok);
-      ("dropped", int dropped); ("mismatched", int mismatched);
-      ("wall_sec", num wall);
-      ("rps", num (float_of_int (ok * pipelined) /. wall)) ]
-
-(* serve --workload SPEC: the open-loop replay pass.  Unlike the
-   closed-loop clients above (which submit as fast as the server
-   answers, so the arrival rate is whatever the service can absorb),
-   this driver submits request k at its scheduled timestamp no matter
-   how the server is doing — the generator, not the service, decides
-   the arrival process.  Timestamps come from an {!Suu_workload.Arrivals}
-   process (Poisson / bursty / diurnal) or from the submit times of an
-   SWF trace, whose jobs also map to the instances submitted
-   ({!Suu_workload.Swf.instances}).  Per arrival we record queueing
-   (first byte handed to the kernel minus scheduled time — client-side
-   backlog under bursts) and end-to-end latency (full response frame
-   minus scheduled time).  The whole replay runs twice at the same seed
-   and the (id, frame) multisets must be byte-identical; the result is
-   the "workload" section of BENCH_serve.json. *)
-
-let workload_spec : string option ref = ref None
+(* The multiplexed socket driver of the connection-scale pass and the
+   workload replay.  Unlike the closed-loop clients (which submit as
+   fast as the server answers, so the arrival rate is whatever the
+   service can absorb), it submits request k at its scheduled timestamp
+   no matter how the server is doing, on connection k mod [nconns]:
+   one thread multiplexes every socket over the same
+   {!Suu_server.Reactor} the server's loop uses (500 client threads
+   would measure the bench, not the server). *)
 
 type ol_req = {
   ol_id : string;
@@ -1288,14 +1166,25 @@ let ol_frame_id frame =
       else None)
     (String.split_on_char '\n' frame)
 
-(* One full replay: submit [reqs] (sorted by [ol_scheduled]) open-loop
+let ol_request ~at id body =
+  let frame = { Suu_server.Protocol.id = Some id; deadline_ms = None; body } in
+  {
+    ol_id = id;
+    ol_bytes = Suu_server.Protocol.request_to_string frame;
+    ol_scheduled = at;
+    ol_sent = -1.0;
+    ol_recv = -1.0;
+  }
+
+(* One full run: submit [reqs] (sorted by [ol_scheduled]) open-loop
    over [nconns] multiplexed connections, return the (id, frame)
-   responses.  Mutates [ol_sent]/[ol_recv] in place. *)
+   responses and the wall time.  A reply counts only on the connection
+   that carried its request.  Mutates [ol_sent]/[ol_recv] in place. *)
 let open_loop_run ~port ~nconns ~reqs =
   let module Reactor = Suu_server.Reactor in
   let total = Array.length reqs in
   let by_id = Hashtbl.create (2 * total) in
-  Array.iter (fun q -> Hashtbl.replace by_id q.ol_id q) reqs;
+  Array.iteri (fun k q -> Hashtbl.replace by_id q.ol_id k) reqs;
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   let r = Reactor.create () in
   let by_fd = Hashtbl.create (2 * nconns) in
@@ -1365,15 +1254,12 @@ let open_loop_run ~port ~nconns ~reqs =
     List.iter
       (fun frame ->
         st.ol_consumed <- st.ol_consumed + String.length frame;
-        match ol_frame_id frame with
-        | Some id -> (
-            match Hashtbl.find_opt by_id id with
-            | Some req when req.ol_recv < 0.0 ->
-                req.ol_recv <- now ();
-                incr completed;
-                responses := (id, frame) :: !responses
-            | _ -> ())
-        | None -> ())
+        match Option.bind (ol_frame_id frame) (Hashtbl.find_opt by_id) with
+        | Some k when conns.(k mod nconns) == st && reqs.(k).ol_recv < 0.0 ->
+            reqs.(k).ol_recv <- now ();
+            incr completed;
+            responses := (reqs.(k).ol_id, frame) :: !responses
+        | _ -> ())
       (split_frames rest)
   in
   let rec handle_readable st =
@@ -1422,6 +1308,103 @@ let open_loop_run ~port ~nconns ~reqs =
   Array.iter kill conns;
   (List.sort compare !responses, now ())
 
+(* serve --connections N: the connection-scale pass.  N connections
+   each pipeline [pipelined] describe requests, all released at once
+   through {!open_loop_run}, and every reply is byte-compared against a
+   reference frame re-serialized with the request's id.  A connection
+   is mismatched if any reply differs and dropped if any reply is
+   missing (a reply arriving on another connection is missing on its
+   own).  Returns the JSON object embedded as BENCH_serve.json's
+   "connection_scale" section, whose dropped/mismatched counts the
+   caller fails on. *)
+
+let connections_target = ref 500
+
+let connection_scale () =
+  let module Server = Suu_server.Server in
+  let module Client = Suu_server.Client in
+  let module P = Suu_server.Protocol in
+  let conns = max 1 !connections_target in
+  let pipelined = 4 in
+  note "";
+  section
+    (Printf.sprintf
+       "serve connection-scale: %d concurrent connections x %d pipelined \
+        requests"
+       conns pipelined);
+  (* A queue deep enough that nothing is refused: this pass measures
+     connection fan-in, not admission control (the load test above
+     already measures overload). *)
+  let config =
+    { Server.default_config with workers = 4; queue_capacity = 4096 }
+  in
+  let server = Server.start ~config () in
+  let port = Server.port server in
+  let inst =
+    W.independent (W.Uniform { lo = 0.2; hi = 0.95 }) ~n:10 ~m:4 ~seed:31
+  in
+  let reference =
+    let c = Client.connect ~port () in
+    let r = Client.call c (P.Describe inst) in
+    Client.close c;
+    r
+  in
+  let expected_frame id =
+    match reference with
+    | P.Ok { id = _; rtype; fields } ->
+        P.response_to_string (P.Ok { id = Some id; rtype; fields })
+    | P.Err { code; message; _ } ->
+        failwith
+          (Printf.sprintf "connection-scale reference describe failed: %s %s"
+             (P.error_code_to_string code) message)
+  in
+  (* Request k = i + j * conns is connection i's j-th. *)
+  let reqs =
+    Array.init (conns * pipelined) (fun k ->
+        let id = Printf.sprintf "c%d-%d" (k mod conns) (k / conns) in
+        ol_request ~at:0.0 id (P.Describe inst))
+  in
+  let responses, wall = open_loop_run ~port ~nconns:conns ~reqs in
+  Server.stop server;
+  let got = Hashtbl.of_seq (List.to_seq responses) in
+  (* Each connection's (reply, expected frame) pairs. *)
+  let replies =
+    List.init conns (fun i ->
+        List.init pipelined (fun j ->
+            let id = reqs.(i + (j * conns)).ol_id in
+            (Hashtbl.find_opt got id, expected_frame id)))
+  in
+  let conns_where f = List.length (List.filter f replies) in
+  let ok = conns_where (List.for_all (fun (g, e) -> g = Some e)) in
+  let mismatched =
+    conns_where (List.exists (fun (g, e) -> g <> None && g <> Some e))
+  in
+  let dropped = conns - ok - mismatched in
+  note
+    "connections=%d pipelined=%d ok=%d dropped=%d mismatched=%d wall=%.2fs \
+     (%.0f req/s)"
+    conns pipelined ok dropped mismatched wall
+    (float_of_int (ok * pipelined) /. wall);
+  J.Obj
+    [ ("connections", int conns); ("pipelined", int pipelined); ("ok", int ok);
+      ("dropped", int dropped); ("mismatched", int mismatched);
+      ("wall_sec", num wall);
+      ("rps", num (float_of_int (ok * pipelined) /. wall)) ]
+
+(* serve --workload SPEC: the open-loop replay pass.  Timestamps come
+   from an {!Suu_workload.Arrivals} process (Poisson / bursty /
+   diurnal) or from the submit times of an SWF trace, whose jobs also
+   map to the instances submitted ({!Suu_workload.Swf.instances}), so
+   the generator, not the service, decides the arrival process.  Per
+   arrival we record queueing (first byte handed to the kernel minus
+   scheduled time — client-side backlog under bursts) and end-to-end
+   latency (full response frame minus scheduled time).  The whole
+   replay runs twice at the same seed and the (id, frame) multisets
+   must be byte-identical; the result is the "workload" section of
+   BENCH_serve.json. *)
+
+let workload_spec : string option ref = ref None
+
 (* Build the arrival schedule and request bodies for a workload spec.
    SWF traces supply both timestamps and instances; synthetic specs
    draw timestamps from {!Arrivals} and cycle a fixed instance pool.
@@ -1468,15 +1451,8 @@ let open_loop_requests ~tiny spec =
           else if k mod 3 = 1 then P.Describe inst
           else P.Plan { inst; policy = "auto"; seed = k }
         in
-        let id = Printf.sprintf "w%d" k in
-        {
-          ol_id = id;
-          ol_bytes =
-            P.request_to_string { P.id = Some id; deadline_ms = None; body };
-          ol_scheduled = times.(k) *. compression;
-          ol_sent = -1.0;
-          ol_recv = -1.0;
-        })
+        let at = times.(k) *. compression in
+        ol_request ~at (Printf.sprintf "w%d" k) body)
   in
   (reqs, label, span, compression)
 
@@ -1569,31 +1545,12 @@ let serve_bench () =
     else if roll < 95 then P.Lower_bound inst
     else P.Stats
   in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients ([], 0, 0, 0) in
-  let client_threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9000 + i) in
-            let c = Client.connect ~port () in
-            let lats = ref [] and ok = ref 0 and rej = ref 0 and err = ref 0 in
-            for _ = 1 to per_client do
-              let body = pick_body rng in
-              let s = Unix.gettimeofday () in
-              (match Client.call c body with
-              | P.Ok _ -> incr ok
-              | P.Err { code = P.Overloaded; _ } -> incr rej
-              | P.Err _ -> incr err);
-              lats := (Unix.gettimeofday () -. s) :: !lats
-            done;
-            Client.close c;
-            slots.(i) <- (!lats, !ok, !rej, !err))
-          ())
+  let load =
+    closed_loop ~clients ~per_client ~seed:9000
+      ~connect:(fun _ -> Client.connect ~port ())
+      pick_body
   in
-  List.iter Thread.join client_threads;
-  let results = Array.to_list slots in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = load.wall and lats = load.lats in
   let stats_fields =
     let c = Client.connect ~port () in
     let fields = Client.stats c () in
@@ -1601,13 +1558,7 @@ let serve_bench () =
     fields
   in
   Server.stop server;
-  let lats =
-    Array.of_list (List.concat_map (fun (l, _, _, _) -> l) results)
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-  let ok = sum (fun (_, k, _, _) -> k) in
-  let rejects = sum (fun (_, _, r, _) -> r) in
-  let errors = sum (fun (_, _, _, e) -> e) in
+  let ok = load.ok and rejects = load.overloaded and errors = load.failed in
   let total = Array.length lats in
   let q p = 1000.0 *. Summary.quantile lats p in
   note "clients=%d requests=%d wall=%.2fs throughput=%.1f req/s" clients
@@ -1751,12 +1702,7 @@ let chaos_router_run () =
   let config = { Server.default_config with workers = 4; queue_capacity = 32 } in
   let s1 = Server.start ~config () in
   let s2 = Server.start ~config () in
-  let spec s =
-    let port = Server.port s in
-    { Router.id = Printf.sprintf "127.0.0.1:%d" port; host = "127.0.0.1";
-      port; child = None; respawn = None }
-  in
-  let specs = [ spec s1; spec s2 ] in
+  let specs = [ shard_spec s1; shard_spec s2 ] in
   let router =
     Router.start
       ~config:
@@ -1785,48 +1731,33 @@ let chaos_router_run () =
   in
   let sample () = counters tracked in
   let before = sample () in
+  let routed () =
+    List.assoc "router.route" (sample ()) - List.assoc "router.route" before
+  in
   let total = clients * per_client in
-  let progress = Atomic.make 0 in
+  let load_done = Atomic.make false in
   let killer =
     Thread.create
       (fun () ->
-        (* a third of the way through the load, the shard dies *)
-        while Atomic.get progress < total / 3 do
+        (* a third of the way through the load, the shard dies; the
+           router counts every request it answers *)
+        while routed () < total / 3 && not (Atomic.get load_done) do
           Thread.delay 0.005
         done;
-        note "killing shard %s at %d/%d requests" victim_id
-          (Atomic.get progress) total;
+        note "killing shard %s at %d/%d requests" victim_id (routed ()) total;
         Server.stop victim)
       ()
   in
   let port = Router.port router in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients (0, 0) in
-  let threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9200 + i) in
-            let c =
-              Client.connect ~port ~retries:8 ~timeout_ms:2_000 ~backoff_ms:5
-                ~retry_seed:(7200 + i) ()
-            in
-            let done_ = ref 0 and failed = ref 0 in
-            for _ = 1 to per_client do
-              (match Client.call c (pick_body rng) with
-              | P.Ok _ -> incr done_
-              | P.Err _ -> incr failed
-              | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
-                  incr failed);
-              Atomic.incr progress
-            done;
-            Client.close c;
-            slots.(i) <- (!done_, !failed))
-          ())
+  let load =
+    closed_loop ~clients ~per_client ~seed:9200
+      ~connect:(fun i ->
+        Client.connect ~port ~retries:8 ~timeout_ms:2_000 ~backoff_ms:5
+          ~retry_seed:(7200 + i) ())
+      pick_body
   in
-  List.iter Thread.join threads;
+  Atomic.set load_done true;
   Thread.join killer;
-  let wall = Unix.gettimeofday () -. t0 in
   (* settle health state before reading it *)
   Router.check_health router;
   let live = List.length (Router.live_shards router) in
@@ -1835,11 +1766,10 @@ let chaos_router_run () =
   Router.stop router;
   Server.stop s1;
   Server.stop s2;
-  let completed = Array.fold_left (fun a (d, _) -> a + d) 0 slots in
-  let failed = Array.fold_left (fun a (_, f) -> a + f) 0 slots in
+  let completed = load.ok and failed = load.overloaded + load.failed in
   let success_rate = float_of_int completed /. float_of_int total in
   note "router chaos: %d/%d completed (%.1f%%) wall=%.2fs" completed total
-    (100.0 *. success_rate) wall;
+    (100.0 *. success_rate) load.wall;
   note "router: routed=%d failovers=%d mark_down=%d mark_up=%d live=%d/2"
     (delta "router.route") (delta "router.failover")
     (delta "router.health.mark_down")
@@ -1914,41 +1844,18 @@ let chaos_bench () =
     else if roll < 95 then P.Lower_bound inst
     else P.Stats
   in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients ([], 0, 0) in
-  let client_threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9100 + i) in
-            let c =
-              Client.connect ~port ~retries ~timeout_ms ~backoff_ms:5
-                ~retry_seed:(7100 + i) ()
-            in
-            let lats = ref [] and done_ = ref 0 and failed = ref 0 in
-            for _ = 1 to per_client do
-              let body = pick_body rng in
-              let s = Unix.gettimeofday () in
-              (match Client.call c body with
-              | P.Ok _ -> incr done_
-              | P.Err _ -> incr failed
-              | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
-                  incr failed);
-              lats := (Unix.gettimeofday () -. s) :: !lats
-            done;
-            Client.close c;
-            slots.(i) <- (!lats, !done_, !failed))
-          ())
+  let load =
+    closed_loop ~clients ~per_client ~seed:9100
+      ~connect:(fun i ->
+        Client.connect ~port ~retries ~timeout_ms ~backoff_ms:5
+          ~retry_seed:(7100 + i) ())
+      pick_body
   in
-  List.iter Thread.join client_threads;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = load.wall and lats = load.lats in
   Server.stop server;
-  let results = Array.to_list slots in
-  let completed = List.fold_left (fun a (_, d, _) -> a + d) 0 results in
-  let failed = List.fold_left (fun a (_, _, f) -> a + f) 0 results in
+  let completed = load.ok and failed = load.overloaded + load.failed in
   let requests = clients * per_client in
   let success_rate = float_of_int completed /. float_of_int requests in
-  let lats = Array.of_list (List.concat_map (fun (l, _, _) -> l) results) in
   let q p = 1000.0 *. Summary.quantile lats p in
   let after = sample () in
   let delta name =
@@ -2240,40 +2147,12 @@ let shard_bench () =
   (* One closed-loop measurement against whatever is listening on
      [port]; returns (rps, ok, errors). *)
   let run_load ~port =
-    let t0 = Unix.gettimeofday () in
-    let slots = Array.make clients (0, 0) in
-    let threads =
-      List.init clients (fun i ->
-          Thread.create
-            (fun () ->
-              let rng = Suu_prng.Rng.create ~seed:(9300 + i) in
-              let c = Client.connect ~port ~retries:2 ~timeout_ms:30_000 () in
-              let ok = ref 0 and err = ref 0 in
-              for _ = 1 to per_client do
-                (match Client.call c (pick_body rng) with
-                | P.Ok _ -> incr ok
-                | P.Err _ -> incr err
-                | exception (Client.Protocol_failure _ | Unix.Unix_error _)
-                  ->
-                    incr err);
-                ()
-              done;
-              Client.close c;
-              slots.(i) <- (!ok, !err))
-            ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let ok = Array.fold_left (fun a (k, _) -> a + k) 0 slots in
-    let err = Array.fold_left (fun a (_, e) -> a + e) 0 slots in
-    (float_of_int (clients * per_client) /. wall, ok, err)
+    let connect _ = Client.connect ~port ~retries:2 ~timeout_ms:30_000 () in
+    let l = closed_loop ~clients ~per_client ~seed:9300 ~connect pick_body in
+    let rps = float_of_int (clients * per_client) /. l.wall in
+    (rps, l.ok, l.overloaded + l.failed)
   in
   let config = { Server.default_config with workers; queue_capacity } in
-  let attach_spec s =
-    let port = Server.port s in
-    { Router.id = Printf.sprintf "127.0.0.1:%d" port; host = "127.0.0.1";
-      port; child = None; respawn = None }
-  in
   (* Warmup: populate the process-global plan cache for every pool
      instance so neither contestant pays the cold LP solves. *)
   let warm () =
@@ -2297,7 +2176,7 @@ let shard_bench () =
   let c_route = Suu_obs.Registry.counter "router.route" in
   let route_before = Suu_obs.Counter.get c_route in
   let s1 = Server.start ~config () in
-  let r1 = Router.start ~shards:[ attach_spec s1 ] () in
+  let r1 = Router.start ~shards:[ shard_spec s1 ] () in
   let rps_routed1, ok_r1, err_r1 = run_load ~port:(Router.port r1) in
   Router.stop r1;
   Server.stop s1;
@@ -2305,7 +2184,7 @@ let shard_bench () =
   (* (c) routed, two shards *)
   let sa = Server.start ~config () in
   let sb = Server.start ~config () in
-  let r2 = Router.start ~shards:[ attach_spec sa; attach_spec sb ] () in
+  let r2 = Router.start ~shards:[ shard_spec sa; shard_spec sb ] () in
   let rps_routed2, ok_r2, err_r2 = run_load ~port:(Router.port r2) in
   let routed_requests =
     Suu_obs.Counter.get c_route - route_before
@@ -2357,7 +2236,7 @@ let shard_bench () =
   let direct = Server.start ~config () in
   let sa = Server.start ~config () in
   let sb = Server.start ~config () in
-  let r = Router.start ~shards:[ attach_spec sa; attach_spec sb ] () in
+  let r = Router.start ~shards:[ shard_spec sa; shard_spec sb ] () in
   let mismatches =
     List.fold_left
       (fun acc req ->

@@ -1,6 +1,3 @@
-let rounds inst =
-  Mathx.rounds_k ~n:(Instance.n inst) ~m:(Instance.m inst)
-
 type mode =
   | Rounds  (** executing the current round's oblivious plan *)
   | Repeat_last  (** m < n tail: cycle the round-K plan *)

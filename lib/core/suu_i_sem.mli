@@ -11,9 +11,6 @@
     [n <= m] they are run one at a time on all machines; with [m < n]
     the round-[K] schedule is repeated until completion. *)
 
-val rounds : Instance.t -> int
-(** [rounds inst] is [K] for this instance. *)
-
 val policy :
   ?solver:Solver_choice.t -> ?jobs:int array -> Instance.t -> Policy.t
 (** [policy inst] is the SUU-I-SEM schedule.  [jobs] restricts the policy

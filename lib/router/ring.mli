@@ -15,8 +15,6 @@ val create : string list -> t
 
 val ids : t -> string list
 
-val size : t -> int
-
 val route : t -> live:(string -> bool) -> string -> string option
 (** Highest-scoring shard among those for which [live] holds, where a
     shard's score for the key is the first 8 bytes of

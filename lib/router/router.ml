@@ -251,7 +251,8 @@ let stats_reply t req =
         ]
         @ merged @ breakdown }
 
-(* --- connection handling (mirrors Server.handle_conn) --- *)
+(* --- connection handling: one thread per client connection, reading
+   one request frame at a time and answering it before the next --- *)
 
 let send fd resp =
   try

@@ -14,7 +14,6 @@ type entry = { mutable chunks : (int * float array) list }
 
 type t = {
   log : Record_log.t;
-  sdir : string;
   lock : Mutex.t;
   index : (key, entry) Hashtbl.t;
   mutable records : int;
@@ -75,7 +74,7 @@ let open_store ?(sync = true) dirpath =
     Record_log.open_log ~sync (Filename.concat dirpath log_name)
   in
   let t =
-    { log; sdir = dirpath; lock = Mutex.create ();
+    { log; lock = Mutex.create ();
       index = Hashtbl.create 64; records = 0 }
   in
   List.iter
@@ -88,8 +87,6 @@ let open_store ?(sync = true) dirpath =
       | exception Codec.Corrupt _ -> ())
     recovered;
   t
-
-let dir t = t.sdir
 
 let with_lock t f =
   Mutex.lock t.lock;

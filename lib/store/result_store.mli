@@ -39,8 +39,6 @@ val open_store : ?sync:bool -> string -> t
     appends: [false] trades crash-durability of the last batches for
     throughput. *)
 
-val dir : t -> string
-
 val committed : t -> key -> float array
 (** The longest contiguous committed prefix of replication results for
     [key], starting at replication 0.  A fresh array; empty when the

@@ -359,18 +359,20 @@ let test_e2e_overload_rejects () =
           Unix.connect fd
             (Unix.ADDR_INET
                (Unix.inet_addr_of_string "127.0.0.1", Server.port server));
-          let send id body =
-            let s =
-              P.request_to_string
-                { P.id = Some id; deadline_ms = None; body }
-            in
-            ignore (Unix.write_substring fd s 0 (String.length s))
+          let frame id body =
+            P.request_to_string { P.id = Some id; deadline_ms = None; body }
           in
-          send "slow"
-            (P.Simulate
-               { inst = slow_inst; policy = "greedy"; reps = 2000; seed = 1 });
-          send "queued" (P.Describe quick_inst);
-          send "refused" (P.Describe quick_inst);
+          (* One write: the server reads all three frames in one chunk
+             and parses them in one pump, long before the slow simulate
+             can finish, so the follow-ups meet a busy worker. *)
+          let s =
+            frame "slow"
+              (P.Simulate
+                 { inst = slow_inst; policy = "greedy"; reps = 2000; seed = 1 })
+            ^ frame "queued" (P.Describe quick_inst)
+            ^ frame "refused" (P.Describe quick_inst)
+          in
+          ignore (Unix.write_substring fd s 0 (String.length s));
           let rd = Suu_server.Lineio.reader fd in
           let next_line () = Suu_server.Lineio.next_line rd in
           let rec read_all acc n =
