@@ -1078,9 +1078,9 @@ let closed_loop ~clients ~per_client ~seed ~connect body =
         failed := per_client
     | c ->
         for _ = 1 to per_client do
-          let body = body rng in
+          let req = body rng in
           let s = Unix.gettimeofday () in
-          (match Client.call c body with
+          (match Client.call c req with
           | P.Ok _ -> incr ok
           | P.Err { code = P.Overloaded; _ } -> incr over
           | P.Err _ -> incr failed
