@@ -28,7 +28,9 @@ let hit_rate { hits; misses; _ } =
 (* Process-wide aggregates: the server's stats endpoint wants the sum
    over every shard and every private cache.  They live in the Obs
    registry so one [stats] scrape sees them next to the span histograms
-   they explain. *)
+   they explain.  A counted lookup bumps one of these and, on the
+   global store, its shard's registry counter: there is no other
+   tally. *)
 let g_hits = Suu_obs.Registry.memo_counter "plan_cache.hits"
 let g_misses = Suu_obs.Registry.memo_counter "plan_cache.misses"
 let g_evictions = Suu_obs.Registry.memo_counter "plan_cache.evictions"
@@ -86,23 +88,24 @@ end
 
 module KH = Hashtbl.Make (Key)
 
+type stats_counters = {
+  c_hits : Suu_obs.Counter.t;
+  c_misses : Suu_obs.Counter.t;
+  c_evictions : Suu_obs.Counter.t;
+}
+
 type shard = {
   slock : Mutex.t;
   table : entry KH.t;
   capacity : int;
   mutable clock : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  obs : (Suu_obs.Counter.t * Suu_obs.Counter.t * Suu_obs.Counter.t) option;
-      (* per-shard registry counters, global store only *)
+  obs : stats_counters option; (* per-shard counters, global store only *)
 }
 
 type store = { shards : shard array (* length is a power of two *) }
 
 let make_shard ~capacity ~obs =
-  { slock = Mutex.create (); table = KH.create 64; capacity;
-    clock = 0; s_hits = 0; s_misses = 0; s_evictions = 0; obs }
+  { slock = Mutex.create (); table = KH.create 64; capacity; clock = 0; obs }
 
 let num_global_shards = 8
 let global_capacity = 32_768
@@ -122,7 +125,10 @@ let make_global_store () =
           in
           make_shard
             ~capacity:(global_capacity / num_global_shards)
-            ~obs:(Some (c "hits", c "misses", c "evictions"))) }
+            ~obs:
+              (Some
+                 { c_hits = c "hits"; c_misses = c "misses";
+                   c_evictions = c "evictions" })) }
 
 let global_cell = Atomic.make None
 let global_lock = Mutex.create ()
@@ -145,12 +151,6 @@ type t = {
   key_prefix : string; (* instance digest ^ solver name ^ '\000' *)
   key_phash : int;
   store : store;
-  (* Per-handle counters, lock-free: every domain driving this policy
-     touches them on every lookup, and a dedicated handle mutex was
-     measurable on the served hit path. *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
 }
 
 let key_prefix ?solver inst =
@@ -174,8 +174,7 @@ let create ?solver ?max_entries inst =
   in
   let prefix = key_prefix ?solver inst in
   { solver; inst; key_prefix = prefix; key_phash = Hashtbl.hash prefix;
-    store; hits = Atomic.make 0; misses = Atomic.make 0;
-    evictions = Atomic.make 0 }
+    store }
 
 let shard_of store khash = store.shards.(khash land (Array.length store.shards - 1))
 
@@ -204,12 +203,8 @@ let evict_lru_half sh =
   for j = 0 to drop - 1 do
     KH.remove sh.table (fst arr.(j))
   done;
-  sh.s_evictions <- sh.s_evictions + drop;
-  (match sh.obs with
-  | Some (_, _, ce) -> Suu_obs.Counter.add ce drop
-  | None -> ());
-  Suu_obs.Counter.add (g_evictions ()) drop;
-  drop
+  Option.iter (fun o -> Suu_obs.Counter.add o.c_evictions drop) sh.obs;
+  Suu_obs.Counter.add (g_evictions ()) drop
 
 (* The solve for a missing key runs under the shard lock: concurrent
    replications of the same instance mostly want the same plan, so
@@ -228,40 +223,25 @@ let lookup t ~count ~round ~survivors =
   | Some e ->
       e.tick <- sh.clock;
       if count then begin
-        sh.s_hits <- sh.s_hits + 1;
-        (match sh.obs with
-        | Some (ch, _, _) -> Suu_obs.Counter.incr ch
-        | None -> ());
+        Option.iter (fun o -> Suu_obs.Counter.incr o.c_hits) sh.obs;
         Suu_obs.Counter.incr (g_hits ())
       end;
       Mutex.unlock sh.slock;
-      if count then Atomic.incr t.hits;
       e.plan
   | None ->
       if count then begin
-        sh.s_misses <- sh.s_misses + 1;
-        (match sh.obs with
-        | Some (_, cm, _) -> Suu_obs.Counter.incr cm
-        | None -> ());
+        Option.iter (fun o -> Suu_obs.Counter.incr o.c_misses) sh.obs;
         Suu_obs.Counter.incr (g_misses ())
       end;
       let finish () =
         let plan = fresh_plan ?solver:t.solver t.inst ~round ~survivors in
-        let dropped =
-          if KH.length sh.table >= sh.capacity then evict_lru_half sh
-          else 0
-        in
+        if KH.length sh.table >= sh.capacity then evict_lru_half sh;
         (* The lookup key borrows the caller's survivor array; the
            stored key must own its copy. *)
         KH.replace sh.table
           { key with survivors = Array.copy survivors }
           { plan; tick = sh.clock };
         Mutex.unlock sh.slock;
-        if count then begin
-          Atomic.incr t.misses;
-          if dropped > 0 then
-            ignore (Atomic.fetch_and_add t.evictions dropped)
-        end;
         plan
       in
       (try finish ()
@@ -273,10 +253,6 @@ let plan t ~round ~survivors = lookup t ~count:true ~round ~survivors
 
 let shared_plan ?solver inst ~round ~survivors =
   lookup (create ?solver inst) ~count:false ~round ~survivors
-
-let stats t =
-  { hits = Atomic.get t.hits; misses = Atomic.get t.misses;
-    evictions = Atomic.get t.evictions }
 
 let size t =
   Array.fold_left
@@ -295,11 +271,10 @@ let global_stats () =
 let shard_stats () =
   Array.map
     (fun sh ->
-      Mutex.lock sh.slock;
-      let r =
-        { hits = sh.s_hits; misses = sh.s_misses;
-          evictions = sh.s_evictions }
-      in
-      Mutex.unlock sh.slock;
-      r)
+      match sh.obs with
+      | Some o ->
+          { hits = Suu_obs.Counter.get o.c_hits;
+            misses = Suu_obs.Counter.get o.c_misses;
+            evictions = Suu_obs.Counter.get o.c_evictions }
+      | None -> assert false (* every global shard has counters *))
     (global_store ()).shards

@@ -12,12 +12,11 @@
     one-plan policies via {!shared_plan}.
 
     A {!t} is a lightweight handle onto the store: it pins the
-    instance/solver half of the key and carries this handle's own
-    hit/miss counters ({!stats}), while the aggregate traffic is
-    visible per shard ({!shard_stats}) and process-wide
-    ({!global_stats}, also in the obs registry as
-    [plan_cache.{hits,misses,evictions}] and
-    [plan_cache.shardN.*]).
+    instance/solver half of the key.  Traffic is counted per shard of
+    the global store ({!shard_stats}) and process-wide
+    ({!global_stats}), both in the obs registry, as
+    [plan_cache.shardN.{hits,misses,evictions}] and
+    [plan_cache.{hits,misses,evictions}].
 
     Thread-safe: a mutex per shard, so policy values may be driven from
     many domains (the parallel {!Suu_sim.Runner}).  The solve for a
@@ -74,27 +73,23 @@ val fresh_plan :
 (** The uncached pipeline: what {!plan} computes on a miss.  Exposed so
     tests can check cached plans against freshly solved ones. *)
 
-val stats : t -> stats
-(** This handle's counters: lookups made through [t], and entries its
-    insertions displaced. *)
-
 val size : t -> int
 (** Current number of cached plans in [t]'s store (for a global handle:
     the whole process-wide store). *)
 
 val global_stats : unit -> stats
-(** Counters aggregated over every handle and store since process
-    start — what a resident server reports. *)
+(** Counters aggregated over every handle and store (private ones
+    included) since process start — what a resident server reports. *)
 
 val shard_stats : unit -> stats array
-(** Per-shard traffic of the process-global store, index-aligned with
-    the [plan_cache.shardN.*] registry counters.  Private stores are
-    not included. *)
+(** Per-shard traffic of the process-global store: the
+    [plan_cache.shardN.*] registry counters, index-aligned.  Private
+    stores are not included. *)
 
 val note_bypass : unit -> unit
 (** Record one request served by an LP-free policy that never consulted
     the store ([plan_cache.bypass] in the obs registry).  Bypasses are
-    deliberately {e not} part of {!stats}: they must not dilute the
+    deliberately {e not} part of {!global_stats}: they must not dilute the
     hit rate the serve gate floors at 0.8. *)
 
 val bypasses : unit -> int

@@ -1,13 +1,11 @@
-type t = { name : string; cell : int Atomic.t }
+type t = int Atomic.t
 
-let create name = { name; cell = Atomic.make 0 }
+let create () = Atomic.make 0
 
-let name t = t.name
-
-let incr t = Atomic.incr t.cell
+let incr = Atomic.incr
 
 let add t k =
   if k < 0 then invalid_arg "Counter.add: negative increment";
-  ignore (Atomic.fetch_and_add t.cell k)
+  ignore (Atomic.fetch_and_add t k)
 
-let get t = Atomic.get t.cell
+let get = Atomic.get

@@ -9,11 +9,9 @@
 
 type t
 
-val create : string -> t
-(** [create name] is a fresh counter at zero.  Prefer
-    {!Registry.counter}, which interns by name. *)
-
-val name : t -> string
+val create : unit -> t
+(** A fresh counter at zero.  Prefer {!Registry.counter}, which interns
+    by name. *)
 
 val incr : t -> unit
 

@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   bounds : float array;
   counts : int array; (* one per bound, plus overflow at the end *)
   mutable sum : float;
@@ -29,16 +28,12 @@ let validate_bounds bounds =
           "Histogram.create: bounds must be positive and strictly increasing")
     bounds
 
-let create ?lock ?(bounds = default_bounds) name =
+let create ?lock ?(bounds = default_bounds) () =
   validate_bounds bounds;
   let lock = match lock with Some l -> l | None -> Mutex.create () in
-  { name; bounds = Array.copy bounds;
+  { bounds = Array.copy bounds;
     counts = Array.make (Array.length bounds + 1) 0; sum = 0.0; count = 0;
     vmax = 0.0; lock }
-
-let name t = t.name
-
-let bounds t = t.bounds
 
 (* First bucket whose bound is >= v (binary search); overflow past the
    last bound.  v <= 0 lands in bucket 0. *)

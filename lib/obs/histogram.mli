@@ -32,15 +32,11 @@ val default_bounds : float array
 (** Log-spaced upper bounds in seconds: {1, 2.5, 5} x 10^k from 1e-6
     to 50. *)
 
-val create : ?lock:Mutex.t -> ?bounds:float array -> string -> t
-(** [create name] is an empty histogram guarded by a fresh mutex (or
+val create : ?lock:Mutex.t -> ?bounds:float array -> unit -> t
+(** [create ()] is an empty histogram guarded by a fresh mutex (or
     [lock] when given — the registry passes its own so all registered
     histograms share one).  [bounds] must be strictly increasing and
     positive. *)
-
-val name : t -> string
-
-val bounds : t -> float array
 
 val record : t -> float -> unit
 (** Record one value (seconds, for span histograms).  Negative or NaN

@@ -19,7 +19,7 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-          let c = Counter.create name in
+          let c = Counter.create () in
           Hashtbl.add counters name c;
           c)
 
@@ -41,7 +41,7 @@ let histogram ?bounds name =
       match Hashtbl.find_opt histograms name with
       | Some h -> h
       | None ->
-          let h = Histogram.create ~lock:mutex ?bounds name in
+          let h = Histogram.create ~lock:mutex ?bounds () in
           Hashtbl.add histograms name h;
           h)
 

@@ -30,10 +30,6 @@ let create ?(capacity = 8) ?(retries = 0) ?timeout_ms ?(backoff_ms = 25)
   { host; port; retries; timeout_ms; backoff_ms; retry_seed; capacity;
     lock = Mutex.create (); idle = []; idle_n = 0; created = 0 }
 
-let host t = t.host
-
-let port t = t.port
-
 let connect t =
   Mutex.lock t.lock;
   t.created <- t.created + 1;

@@ -22,10 +22,6 @@ val create :
     number of {e idle} connections kept; checkouts beyond it dial fresh
     sockets.  No connection is made until first use. *)
 
-val host : t -> string
-
-val port : t -> int
-
 val with_client : t -> (Suu_server.Client.t -> 'a) -> 'a
 (** Run [f] with a pooled (or freshly dialed) connection.  On normal
     return the connection goes back to the pool (or is closed when the

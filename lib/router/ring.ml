@@ -22,8 +22,6 @@ let create ids =
     ids;
   { ids = Array.of_list ids }
 
-let ids t = Array.to_list t.ids
-
 (* First 8 bytes of MD5(shard NUL key) as an int64, compared unsigned.
    MD5 is overkill for load balancing but is already the digest the
    whole system keys caches by, and its avalanche behaviour is beyond

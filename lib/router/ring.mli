@@ -13,8 +13,6 @@ val create : string list -> t
 (** Ring over the given shard ids.  Raises [Invalid_argument] on an
     empty list or duplicate ids. *)
 
-val ids : t -> string list
-
 val route : t -> live:(string -> bool) -> string -> string option
 (** Highest-scoring shard among those for which [live] holds, where a
     shard's score for the key is the first 8 bytes of

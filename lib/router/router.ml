@@ -55,8 +55,7 @@ type shard = {
   mutable child : Spawn.child option;
   srespawn : (unit -> Spawn.child) option;
   mutable drain_t : Thread.t option;
-  mutable proxied : int;
-  plock : Mutex.t;
+  proxied : int Atomic.t;
 }
 
 type conn = { fd : Unix.file_descr }
@@ -87,17 +86,6 @@ let shard_by_id t id =
   match !found with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Router: unknown shard %S" id)
-
-let count_proxied s =
-  Mutex.lock s.plock;
-  s.proxied <- s.proxied + 1;
-  Mutex.unlock s.plock
-
-let proxied s =
-  Mutex.lock s.plock;
-  let n = s.proxied in
-  Mutex.unlock s.plock;
-  n
 
 let health t =
   match t.health with Some h -> h | None -> assert false
@@ -179,7 +167,7 @@ let route_request t req digest =
           if tried > 0 then Suu_obs.Counter.incr (c_failover ());
           (match forward s req with
           | resp ->
-              count_proxied s;
+              Atomic.incr s.proxied;
               resp
           | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
               Printf.eprintf
@@ -209,10 +197,7 @@ let stats_reply t req =
   let sources =
     Array.to_list results |> List.filter_map (fun x -> x)
   in
-  (* The router's own registry (router.*, client.* pool counters) rides
-     along as one more source — its names don't collide with shard-side
-     server.* metrics. *)
-  let merged = Stats_merge.merge (sources @ [ Suu_obs.Registry.render () ]) in
+  let merged = Stats_merge.merge sources in
   let up =
     Array.fold_left
       (fun acc s -> if is_live t s.sid then acc + 1 else acc)
@@ -227,7 +212,7 @@ let stats_reply t req =
               [ (pre ^ "id", s.sid);
                 (pre ^ "addr", Printf.sprintf "%s:%d" s.shost s.sport);
                 (pre ^ "up", if is_live t s.sid then "1" else "0");
-                (pre ^ "proxied", string_of_int (proxied s)) ]
+                (pre ^ "proxied", string_of_int (Atomic.get s.proxied)) ]
               @
               match results.(i) with
               | None -> []
@@ -249,7 +234,12 @@ let stats_reply t req =
            string_of_int
              (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
         ]
-        @ merged @ breakdown }
+        @ merged @ breakdown
+        (* The router's own registry (router.*, the pool's client.*
+           counters, and the protocol counters of its own parses) goes
+           last under its own prefix: merged into the shard sums it
+           would count every routed frame's parse twice. *)
+        @ Suu_obs.Registry.render ~prefix:"obs.router." () }
 
 (* --- connection handling: one thread per client connection, reading
    one request frame at a time and answering it before the next --- *)
@@ -362,7 +352,7 @@ let start ?(config = default_config) ~shards () =
     let s =
       { sid = spec.id; shost = spec.host; sport = spec.port; pool;
         child = spec.child; srespawn = spec.respawn; drain_t = None;
-        proxied = 0; plock = Mutex.create () }
+        proxied = Atomic.make 0 }
     in
     (match spec.child with
     | Some child ->

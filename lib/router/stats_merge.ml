@@ -5,8 +5,8 @@
      dropped and the whole group is recomputed from the lossless
      [.raw] bucket snapshots (Histogram.merge) — averaging quantiles
      would be wrong, summing them worse.
-   - integer-valued keys (request counters, latency buckets, cache
-     hits, the obs counters): summed.  [uptime_ms] takes the max —
+   - integer-valued keys (request counters, cache hits, the obs
+     counters): summed.  [uptime_ms] takes the max —
      shards started together but "sum of uptimes" means nothing.
    - [plan_cache_hit_rate]: recomputed from the summed hits/misses
      rather than averaged, so a hot shard weighs as much as it should.
@@ -100,7 +100,7 @@ let merge sources =
      with the default bucket count renders fully; anything else (a
      future custom-bounds phase) degrades to count/mean/raw. *)
   let default_h =
-    lazy (Histogram.create ~bounds:Histogram.default_bounds "merged")
+    lazy (Histogram.create ())
   in
   let render_phase name =
     match Hashtbl.find_opt phases name with

@@ -9,6 +9,5 @@
     merged reply has the shape of a single shard's reply. *)
 
 val merge : (string * string) list list -> (string * string) list
-(** [merge sources] with [sources] in shard order (the router appends
-    its own registry render as a final source).  Malformed [.raw]
+(** [merge sources] with [sources] in shard order.  Malformed [.raw]
     values and layout mismatches are skipped, not fatal. *)

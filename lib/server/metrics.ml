@@ -1,74 +1,42 @@
-(* Upper bounds of the latency buckets, in milliseconds.  Fixed (not
-   adaptive) so counts from successive stats scrapes can be subtracted.
-   Kept from before the Obs migration so existing scrape consumers see
-   identical keys. *)
-let bucket_ms = [| 1; 2; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000 |]
+let types = [| "describe"; "lower_bound"; "plan"; "simulate"; "stats"; "unknown" |]
 
-let bounds_s =
-  Array.map (fun ms -> float_of_int ms /. 1000.0) bucket_ms
+(* Error codes in the order their counters render, with their keys. *)
+let codes =
+  [| ("parse", "parse_errors"); ("bad_request", "bad_requests");
+     ("overloaded", "rejects"); ("timeout", "timeouts");
+     ("internal", "internal_errors") |]
 
-(* The request counters and the latency histogram are updated and
-   snapshotted under the same mutex (the histogram is created sharing
-   [lock]), so a rendered snapshot can never show a histogram total that
-   disagrees with [requests_total] — previously the counters and buckets
-   were read in two separate critical sections. *)
 type t = {
-  lock : Mutex.t;
-  by_type : (string, int ref) Hashtbl.t;
-  by_code : (string, int ref) Hashtbl.t;
-  mutable ok : int;
-  mutable total : int;
-  latency : Suu_obs.Histogram.t;
+  total : int Atomic.t;
+  ok : int Atomic.t;
+  by_type : int Atomic.t array; (* index-aligned with [types] *)
+  by_code : int Atomic.t array; (* index-aligned with [codes] *)
 }
 
 let create () =
-  let lock = Mutex.create () in
-  { lock; by_type = Hashtbl.create 8; by_code = Hashtbl.create 8; ok = 0;
-    total = 0;
-    latency = Suu_obs.Histogram.create ~lock ~bounds:bounds_s "server.latency"
-  }
+  { total = Atomic.make 0; ok = Atomic.make 0;
+    by_type = Array.map (fun _ -> Atomic.make 0) types;
+    by_code = Array.map (fun _ -> Atomic.make 0) codes }
 
-let bump tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> incr r
-  | None -> Hashtbl.add tbl key (ref 1)
+let incr_at cells = Option.iter (fun i -> Atomic.incr cells.(i))
 
-let observe t ~rtype ~code ~latency =
-  Mutex.lock t.lock;
-  t.total <- t.total + 1;
-  bump t.by_type rtype;
-  (match code with
-  | None -> t.ok <- t.ok + 1
-  | Some c -> bump t.by_code c);
-  Suu_obs.Histogram.unsafe_record t.latency (Float.max 0.0 latency);
-  Mutex.unlock t.lock
-
-let get tbl key =
-  match Hashtbl.find_opt tbl key with Some r -> !r | None -> 0
+let observe t ~rtype ~code =
+  (* [total] before [ok], and [render] reads them in the other order,
+     so a scrape racing an observe never sees more ok than total. *)
+  Atomic.incr t.total;
+  incr_at t.by_type (Array.find_index (String.equal rtype) types);
+  match code with
+  | None -> Atomic.incr t.ok
+  | Some c ->
+      incr_at t.by_code (Array.find_index (fun (n, _) -> n = c) codes)
 
 let render t =
-  Mutex.lock t.lock;
-  let snap = Suu_obs.Histogram.unsafe_snapshot t.latency in
-  let fields = ref [] in
-  let add k v = fields := (k, string_of_int v) :: !fields in
-  add "requests_total" t.total;
-  List.iter
-    (fun ty -> add ("requests_" ^ ty) (get t.by_type ty))
-    [ "describe"; "lower_bound"; "plan"; "simulate"; "stats"; "unknown" ];
-  add "ok" t.ok;
-  add "errors" (t.total - t.ok);
-  add "parse_errors" (get t.by_code "parse");
-  add "bad_requests" (get t.by_code "bad_request");
-  add "rejects" (get t.by_code "overloaded");
-  add "timeouts" (get t.by_code "timeout");
-  add "internal_errors" (get t.by_code "internal");
-  Array.iteri
-    (fun i c ->
-      if i < Array.length bucket_ms then
-        add (Printf.sprintf "latency_le_%dms" bucket_ms.(i)) c
-      else add "latency_gt_5000ms" c)
-    snap.Suu_obs.Histogram.buckets;
-  add "latency_sum_us"
-    (int_of_float (snap.Suu_obs.Histogram.sum *. 1e6));
-  Mutex.unlock t.lock;
-  List.rev !fields
+  let ok = Atomic.get t.ok in
+  let total = Atomic.get t.total in
+  let count a = string_of_int (Atomic.get a) in
+  (("requests_total", string_of_int total)
+   :: Array.to_list
+        (Array.mapi (fun i ty -> ("requests_" ^ ty, count t.by_type.(i))) types))
+  @ [ ("ok", string_of_int ok); ("errors", string_of_int (total - ok)) ]
+  @ Array.to_list
+      (Array.mapi (fun i (_, key) -> (key, count t.by_code.(i))) codes)

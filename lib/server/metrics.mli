@@ -1,31 +1,28 @@
-(** In-process serving counters and a fixed-bucket latency histogram.
+(** In-process serving counters.
 
     One value lives in the server; every completed request (ok or
-    error) is recorded with its type, outcome and wall-clock latency.
-    {!render} flattens everything into deterministic [key value] pairs
-    for the [stats] reply: request counts by type, outcome counters
-    (ok / errors / parse_errors / bad_requests / rejects / timeouts /
-    internal_errors), plan-cache aggregates are appended by the caller,
-    and the histogram appears as cumulative-style [latency_le_<ms>]
-    buckets (upper bounds fixed at compile time, so successive scrapes
-    are comparable).
+    error) is recorded with its type and outcome.  {!render} flattens
+    the counts into deterministic [key value] pairs for the [stats]
+    reply: request counts by type, then the outcome counters (ok /
+    errors / parse_errors / bad_requests / rejects / timeouts /
+    internal_errors); the caller appends the plan-cache aggregates.
 
-    Internally the histogram is a {!Suu_obs.Histogram} sharing the
-    instance's single mutex with the counters, so one {!render} is a
-    consistent cut: the bucket totals always sum to [requests_total].
-    Per-phase timings (parse / queue wait / execute / write) are not
-    here — they are process-global {!Suu_obs.Registry} histograms fed by
-    the server's spans, appended to the stats reply by the caller. *)
+    Each count is its own atomic cell, so observes from any number of
+    threads or domains never contend on a lock.  One {!render} always
+    shows [requests_total = ok + errors]; per-type counts sum to
+    [requests_total] once no observe is in flight.  Request latency is
+    not here: it is the registry's [server.request] span histogram
+    ([obs.phase.server.request.*] in the same reply), next to the
+    per-phase children (parse / queue wait / execute / write). *)
 
 type t
 
 val create : unit -> t
 
-val observe : t -> rtype:string -> code:string option -> latency:float -> unit
+val observe : t -> rtype:string -> code:string option -> unit
 (** Record one completed request of type [rtype] ([code = None] for an
-    ok reply, [Some code] for an error reply; [latency] in seconds).
-    Rejected-at-the-queue requests are recorded with
-    [code = Some "overloaded"]. *)
+    ok reply, [Some code] for an error reply).  Rejected-at-the-queue
+    requests are recorded with [code = Some "overloaded"]. *)
 
 val render : t -> (string * string) list
 (** Deterministic key order; values are decimal integers. *)

@@ -72,7 +72,6 @@ type reply_meta = {
 type job = {
   req : P.request;
   ckey : int; (* connection key — never a raw fd, which the OS reuses *)
-  arrival : float; (* wall clock, for the latency metric only *)
   deadline : int64; (* absolute monotonic ns on [cfg.clock_ns] *)
   root : Suu_obs.Span.id;
   start_ns : int64;
@@ -168,10 +167,6 @@ type t = {
 }
 
 let port t = t.bound_port
-
-let observe t ~rtype ~code ~arrival =
-  Metrics.observe t.metrics ~rtype ~code
-    ~latency:(Unix.gettimeofday () -. arrival)
 
 let c_worker_restarts = Suu_obs.Registry.memo_counter "server.worker.restarts"
 
@@ -277,7 +272,7 @@ let process t job =
   (* Queue expiry on the monotonic clock: wall time spent queued is
      irrelevant (and steppable); only monotonic elapsed time counts. *)
   if Int64.compare (t.cfg.clock_ns ()) job.deadline > 0 then begin
-    observe t ~rtype ~code:(Some "timeout") ~arrival:job.arrival;
+    Metrics.observe t.metrics ~rtype ~code:(Some "timeout");
     let resp =
       P.Err { id; code = P.Timeout; message = "deadline exceeded in queue" }
     in
@@ -302,7 +297,7 @@ let process t job =
       | Result.Error (ec, message) ->
           (Some (P.error_code_to_string ec), P.Err { id; code = ec; message })
     in
-    observe t ~rtype ~code ~arrival:job.arrival;
+    Metrics.observe t.metrics ~rtype ~code;
     journal_response t ~jseq:job.jseq resp;
     deliver t job resp ~t0 ~rtype ~code
   end
@@ -325,7 +320,7 @@ let worker_loop t () =
            Printf.eprintf
              "suu-serve: worker crashed on %s request (%s); restarting\n%!"
              rtype (Printexc.to_string e);
-           observe t ~rtype ~code:(Some "internal") ~arrival:job.arrival;
+           Metrics.observe t.metrics ~rtype ~code:(Some "internal");
            let resp =
              P.Err
                { id = job.req.P.id; code = P.Internal;
@@ -523,7 +518,6 @@ let start_fiber cs =
         () fiber_handler
 
 let admit t cs (req : P.request) =
-  let arrival = Unix.gettimeofday () in
   let t_parsed = Suu_obs.Clock.now_ns () in
   let start_ns =
     if Int64.equal cs.c_frame_start 0L then t_parsed else cs.c_frame_start
@@ -542,7 +536,7 @@ let admit t cs (req : P.request) =
     | Some _ -> Atomic.fetch_and_add t.jseq 1
   in
   let job =
-    { req; ckey = cs.c_key; arrival;
+    { req; ckey = cs.c_key;
       deadline =
         Int64.add (t.cfg.clock_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L);
       root; start_ns; enq_ns = t_parsed; jseq }
@@ -557,7 +551,7 @@ let admit t cs (req : P.request) =
   if Bqueue.try_push t.queue job then cs.c_inflight <- cs.c_inflight + 1
   else begin
     let rtype = P.body_type req.P.body in
-    observe t ~rtype ~code:(Some "overloaded") ~arrival;
+    Metrics.observe t.metrics ~rtype ~code:(Some "overloaded");
     let message =
       if Atomic.get t.stopping then "server is draining"
       else Printf.sprintf "queue full (capacity %d)" (Bqueue.capacity t.queue)
@@ -620,8 +614,7 @@ and handle_step t cs st =
                 update_interest t cs;
                 maybe_close t cs))
     | Fail (P.Parse_error { line; msg }) ->
-        observe t ~rtype:"unknown" ~code:(Some "parse")
-          ~arrival:(Unix.gettimeofday ());
+        Metrics.observe t.metrics ~rtype:"unknown" ~code:(Some "parse");
         enqueue_out t cs
           (P.response_to_string
              (P.Err

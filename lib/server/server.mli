@@ -24,7 +24,7 @@
     [timeout] error instead of holding a worker.  Deadlines live on the
     monotonic clock ({!Suu_obs.Clock}), so a wall-clock step cannot
     expire the whole queue or make a request immortal; wall time is
-    used only for the [stats] uptime and latency metrics.
+    used only for the [stats] uptime.
 
     Faults: a {!Faults} config (the [faults] field, or the [SUU_FAULTS]
     environment variable when the field is [None]) perturbs worker

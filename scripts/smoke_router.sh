@@ -20,6 +20,28 @@ done
 "$CLI" client stats --port "$PORT" | tee "$SCRATCH/router-stats.out"
 grep -q '^router_shards_up 2' "$SCRATCH/router-stats.out"
 
+# The cluster view sums the shards' own counters and nothing else: the
+# router's parse-memo misses (it parses every frame it proxies) stay
+# under obs.router.*, so the merged figure equals the sum of the
+# shards scraped one by one.
+memo_misses() {
+  awk '$1 == "obs.counter.protocol.instance_memo.misses" { print $2 }'
+}
+"$CLI" client stats --port "$PORT" --full > "$SCRATCH/router-full.out"
+MERGED=$(memo_misses < "$SCRATCH/router-full.out")
+SUM=0
+for addr in $(awk '$1 ~ /^shard\.[0-9]+\.addr$/ { print $2 }' \
+    "$SCRATCH/router-full.out"); do
+  N=$("$CLI" client stats --host "${addr%:*}" --port "${addr##*:}" --full \
+    | memo_misses)
+  SUM=$((SUM + ${N:-0}))
+done
+if [ "$SUM" -lt 1 ] || [ "${MERGED:-missing}" != "$SUM" ]; then
+  echo "smoke_router: merged instance_memo.misses ${MERGED:-missing}" \
+    "!= shard sum $SUM" >&2
+  exit 1
+fi
+
 # kill -9 one shard; retrying clients must still converge.
 SHARD_PID=$(sed -n 's/.*shard0 ready at .* (pid \([0-9]*\)).*/\1/p' \
   "$SCRATCH/router.log" | head -n 1)

@@ -22,9 +22,13 @@ for _ in 1 2; do
   grep -q '^mean ' "$SCRATCH/sim.out"
 done
 
-# The stats endpoint must expose per-phase quantiles with --full.
+# The stats endpoint must expose per-phase quantiles with --full,
+# request latency among them, and keep the summary counters in its
+# default view.
 "$CLI" client stats --port "$PORT" --full | tee "$SCRATCH/stats.out"
 grep -q '^obs\.phase\.server\.execute\.p95_ms ' "$SCRATCH/stats.out"
+grep -q '^obs\.phase\.server\.request\.p95_ms ' "$SCRATCH/stats.out"
+"$CLI" client stats --port "$PORT" | grep -q '^requests_total '
 HITS=$(awk '$1 == "obs.counter.protocol.instance_memo.hits" { print $2 }' \
   "$SCRATCH/stats.out")
 if [ "${HITS:-0}" -lt 1 ]; then

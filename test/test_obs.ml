@@ -11,7 +11,7 @@ let bounds = [| 0.001; 0.01; 0.1; 1.0 |]
 (* --- bucket edges --- *)
 
 let test_bucket_edges () =
-  let h = H.create ~bounds "edges" in
+  let h = H.create ~bounds () in
   H.record h 0.0;      (* zero: first bucket *)
   H.record h (-1.0);   (* negative clamps into the first bucket *)
   H.record h 0.01;     (* exactly on a boundary: that bucket, not the next *)
@@ -26,7 +26,7 @@ let test_bucket_edges () =
   Alcotest.(check (float 1e-9)) "sum" 51.06 s.H.sum
 
 let test_empty () =
-  let h = H.create ~bounds "empty" in
+  let h = H.create ~bounds () in
   let s = H.snapshot h in
   Alcotest.(check int) "count" 0 s.H.count;
   Alcotest.(check (float 0.0)) "median of nothing" 0.0 (H.quantile h s 0.5);
@@ -35,7 +35,7 @@ let test_empty () =
 (* --- quantiles --- *)
 
 let test_quantile_monotone () =
-  let h = H.create "mono" in
+  let h = H.create () in
   let rng = Suu_prng.Rng.create ~seed:7 in
   for _ = 1 to 1000 do
     H.record h (Float.pow 10.0 (Suu_prng.Rng.range rng ~lo:(-6.0) ~hi:1.5))
@@ -60,7 +60,7 @@ let record_many h rng n =
 let test_merge_equals_union () =
   (* Merging two shards' snapshots must equal the snapshot of one
      histogram that saw every value — same buckets, count, sum, max. *)
-  let a = H.create "a" and b = H.create "b" and u = H.create "u" in
+  let a = H.create () and b = H.create () and u = H.create () in
   let rng = Suu_prng.Rng.create ~seed:42 in
   let vs1 = Array.init 500 (fun _ -> Suu_prng.Rng.range rng ~lo:0.0 ~hi:20.0) in
   let vs2 = Array.init 300 (fun _ -> Suu_prng.Rng.range rng ~lo:0.0 ~hi:60.0) in
@@ -85,7 +85,7 @@ let test_merge_quantile_monotone () =
      random shard pairs (the satellite's acceptance property). *)
   let rng = Suu_prng.Rng.create ~seed:9 in
   for _trial = 1 to 25 do
-    let a = H.create "a" and b = H.create "b" in
+    let a = H.create () and b = H.create () in
     record_many a rng (1 + Suu_prng.Rng.int rng 400);
     record_many b rng (1 + Suu_prng.Rng.int rng 400);
     let m = H.merge (H.snapshot a) (H.snapshot b) in
@@ -100,7 +100,7 @@ let test_merge_quantile_monotone () =
   done
 
 let test_merge_layout_mismatch () =
-  let a = H.create "a" and b = H.create ~bounds "b" in
+  let a = H.create () and b = H.create ~bounds () in
   match H.merge (H.snapshot a) (H.snapshot b) with
   | _ -> Alcotest.fail "merging mismatched layouts should raise"
   | exception Invalid_argument _ -> ()
@@ -108,7 +108,7 @@ let test_merge_layout_mismatch () =
 let test_raw_roundtrip () =
   let rng = Suu_prng.Rng.create ~seed:11 in
   for _trial = 1 to 25 do
-    let h = H.create "r" in
+    let h = H.create () in
     record_many h rng (Suu_prng.Rng.int rng 300);
     let s = H.snapshot h in
     match H.snapshot_of_raw (H.raw_of_snapshot s) with
@@ -130,7 +130,7 @@ let test_raw_roundtrip () =
 let test_quantile_brackets () =
   (* 100 values in (0.01, 0.1]: every interior quantile interpolates
      within that bucket's range. *)
-  let h = H.create ~bounds "bracket" in
+  let h = H.create ~bounds () in
   for _ = 1 to 100 do
     H.record h 0.05
   done;
@@ -144,7 +144,7 @@ let test_quantile_brackets () =
     [ 0.1; 0.5; 0.9; 0.99 ];
   (* Overflow ranks report the observed maximum, not the last finite
      bound — a 99 s stall must not masquerade as the 1 s bucket cap. *)
-  let h2 = H.create ~bounds "over" in
+  let h2 = H.create ~bounds () in
   H.record h2 99.0;
   let s2 = H.snapshot h2 in
   Alcotest.(check (float 1e-9)) "overflow quantile = observed max" 99.0
@@ -152,7 +152,7 @@ let test_quantile_brackets () =
   Alcotest.(check (float 1e-9)) "snapshot carries the max" 99.0 s2.H.max;
   (* A mix of in-range and overflow values: interior quantiles stay in
      their buckets, the tail reports the true max, monotone throughout. *)
-  let h3 = H.create ~bounds "mixed" in
+  let h3 = H.create ~bounds () in
   for _ = 1 to 90 do
     H.record h3 0.05
   done;
@@ -166,7 +166,7 @@ let test_quantile_brackets () =
     (H.quantile h3 s3 0.99);
   (* Negative and NaN records are clamped to zero everywhere: buckets,
      sum and max must describe the same (clamped) value. *)
-  let h4 = H.create ~bounds "neg" in
+  let h4 = H.create ~bounds () in
   H.record h4 (-3.0);
   H.record h4 Float.nan;
   let s4 = H.snapshot h4 in

@@ -125,8 +125,18 @@ let plans_equal a b =
       done;
       !ok)
 
+(* Plan-cache traffic since [before], read from the process-wide
+   counters, which every handle's counted lookups bump (private stores
+   included).  Tests run one at a time, so the delta is this test's. *)
+let pc_delta (before : Suu_core.Plan_cache.stats) =
+  let now = Suu_core.Plan_cache.global_stats () in
+  Suu_core.Plan_cache.
+    { hits = now.hits - before.hits; misses = now.misses - before.misses;
+      evictions = now.evictions - before.evictions }
+
 let test_plan_cache_matches_fresh () =
   let module PC = Suu_core.Plan_cache in
+  let before = PC.global_stats () in
   let inst = W.independent uniform ~n:10 ~m:4 ~seed:23 in
   let cache = PC.create inst in
   let all = Array.init 10 Fun.id in
@@ -141,7 +151,7 @@ let test_plan_cache_matches_fresh () =
       Alcotest.(check bool) "cached plan equals a fresh solve" true
         (plans_equal cached fresh))
     [ (1, all); (2, all); (1, some); (3, some) ];
-  let s = PC.stats cache in
+  let s = pc_delta before in
   Alcotest.(check int) "4 misses" 4 s.PC.misses;
   Alcotest.(check int) "4 hits" 4 s.PC.hits;
   Alcotest.(check int) "no evictions" 0 s.PC.evictions
@@ -181,11 +191,12 @@ let test_plan_cache_eviction () =
   let inst = W.independent uniform ~n:12 ~m:3 ~seed:26 in
   let cap = 6 in
   let cache = PC.create ~max_entries:cap inst in
+  let before = PC.global_stats () in
   (* 12 distinct singleton survivor sets: twice the capacity. *)
   for j = 0 to 11 do
     ignore (PC.plan cache ~round:1 ~survivors:[| j |])
   done;
-  let s = PC.stats cache in
+  let s = pc_delta before in
   Alcotest.(check int) "all lookups missed" 12 s.PC.misses;
   Alcotest.(check bool)
     (Printf.sprintf "evictions happened (%d)" s.PC.evictions)
@@ -195,9 +206,9 @@ let test_plan_cache_eviction () =
     true
     (PC.size cache <= cap);
   (* The newest key must still be resident (FIFO evicts the oldest). *)
-  let before = (PC.stats cache).PC.hits in
   ignore (PC.plan cache ~round:1 ~survivors:[| 11 |]);
-  Alcotest.(check int) "newest key hits" (before + 1) (PC.stats cache).PC.hits;
+  Alcotest.(check int) "newest key hits" (s.PC.hits + 1)
+    (pc_delta before).PC.hits;
   (* And a key evicted long ago re-solves to an identical plan. *)
   let again = PC.plan cache ~round:1 ~survivors:[| 0 |] in
   let fresh = PC.fresh_plan inst ~round:1 ~survivors:[| 0 |] in
@@ -218,6 +229,7 @@ let test_plan_cache_lru_keeps_hot_keys () =
   let module PC = Suu_core.Plan_cache in
   let inst = W.independent uniform ~n:16 ~m:3 ~seed:27 in
   let cache = PC.create ~max_entries:8 inst in
+  let before = PC.global_stats () in
   let hot = [| 0; 1 |] in
   ignore (PC.plan cache ~round:1 ~survivors:hot);
   (* Churn 12 > capacity distinct cold keys, touching the hot key
@@ -227,12 +239,12 @@ let test_plan_cache_lru_keeps_hot_keys () =
     ignore (PC.plan cache ~round:1 ~survivors:[| j |]);
     if j mod 3 = 0 then ignore (PC.plan cache ~round:1 ~survivors:hot)
   done;
-  let before = (PC.stats cache).PC.hits in
+  let hits = (pc_delta before).PC.hits in
   ignore (PC.plan cache ~round:1 ~survivors:hot);
-  Alcotest.(check int) "hot key still resident after churn" (before + 1)
-    (PC.stats cache).PC.hits;
-  Alcotest.(check bool) "evictions did happen" true
-    ((PC.stats cache).PC.evictions > 0)
+  let s = pc_delta before in
+  Alcotest.(check int) "hot key still resident after churn" (hits + 1)
+    s.PC.hits;
+  Alcotest.(check bool) "evictions did happen" true (s.PC.evictions > 0)
 
 (* Two handles onto the same (instance, solver) share the process-wide
    store: work done through one is a hit through the other.  This is
@@ -243,21 +255,66 @@ let test_plan_cache_global_sharing () =
   let a = PC.create inst in
   let b = PC.create inst in
   let survivors = [| 0; 2; 4; 6 |] in
+  let before = PC.global_stats () in
   let pa = PC.plan a ~round:2 ~survivors in
+  let s = pc_delta before in
+  Alcotest.(check (pair int int)) "first handle missed" (1, 0)
+    (s.PC.misses, s.PC.hits);
   let pb = PC.plan b ~round:2 ~survivors in
+  let s = pc_delta before in
   Alcotest.(check bool) "handles share the physical plan" true (pa == pb);
-  Alcotest.(check int) "first handle missed" 1 (PC.stats a).PC.misses;
-  Alcotest.(check int) "second handle hit" 1 (PC.stats b).PC.hits;
-  Alcotest.(check bool) "hit_rate reflects per-handle traffic" true
-    (PC.hit_rate (PC.stats b) = 1.0 && PC.hit_rate (PC.stats a) = 0.0);
+  Alcotest.(check (pair int int)) "second handle hit" (1, 1)
+    (s.PC.misses, s.PC.hits);
   (* A different solver must not share plans: solver is plan identity.
      At m * |survivors| = 12 <= 16 cells MWU takes its tiny-instance
      fallback to the simplex, so the plan it computes is the same. *)
   let c = PC.create ~solver:(Suu_core.Solver_choice.Mwu 0.1) inst in
   let pc = PC.plan c ~round:2 ~survivors in
-  Alcotest.(check int) "different solver misses" 1 (PC.stats c).PC.misses;
+  Alcotest.(check int) "different solver misses" 2 (pc_delta before).PC.misses;
   Alcotest.(check bool) "but computes an equivalent plan" true
     (plans_equal pa pc)
+
+(* One set of counts: [shard_stats] reads the per-shard registry
+   counters, and each counted lookup on the global store bumps exactly
+   one of them beside the process-wide counter. *)
+let test_plan_cache_shard_counts () =
+  let module PC = Suu_core.Plan_cache in
+  let registry i =
+    let c what =
+      Suu_obs.Counter.get
+        (Suu_obs.Registry.counter (Printf.sprintf "plan_cache.shard%d.%s" i what))
+    in
+    PC.{ hits = c "hits"; misses = c "misses"; evictions = c "evictions" }
+  in
+  let sum a =
+    Array.fold_left
+      (fun (h, m) (s : PC.stats) -> (h + s.hits, m + s.misses))
+      (0, 0) a
+  in
+  let inst = W.independent uniform ~n:10 ~m:3 ~seed:29 in
+  let cache = PC.create inst in
+  let before = PC.global_stats () in
+  let shards0 = PC.shard_stats () in
+  for j = 0 to 9 do
+    let survivors = Array.init (10 - j) (fun k -> k + j) in
+    ignore (PC.plan cache ~round:1 ~survivors);
+    ignore (PC.plan cache ~round:1 ~survivors)
+  done;
+  let shards = PC.shard_stats () in
+  Array.iteri
+    (fun i s ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "shard %d equals its registry counters" i)
+        PC.[ s.hits; s.misses; s.evictions ]
+        (let r = registry i in
+         PC.[ r.hits; r.misses; r.evictions ]))
+    shards;
+  let d = pc_delta before in
+  let h0, m0 = sum shards0 and h1, m1 = sum shards in
+  Alcotest.(check (pair int int)) "10 misses, 10 hits process-wide" (10, 10)
+    (d.PC.misses, d.PC.hits);
+  Alcotest.(check (pair int int)) "one shard bump per lookup" (10, 10)
+    (m1 - m0, h1 - h0)
 
 let test_sem_beats_obl_near_one () =
   (* The doubling rounds should not lose to plain repetition on hazard
@@ -590,6 +647,8 @@ let () =
             test_plan_cache_lru_keeps_hot_keys;
           Alcotest.test_case "global sharing" `Quick
             test_plan_cache_global_sharing;
+          Alcotest.test_case "shard counts" `Quick
+            test_plan_cache_shard_counts;
         ] );
       ( "baselines",
         [

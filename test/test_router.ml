@@ -184,7 +184,7 @@ let test_stats_merge_counters () =
 
 let test_stats_merge_histograms () =
   let module H = Suu_obs.Histogram in
-  let h1 = H.create "x" and h2 = H.create "x" and u = H.create "x" in
+  let h1 = H.create () and h2 = H.create () and u = H.create () in
   let rng = Suu_prng.Rng.create ~seed:5 in
   for _ = 1 to 400 do
     let v = Suu_prng.Rng.range rng ~lo:0.0 ~hi:2.0 in
@@ -323,6 +323,92 @@ let test_e2e_affinity_and_stats () =
               Alcotest.(check bool) "all simulates on one shard" true
                 (min s1n s2n <= 1 && max s1n s2n >= 6))))
 
+(* A stand-in shard answering every frame with the same stats fields,
+   so the cluster view the router merges is known exactly. *)
+let with_fake_shard fields f =
+  let module Lineio = Suu_server.Lineio in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let serve fd =
+    let rd = Lineio.reader fd in
+    let rec loop () =
+      match P.read_request ~next_line:(fun () -> Lineio.next_line rd) with
+      | None -> ()
+      | Some req ->
+          Lineio.write_all fd
+            (P.response_to_string
+               (P.Ok { id = req.P.id; rtype = "stats"; fields }));
+          loop ()
+    in
+    (try loop () with _ -> ());
+    Unix.close fd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            let fd, _ = Unix.accept lfd in
+            ignore (Thread.create serve fd)
+          done
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Wakes the blocked [accept] on Linux. *)
+      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      Thread.join acceptor;
+      Unix.close lfd)
+    (fun () ->
+      f
+        { Router.id = Printf.sprintf "127.0.0.1:%d" port; host = "127.0.0.1";
+          port; child = None; respawn = None })
+
+(* The router parses every frame it proxies, so its own registry holds
+   protocol counters for traffic the shards count too.  The merged
+   cluster view sums the shard replies alone; the router's registry
+   follows under its own prefix. *)
+let test_e2e_stats_no_router_double_count () =
+  let fields =
+    [ ("requests_total", "3"); ("obs.counter.protocol.instance_memo.misses", "5") ]
+  in
+  with_fake_shard fields (fun a ->
+      with_fake_shard fields (fun b ->
+          with_router [ a; b ] (fun r ->
+              let c = Client.connect ~port:(Router.port r) () in
+              Fun.protect
+                ~finally:(fun () -> Client.close c)
+                (fun () ->
+                  (* One parse of an unseen instance in the router. *)
+                  ignore
+                    (Client.call c
+                       (P.Describe (W.independent uniform ~n:5 ~m:2 ~seed:34)));
+                  ignore (Client.stats c ());
+                  let st = Client.stats c () in
+                  let get k =
+                    match List.assoc_opt k st with
+                    | Some v -> v
+                    | None -> Alcotest.fail ("missing stats key " ^ k)
+                  in
+                  Alcotest.(check string) "requests summed over shards" "6"
+                    (get "requests_total");
+                  Alcotest.(check string) "memo misses summed over shards" "10"
+                    (get "obs.counter.protocol.instance_memo.misses");
+                  Alcotest.(check bool) "router counters not merged" false
+                    (List.mem_assoc "obs.counter.router.route" st);
+                  Alcotest.(check bool) "router's own counters prefixed" true
+                    (int_of_string (get "obs.router.counter.router.route") >= 2);
+                  Alcotest.(check bool) "router's own parses prefixed" true
+                    (int_of_string
+                       (get "obs.router.counter.protocol.instance_memo.misses")
+                    >= 1)))))
+
 let test_e2e_failover () =
   with_two_shards (fun s1 s2 ->
       let config =
@@ -387,6 +473,8 @@ let () =
         [
           Alcotest.test_case "byte-identical to direct server" `Quick
             test_e2e_byte_identical;
+          Alcotest.test_case "router registry kept out of the merge" `Quick
+            test_e2e_stats_no_router_double_count;
           Alcotest.test_case "digest affinity + merged stats" `Quick
             test_e2e_affinity_and_stats;
           Alcotest.test_case "failover on shard death" `Quick

@@ -216,28 +216,71 @@ let test_bqueue_blocking_pop () =
 
 (* --- metrics --- *)
 
+let metric fields k =
+  match List.assoc_opt k fields with
+  | Some v -> int_of_string v
+  | None -> Alcotest.fail ("missing stats key " ^ k)
+
 let test_metrics_render () =
   let m = Metrics.create () in
-  Metrics.observe m ~rtype:"simulate" ~code:None ~latency:0.003;
-  Metrics.observe m ~rtype:"simulate" ~code:(Some "overloaded")
-    ~latency:0.0001;
-  Metrics.observe m ~rtype:"stats" ~code:(Some "timeout") ~latency:7.5;
-  let fields = Metrics.render m in
-  let get k =
-    match List.assoc_opt k fields with
-    | Some v -> v
-    | None -> Alcotest.fail ("missing stats key " ^ k)
+  Metrics.observe m ~rtype:"simulate" ~code:None;
+  Metrics.observe m ~rtype:"simulate" ~code:(Some "overloaded");
+  Metrics.observe m ~rtype:"stats" ~code:(Some "timeout");
+  let get = metric (Metrics.render m) in
+  Alcotest.(check int) "total" 3 (get "requests_total");
+  Alcotest.(check int) "simulate" 2 (get "requests_simulate");
+  Alcotest.(check int) "stats" 1 (get "requests_stats");
+  Alcotest.(check int) "ok" 1 (get "ok");
+  Alcotest.(check int) "errors" 2 (get "errors");
+  Alcotest.(check int) "rejects" 1 (get "rejects");
+  Alcotest.(check int) "timeouts" 1 (get "timeouts")
+
+(* The counters take no lock: observes race renders from other
+   domains.  Every scrape must still balance ok against errors, and
+   once the writers stop, the per-type and per-outcome counts must
+   account for every request. *)
+let test_metrics_concurrent () =
+  let m = Metrics.create () in
+  let types = [| "describe"; "lower_bound"; "plan"; "simulate"; "stats" |] in
+  let codes =
+    [| None; Some "parse"; Some "bad_request"; Some "overloaded";
+       Some "timeout"; Some "internal" |]
   in
-  Alcotest.(check string) "total" "3" (get "requests_total");
-  Alcotest.(check string) "simulate" "2" (get "requests_simulate");
-  Alcotest.(check string) "stats" "1" (get "requests_stats");
-  Alcotest.(check string) "ok" "1" (get "ok");
-  Alcotest.(check string) "errors" "2" (get "errors");
-  Alcotest.(check string) "rejects" "1" (get "rejects");
-  Alcotest.(check string) "timeouts" "1" (get "timeouts");
-  Alcotest.(check string) "le 1ms" "1" (get "latency_le_1ms");
-  Alcotest.(check string) "le 5ms" "1" (get "latency_le_5ms");
-  Alcotest.(check string) "overflow" "1" (get "latency_gt_5000ms")
+  let writers = 2 and per_writer = 20_000 in
+  let running = Atomic.make writers in
+  let ds =
+    List.init writers (fun w ->
+        Domain.spawn (fun () ->
+            for k = 0 to per_writer - 1 do
+              Metrics.observe m
+                ~rtype:types.((k + w) mod Array.length types)
+                ~code:codes.(k mod Array.length codes)
+            done;
+            Atomic.decr running))
+  in
+  let scrapes = ref 0 in
+  while Atomic.get running > 0 do
+    incr scrapes;
+    let get = metric (Metrics.render m) in
+    if get "requests_total" <> get "ok" + get "errors" || get "errors" < 0
+    then
+      Alcotest.failf "scrape %d: requests_total %d <> ok %d + errors %d"
+        !scrapes (get "requests_total") (get "ok") (get "errors")
+  done;
+  List.iter Domain.join ds;
+  let get = metric (Metrics.render m) in
+  let sum keys = List.fold_left (fun acc k -> acc + get k) 0 keys in
+  let total = writers * per_writer in
+  Alcotest.(check int) "every request counted" total (get "requests_total");
+  Alcotest.(check int) "per-type counts sum to the total" total
+    (sum
+       (List.map (fun t -> "requests_" ^ t)
+          (Array.to_list types @ [ "unknown" ])));
+  Alcotest.(check int) "ok and per-code errors sum to the total" total
+    (get "ok"
+    + sum
+        [ "parse_errors"; "bad_requests"; "rejects"; "timeouts";
+          "internal_errors" ])
 
 (* --- end-to-end loopback --- *)
 
@@ -255,6 +298,43 @@ let field fields k =
   match List.assoc_opt k fields with
   | Some v -> v
   | None -> Alcotest.fail ("missing response field " ^ k)
+
+(* The summary half of the stats reply, every key outside the obs.
+   namespace, in order.  Request latency lives only in the obs. half,
+   as the [server.request] span histogram. *)
+let stats_summary_keys =
+  [ "requests_total"; "requests_describe"; "requests_lower_bound";
+    "requests_plan"; "requests_simulate"; "requests_stats";
+    "requests_unknown"; "ok"; "errors"; "parse_errors"; "bad_requests";
+    "rejects"; "timeouts"; "internal_errors"; "plan_cache_hits";
+    "plan_cache_misses"; "plan_cache_evictions"; "plan_cache_bypass";
+    "plan_cache_hit_rate"; "solver"; "instance_cache_entries" ]
+  @ List.init 8 (Printf.sprintf "plan_cache_shard%d_hit_rate")
+  @ [ "queue_depth"; "queue_capacity"; "workers"; "connections"; "reactor";
+      "uptime_ms" ]
+
+let test_e2e_stats_keys () =
+  let inst = W.independent uniform ~n:6 ~m:2 ~seed:12 in
+  with_server (fun server ->
+      with_client server (fun c ->
+          ignore (Client.describe c inst);
+          ignore (Client.plan c ~policy:"greedy" ~seed:1 inst);
+          ignore (Client.stats c ());
+          (* The loop closes a reply's [server.request] span when the
+             bytes are written, before it reads the next frame. *)
+          let st = Client.stats c () in
+          Alcotest.(check (list string)) "summary keys, in order"
+            stats_summary_keys
+            (List.filter_map
+               (fun (k, _) ->
+                 if String.starts_with ~prefix:"obs." k then None else Some k)
+               st);
+          Alcotest.(check int) "three requests before this one" 3
+            (int_of_string (field st "requests_total"));
+          Alcotest.(check bool) "request latency quantiles present" true
+            (List.mem_assoc "obs.phase.server.request.p95_ms" st);
+          Alcotest.(check bool) "every earlier request timed" true
+            (int_of_string (field st "obs.phase.server.request.count") >= 3)))
 
 let test_e2e_all_request_types () =
   let inst = W.independent uniform ~n:8 ~m:3 ~seed:11 in
@@ -1282,7 +1362,10 @@ let () =
           Alcotest.test_case "blocking pop" `Quick test_bqueue_blocking_pop;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "render" `Quick test_metrics_render ] );
+        [ Alcotest.test_case "render" `Quick test_metrics_render;
+          Alcotest.test_case "consistent without a lock" `Quick
+            test_metrics_concurrent;
+          Alcotest.test_case "stats keys pinned" `Quick test_e2e_stats_keys ] );
       ( "lineio",
         [
           Alcotest.test_case "linebuf 1-byte boundary splits" `Quick
