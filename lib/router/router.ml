@@ -1,6 +1,8 @@
 (* The suu-router coordinator: accepts the v1 wire protocol unchanged,
    hashes each request's instance digest onto the rendezvous ring, and
-   proxies to the owning shard over pooled retrying clients.
+   proxies to the owning shard over pooled retrying clients.  Client
+   connections are served by the same event loop and worker pool as
+   suu serve (Suu_server.Server.serve); only the handler differs.
 
    Determinism argument, end to end: the digest is the canonical
    Instance_io rendering (Protocol.instance_digest), placement is a
@@ -14,7 +16,7 @@
 
 module P = Suu_server.Protocol
 module Client = Suu_server.Client
-module Lineio = Suu_server.Lineio
+module Server = Suu_server.Server
 
 let c_route = Suu_obs.Registry.memo_counter "router.route"
 let h_route = lazy (Suu_obs.Registry.histogram "router.route")
@@ -58,26 +60,19 @@ type shard = {
   proxied : int Atomic.t;
 }
 
-type conn = { fd : Unix.file_descr }
-
 type t = {
   cfg : config;
-  lfd : Unix.file_descr;
-  bound_port : int;
   shards : shard array;
   ring : Ring.t;
   mutable health : Health.t option;
+  mutable server : Server.t option;
   started : float;
   stopping : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  conns : (int, conn * Thread.t) Hashtbl.t;
-  conns_lock : Mutex.t;
-  mutable next_conn : int;
-  stop_lock : Mutex.t;
-  mutable stopped : bool;
 }
 
-let port t = t.bound_port
+let server t = match t.server with Some s -> s | None -> assert false
+
+let port t = Server.port (server t)
 
 let shard_by_id t id =
   (* Tiny arrays; linear scan is fine. *)
@@ -94,6 +89,13 @@ let is_live t id = Health.is_live (health t) id
 
 (* --- probing and respawn --- *)
 
+let echo_child s child =
+  s.drain_t <-
+    Some
+      (Spawn.drain
+         ~echo:(fun line -> Printf.eprintf "suu-router: [%s] %s\n%!" s.sid line)
+         child)
+
 let try_respawn s =
   match s.srespawn with
   | None -> ()
@@ -104,12 +106,7 @@ let try_respawn s =
           match Spawn.wait_ready child with
           | Result.Ok _ ->
               Suu_obs.Counter.incr (c_respawn ());
-              s.drain_t <-
-                Some
-                  (Spawn.drain
-                     ~echo:(fun line ->
-                       Printf.eprintf "suu-router: [%s] %s\n%!" s.sid line)
-                     child);
+              echo_child s child;
               Printf.eprintf "suu-router: shard %s respawned (pid %d)\n%!"
                 s.sid (Spawn.pid child)
           | Result.Error msg ->
@@ -235,20 +232,14 @@ let stats_reply t req =
              (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
         ]
         @ merged @ breakdown
-        (* The router's own registry (router.*, the pool's client.*
-           counters, and the protocol counters of its own parses) goes
-           last under its own prefix: merged into the shard sums it
-           would count every routed frame's parse twice. *)
+        (* The router's own registry (router.*, its loop's server.*
+           spans, the pool's client.* counters, and the protocol
+           counters of its own parses) goes last under its own prefix:
+           merged into the shard sums it would count every routed
+           frame's parse twice. *)
         @ Suu_obs.Registry.render ~prefix:"obs.router." () }
 
-(* --- connection handling: one thread per client connection, reading
-   one request frame at a time and answering it before the next --- *)
-
-let send fd resp =
-  try
-    Lineio.write_all fd (P.response_to_string resp);
-    true
-  with Unix.Unix_error _ -> false
+(* --- the handler the server loop runs on its workers --- *)
 
 let handle_request t req =
   let t0 = Suu_obs.Clock.now_ns () in
@@ -266,82 +257,10 @@ let handle_request t req =
   Suu_obs.Registry.observe (c_route ()) (Lazy.force h_route) dt;
   resp
 
-let handle_conn t conn =
-  let rd = Lineio.reader conn.fd in
-  let next_line () = Lineio.next_line rd in
-  let rec loop () =
-    match P.read_request ~next_line with
-    | None -> ()
-    | Some req -> if send conn.fd (handle_request t req) then loop ()
-    | exception P.Parse_error { line; msg } ->
-        (* Same shape the server answers with: the offending frame is
-           consumed, the connection survives. *)
-        let ok =
-          send conn.fd
-            (P.Err
-               { id = None; code = P.Parse;
-                 message = P.parse_error_message ~line ~msg })
-        in
-        P.skip_frame ~next_line;
-        if ok then loop ()
-    | exception Lineio.Line_too_long ->
-        ignore
-          (send conn.fd
-             (P.Err
-                { id = None; code = P.Parse;
-                  message = "line too long; closing connection" }))
-  in
-  (try loop () with _ -> ());
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
-let accept_loop t () =
-  let rec loop () =
-    match Unix.accept t.lfd with
-    | fd, _ ->
-        Unix.setsockopt fd Unix.TCP_NODELAY true;
-        let conn = { fd } in
-        Mutex.lock t.conns_lock;
-        let key = t.next_conn in
-        t.next_conn <- key + 1;
-        let th =
-          Thread.create
-            (fun () ->
-              handle_conn t conn;
-              Mutex.lock t.conns_lock;
-              Hashtbl.remove t.conns key;
-              Mutex.unlock t.conns_lock)
-            ()
-        in
-        Hashtbl.replace t.conns key (conn, th);
-        Mutex.unlock t.conns_lock;
-        loop ()
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-        if not (Atomic.get t.stopping) then loop ()
-  in
-  loop ()
-
 (* --- lifecycle --- *)
 
 let start ?(config = default_config) ~shards () =
   if shards = [] then invalid_arg "Router.start: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
-  in
-  (try Unix.bind lfd addr
-   with e ->
-     Unix.close lfd;
-     raise e);
-  Unix.listen lfd 128;
-  let bound_port =
-    match Unix.getsockname lfd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
   let mk i (spec : shard_spec) =
     let pool =
       Pool.create ~capacity:config.pool_capacity ~retries:config.retries
@@ -349,30 +268,15 @@ let start ?(config = default_config) ~shards () =
         ~retry_seed:(1000 * (i + 1))
         ~host:spec.host ~port:spec.port ()
     in
-    let s =
-      { sid = spec.id; shost = spec.host; sport = spec.port; pool;
-        child = spec.child; srespawn = spec.respawn; drain_t = None;
-        proxied = Atomic.make 0 }
-    in
-    (match spec.child with
-    | Some child ->
-        s.drain_t <-
-          Some
-            (Spawn.drain
-               ~echo:(fun line ->
-                 Printf.eprintf "suu-router: [%s] %s\n%!" s.sid line)
-               child)
-    | None -> ());
-    s
+    { sid = spec.id; shost = spec.host; sport = spec.port; pool;
+      child = spec.child; srespawn = spec.respawn; drain_t = None;
+      proxied = Atomic.make 0 }
   in
   let shard_arr = Array.of_list (List.mapi mk shards) in
   let ring = Ring.create (List.map (fun (sp : shard_spec) -> sp.id) shards) in
   let t =
-    { cfg = config; lfd; bound_port; shards = shard_arr; ring;
-      health = None; started = Unix.gettimeofday ();
-      stopping = Atomic.make false; accept_thread = None;
-      conns = Hashtbl.create 16; conns_lock = Mutex.create ();
-      next_conn = 0; stop_lock = Mutex.create (); stopped = false }
+    { cfg = config; shards = shard_arr; ring; health = None; server = None;
+      started = Unix.gettimeofday (); stopping = Atomic.make false }
   in
   let h =
     Health.create ~fail_threshold:config.fail_threshold
@@ -387,29 +291,30 @@ let start ?(config = default_config) ~shards () =
       ()
   in
   t.health <- Some h;
+  (* One worker per pooled shard connection; fault injection and the
+     journal stay with the shards, whatever the environment says. *)
+  t.server <-
+    Some
+      (Server.serve
+         { Server.default_config with
+           host = config.host; port = config.port;
+           workers = config.pool_capacity * Array.length shard_arr;
+           faults = Some Suu_server.Faults.none; journal = Some "" }
+         ~metrics:(Suu_server.Metrics.create ())
+         ~warm:(fun _ -> false)
+         (fun _ ~deadline:_ req -> handle_request t req));
+  Array.iter
+    (fun s -> match s.child with Some c -> echo_child s c | None -> ())
+    shard_arr;
   Health.start h;
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
   t
 
-let shutdown_fd fd =
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
 let stop t =
-  Mutex.lock t.stop_lock;
-  let already = t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.stop_lock;
-  if not already then begin
-    Atomic.set t.stopping true;
+  if not (Atomic.exchange t.stopping true) then begin
     (match t.health with Some h -> Health.stop h | None -> ());
-    shutdown_fd t.lfd;
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-    Mutex.lock t.conns_lock;
-    let live = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-    Mutex.unlock t.conns_lock;
-    List.iter (fun ((conn : conn), _) -> shutdown_fd conn.fd) live;
-    List.iter (fun (_, th) -> Thread.join th) live;
+    (* Drain: every admitted request is forwarded and answered while the
+       shards are still up. *)
+    Server.stop (server t);
     Array.iter
       (fun s ->
         Pool.clear s.pool;
@@ -435,7 +340,7 @@ let run ?config ~shards () =
   ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   let t = start ?config ~shards () in
   Printf.printf "suu-router listening on %s:%d (shards=%d)\n%!" t.cfg.host
-    t.bound_port (Array.length t.shards);
+    (port t) (Array.length t.shards);
   ignore (Thread.wait_signal stop_signals);
   prerr_endline "suu-router: signal received, draining";
   stop t;

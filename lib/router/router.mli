@@ -10,6 +10,15 @@
     an unrouted server's.  [stats] fans out to all live shards and
     returns a merged view ({!Stats_merge}) plus a per-shard breakdown.
 
+    Client connections are served by {!Suu_server.Server.serve} — the
+    event loop and worker pool of [suu serve] — with the router's
+    handler in place of {!Suu_server.Service.handle}.  The loop runs
+    [pool_capacity × shards] workers, so each holds at most one pooled
+    shard client, and [Server.default_config]'s queue: requests
+    pipeline, a full queue answers [overloaded], and {!stop} drains.
+    Fault injection and the journal are forced off in the router
+    process; [SUU_FAULTS] and [SUU_JOURNAL] arm only the shards.
+
     Failure handling: pooled clients retry within a shard
     ({!Suu_server.Client} machinery); a shard that still fails is
     marked down immediately and the request falls over to the key's
@@ -35,7 +44,9 @@ type config = {
   retries : int;  (** per forwarded call, within one shard *)
   timeout_ms : int;  (** per-attempt shard response timeout *)
   backoff_ms : int;
-  pool_capacity : int;  (** idle connections kept per shard *)
+  pool_capacity : int;
+      (** idle connections kept per shard; the server loop runs this
+          many workers per shard *)
   health_interval_ms : int;
   fail_threshold : int;  (** consecutive probe failures before DOWN *)
   probe_timeout_ms : int;
@@ -46,16 +57,18 @@ val default_config : config
 type t
 
 val start : ?config:config -> shards:shard_spec list -> unit -> t
-(** Bind, start the health thread and the accept loop.  Raises
-    [Invalid_argument] on an empty shard list and [Unix.Unix_error]
-    when the bind fails. *)
+(** Bind, start the server loop with its workers, then the health
+    thread.  Raises [Invalid_argument] on an empty shard list and
+    [Unix.Unix_error] when the bind fails. *)
 
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)
 
 val stop : t -> unit
-(** Graceful: stop health checks, close the listener, join connection
-    threads, drain pools, and SIGTERM spawned shards.  Idempotent. *)
+(** Graceful, in this order: stop health checks; drain the server loop
+    (stop accepting, answer every admitted request through the shards,
+    flush the replies); then close the pooled shard clients and SIGTERM
+    spawned shards.  Idempotent. *)
 
 val run : ?config:config -> shards:shard_spec list -> unit -> unit
 (** [start], print the [suu-router listening on HOST:PORT (shards=N)]

@@ -16,9 +16,6 @@ let capable_count inst j =
   done;
   !c
 
-let default_width inst j =
-  min (capable_count inst j) (max 1 (Instance.m inst / 2))
-
 let policy ?width ?on_event inst =
   let m = Instance.m inst and n = Instance.n inst in
   let digest = Suu_core.Instance_io.digest inst in
@@ -26,7 +23,7 @@ let policy ?width ?on_event inst =
     Array.init n (fun j ->
         let cap = capable_count inst j in
         match width with
-        | None -> max 1 (default_width inst j)
+        | None -> max 1 (min cap (max 1 (m / 2)))
         | Some w -> min cap (max 1 (w j)))
   in
   (* Per-job machine ranking (capable machines by l descending, index

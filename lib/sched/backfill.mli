@@ -42,18 +42,15 @@ type event =
   | Preempted of { job : int; time : int }
       (** a backfilled job giving way to the FCFS head *)
 
-val default_width : Suu_core.Instance.t -> int -> int
-(** [default_width inst j] is [min capable_j (max 1 (m / 2))] where
-    [capable_j] counts machines with [q_ij < 1]: jobs ask for up to
-    half the cluster, the rigid-width analog of SWF processor counts,
-    leaving a hole for backfill to fill. *)
-
 val policy :
   ?width:(int -> int) ->
   ?on_event:(event -> unit) ->
   Suu_core.Instance.t -> Suu_core.Policy.t
 (** The backfill policy, named ["backfill"].  [width j] (clamped to
-    [1 .. capable_j], default {!default_width}) is job [j]'s rigid
-    machine request.  [on_event] observes starts and preemptions; it is
+    [1 .. capable_j]) is job [j]'s rigid machine request.  The default
+    is [min capable_j (max 1 (m / 2))], where [capable_j] counts
+    machines with [q_ij < 1]: jobs ask for up to half the cluster, the
+    rigid-width analog of SWF processor counts, leaving a hole for
+    backfill to fill.  [on_event] observes starts and preemptions; it is
     shared across the policy's executions, so only drive it from
     sequential single-execution runs (tests). *)

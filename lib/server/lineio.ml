@@ -44,10 +44,6 @@ module Linebuf = struct
       Buffer.clear t.partial;
       Some (strip_cr l)
     end
-
-  let buffered t =
-    Buffer.length t.partial
-    + Queue.fold (fun acc l -> acc + String.length l + 1) 0 t.lines
 end
 
 type src = Fd of Unix.file_descr | Fn of (bytes -> int -> int -> int)

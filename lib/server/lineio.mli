@@ -37,10 +37,6 @@ module Linebuf : sig
   (** The unterminated tail, if any, consumed — what a final line
       missing its [\n] looks like at EOF.  Call only after {!next}
       returns [None] at end of stream. *)
-
-  val buffered : t -> int
-  (** Bytes held (complete lines + partial tail), for backpressure
-      accounting. *)
 end
 
 type reader

@@ -137,13 +137,14 @@ type cstate = {
   mutable c_want_write : bool;
 }
 
+type handler = deadline:int64 -> P.request -> P.response
+
 type t = {
   cfg : config;
   lfd : Unix.file_descr;
   bound_port : int;
   queue : job Bqueue.t;
   completions : completion Bqueue.t;
-  service : Service.t;
   metrics : Metrics.t;
   faults : Faults.t option;
   journal : Journal.t option;
@@ -263,7 +264,7 @@ let deliver t job resp ~t0 ~rtype ~code =
       | Faults.Kill ->
           post t job ~kill:true ~t0 ~rtype ~code "suu-response v1\nstatus ok\n")
 
-let process t job =
+let process t handle job =
   let t_pop = Suu_obs.Clock.now_ns () in
   Suu_obs.Span.record ~parent:job.root ~name:"server.queue_wait"
     ~start_ns:job.enq_ns ~stop_ns:t_pop ();
@@ -282,20 +283,20 @@ let process t job =
   end
   else begin
     (match t.faults with Some f -> Faults.maybe_crash f | None -> ());
-    let result =
+    let resp =
       Suu_obs.Span.with_ambient (Some job.root) (fun () ->
           Suu_obs.Span.with_span "server.execute" (fun () ->
-              try Service.handle t.service ~deadline:job.deadline job.req.P.body
+              try handle ~deadline:job.deadline job.req
               with e ->
-                Result.Error
-                  (P.Internal, "unexpected exception: " ^ Printexc.to_string e)))
+                P.Err
+                  { id; code = P.Internal;
+                    message = "unexpected exception: " ^ Printexc.to_string e }))
     in
     let t0 = Suu_obs.Clock.now_ns () in
-    let code, resp =
-      match result with
-      | Result.Ok fields -> (None, P.Ok { id; rtype; fields })
-      | Result.Error (ec, message) ->
-          (Some (P.error_code_to_string ec), P.Err { id; code = ec; message })
+    let code =
+      match resp with
+      | P.Ok _ -> None
+      | P.Err { code; _ } -> Some (P.error_code_to_string code)
     in
     Metrics.observe t.metrics ~rtype ~code;
     journal_response t ~jseq:job.jseq resp;
@@ -308,12 +309,12 @@ let process t job =
    restart and keeps draining the queue — a pool-size-preserving
    restart.  The error reply bypasses fault perturbation: a crashed
    worker should not also roll the fault dice. *)
-let worker_loop t () =
+let worker_loop t handle () =
   let rec loop () =
     match Bqueue.pop t.queue with
     | None -> () (* closed and drained: graceful exit *)
     | Some job ->
-        (try process t job
+        (try process t handle job
          with e ->
            Suu_obs.Counter.incr (c_worker_restarts ());
            let rtype = P.body_type job.req.P.body in
@@ -624,6 +625,7 @@ and handle_step t cs st =
         cs.c_fiber <- Start;
         pump t cs
     | Fail Lineio.Line_too_long ->
+        Metrics.observe t.metrics ~rtype:"unknown" ~code:(Some "parse");
         enqueue_out t cs
           (P.response_to_string
              (P.Err
@@ -814,7 +816,7 @@ let loop_run t () =
 
 (* --- lifecycle --- *)
 
-let start ?(config = default_config) () =
+let serve config ~metrics ~warm make_handler =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if config.outbuf_limit < 1 then
     invalid_arg "Server.start: outbuf_limit must be >= 1";
@@ -839,32 +841,6 @@ let start ?(config = default_config) () =
       Printf.eprintf "suu-serve: fault injection ACTIVE (%s)\n%!"
         (Faults.to_spec (Faults.config f))
   | None -> ());
-  (* Resolve the solver before binding anything: a malformed SUU_SOLVER
-     must fail startup without leaking the listener fd. *)
-  let solver_choice = solver config in
-  (* Build the service before binding anything too: it resolves the
-     simulate fan-out ([sim_jobs], else SUU_JOBS), and a bad count must
-     fail startup rather than every simulate request. *)
-  let metrics = Metrics.create () in
-  let t_ref = ref None in
-  let extra_stats () =
-    match !t_ref with
-    | None -> []
-    | Some t ->
-        [ ("queue_depth", string_of_int (Bqueue.length t.queue));
-          ("queue_capacity", string_of_int t.cfg.queue_capacity);
-          ("workers", string_of_int t.cfg.workers);
-          ("connections", string_of_int (Atomic.get t.conn_count));
-          ("reactor", Reactor.backend t.reactor);
-          ("uptime_ms",
-           string_of_int
-             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
-        ]
-  in
-  let service =
-    Service.create ?sim_jobs:config.sim_jobs ~solver:solver_choice
-      ~extra_stats ~clock_ns:config.clock_ns ~metrics ()
-  in
   (* Open (and recover) the journal before binding the socket: recovery
      may truncate a torn tail, and a server that cannot journal must
      fail to start rather than silently run without the write-ahead
@@ -910,8 +886,8 @@ let start ?(config = default_config) () =
   let started = Unix.gettimeofday () in
   let conn_count = Atomic.make 0 in
   (* Warm-start: replay the recovered journal's request bodies into the
-     caches (instances and policies only — nothing executes, so the
-     plan-cache statistics stay untouched; see {!Service.warm}). *)
+     handler's caches (for {!Service.warm}, instances and policies only
+     — nothing executes, so the plan-cache statistics stay untouched). *)
   (match journal_info with
   | None -> ()
   | Some (j, entries) ->
@@ -919,7 +895,7 @@ let start ?(config = default_config) () =
         List.fold_left
           (fun acc (e : Journal.entry) ->
             match P.request_of_string e.Journal.request with
-            | Some req -> if Service.warm service req.P.body then acc + 1 else acc
+            | Some req -> if warm req.P.body then acc + 1 else acc
             | None -> acc)
           0 entries
       in
@@ -928,7 +904,7 @@ let start ?(config = default_config) () =
         (Journal.path j) (List.length entries) loaded
         (Journal.next_seq entries));
   let t =
-    { cfg = config; lfd; bound_port; queue; completions; service; metrics;
+    { cfg = config; lfd; bound_port; queue; completions; metrics;
       faults;
       journal = Option.map fst journal_info;
       jseq =
@@ -943,11 +919,49 @@ let start ?(config = default_config) () =
       conn_count; next_key = 0; loop_thread = None; worker_threads = [];
       listener_open = true; stop_lock = Mutex.create (); stopped = false }
   in
-  t_ref := Some t;
+  let handle = make_handler t in
   t.worker_threads <-
-    List.init config.workers (fun _ -> Thread.create (worker_loop t) ());
+    List.init config.workers (fun _ -> Thread.create (worker_loop t handle) ());
   t.loop_thread <- Some (Thread.create (loop_run t) ());
   t
+
+let start ?(config = default_config) () =
+  (* Resolve the solver and build the service before binding anything:
+     a malformed SUU_SOLVER, or a bad simulate fan-out ([sim_jobs], else
+     SUU_JOBS), must fail startup without leaking the listener fd rather
+     than fail every request. *)
+  let solver_choice = solver config in
+  let metrics = Metrics.create () in
+  (* Set by [serve] before any worker runs, so every [stats] reply has
+     the server's figures. *)
+  let t_ref = ref None in
+  let extra_stats () =
+    match !t_ref with
+    | None -> []
+    | Some t ->
+        [ ("queue_depth", string_of_int (Bqueue.length t.queue));
+          ("queue_capacity", string_of_int t.cfg.queue_capacity);
+          ("workers", string_of_int t.cfg.workers);
+          ("connections", string_of_int (Atomic.get t.conn_count));
+          ("reactor", Reactor.backend t.reactor);
+          ("uptime_ms",
+           string_of_int
+             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
+        ]
+  in
+  let service =
+    Service.create ?sim_jobs:config.sim_jobs ~solver:solver_choice
+      ~extra_stats ~clock_ns:config.clock_ns ~metrics ()
+  in
+  let handle ~deadline (req : P.request) =
+    let id = req.P.id in
+    match Service.handle service ~deadline req.P.body with
+    | Result.Ok fields -> P.Ok { id; rtype = P.body_type req.P.body; fields }
+    | Result.Error (code, message) -> P.Err { id; code; message }
+  in
+  serve config ~metrics ~warm:(Service.warm service) (fun t ->
+      t_ref := Some t;
+      handle)
 
 let stop t =
   Mutex.lock t.stop_lock;

@@ -1,5 +1,8 @@
-(** The [suu-serve] TCP daemon — a single-threaded event loop in front
-    of a worker pool.
+(** The TCP front end of both daemons — a single-threaded event loop in
+    front of a worker pool.  [suu serve] runs it over {!Service.handle}
+    ({!start}); [suu router] runs it over its shard-forwarding handler
+    ({!serve}), so both get the same pipelining, admission,
+    backpressure, spans and drain.
 
     One loop thread owns every socket through a {!Reactor} (epoll on
     Linux, [select] elsewhere): it accepts connections, reads frames
@@ -10,10 +13,10 @@
     responses by id).  A full queue refuses the offer and the loop
     immediately writes a structured [overloaded] error — backpressure
     instead of unbounded buffering.
-    Workers run {!Service.handle} (simulation replications fan out over
-    the {!Suu_sim.Parallel} domain pool) and hand the serialized reply
-    back to the loop over a wakeup pipe; only the loop touches sockets,
-    so no write locks exist.  A peer that stops reading its replies has
+    Workers run the handler (for [suu serve], simulation replications
+    fan out over the {!Suu_sim.Parallel} domain pool) and hand the
+    serialized reply back to the loop over a wakeup pipe; only the loop
+    touches sockets, so no write locks exist.  A peer that stops reading its replies has
     its read interest shed once [outbuf_limit] is exceeded
     ([server.reader.paused]); partial writes park the remainder and
     resume when the socket drains ([server.writer.resumed]).
@@ -95,8 +98,33 @@ type config = {
 
 val default_config : config
 
+type handler = deadline:int64 -> Protocol.request -> Protocol.response
+(** Answers one admitted request on a worker thread.  [deadline] is the
+    request's absolute instant on the config's [clock_ns].  The reply
+    carries the request's id; an escaping exception becomes an
+    [Internal] error reply. *)
+
+val serve :
+  config ->
+  metrics:Metrics.t ->
+  warm:(Protocol.body -> bool) ->
+  (t -> handler) ->
+  t
+(** [serve config ~metrics ~warm make_handler] binds, listens and spins
+    up the loop and a pool of [workers] threads running
+    [make_handler t], built once the server value [t] exists and before
+    any request is read.  Every reply and refusal is counted in
+    [metrics].  [warm] sees each request body recovered from an armed
+    journal before the workers start.  Reads [SUU_FAULTS] and
+    [SUU_JOURNAL] only where [faults] and [journal] are [None], and
+    never [solver] or [sim_jobs].  Raises [Unix.Unix_error] when the
+    address is unavailable and [Invalid_argument], before binding, when
+    [SUU_FAULTS] is read but malformed. *)
+
 val start : ?config:config -> unit -> t
-(** Bind, listen and spin up the loop and pool.  Raises
+(** {!serve} over a fresh {!Service}: its {!Service.handle} answers,
+    its {!Service.warm} takes the journal, and its [stats] replies add
+    the queue, worker, connection and uptime figures.  Raises
     [Unix.Unix_error] when the address is unavailable and
     [Invalid_argument], before binding, when [SUU_FAULTS],
     [SUU_SOLVER] or [SUU_JOBS] is set but malformed or [sim_jobs] is

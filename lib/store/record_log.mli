@@ -24,14 +24,10 @@
       crash leaves either the old file or the new one, never a blend.
 
     Readers never trust a length field further than the bytes actually
-    present, and a per-record size cap keeps a corrupt length from
+    present, and a per-record size cap (64 MiB) keeps a corrupt length from
     committing the scanner to an absurd allocation. *)
 
 type t
-
-val max_record_bytes : int
-(** Per-record size cap (64 MiB); {!append} refuses larger payloads and
-    recovery treats larger lengths as tears. *)
 
 val read : string -> string list
 (** Read-only recovery scan: the committed records of the log at
@@ -51,7 +47,8 @@ val open_log : ?sync:bool -> string -> t * string list
 val append : ?sync:bool -> t -> string -> unit
 (** Append one record; on return with [sync = true] (the default, or
     the log's default) the record is on disk.  Raises
-    [Invalid_argument] past {!max_record_bytes}, [Failure] if closed. *)
+    [Invalid_argument] past the 64 MiB per-record cap, [Failure] if
+    closed. *)
 
 val sync : t -> unit
 (** [fsync] now — pairs with [append ~sync:false] batching. *)

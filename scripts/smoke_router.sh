@@ -42,6 +42,17 @@ if [ "$SUM" -lt 1 ] || [ "${MERGED:-missing}" != "$SUM" ]; then
   exit 1
 fi
 
+# The router serves through the server's event loop, so its own
+# registry times every request it answers: the 8 routed simulates at
+# least, under obs.router.phase.server.request.*.
+ROUTED=$(awk '$1 == "obs.router.phase.server.request.count" { print $2 }' \
+  "$SCRATCH/router-full.out")
+if [ "${ROUTED:-0}" -lt 8 ]; then
+  echo "smoke_router: obs.router.phase.server.request.count" \
+    "${ROUTED:-missing} < 8" >&2
+  exit 1
+fi
+
 # kill -9 one shard; retrying clients must still converge.
 SHARD_PID=$(sed -n 's/.*shard0 ready at .* (pid \([0-9]*\)).*/\1/p' \
   "$SCRATCH/router.log" | head -n 1)

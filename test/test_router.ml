@@ -261,12 +261,11 @@ let raw_call ~port payload =
       in
       read_until_done ())
 
-let request_strings () =
+let requests () =
   let mk = W.independent uniform in
   let inst1 = mk ~n:6 ~m:2 ~seed:21 in
   let inst2 = mk ~n:8 ~m:3 ~seed:22 in
   let inst3 = mk ~n:4 ~m:2 ~seed:23 in
-  List.map P.request_to_string
     [ { P.id = None; deadline_ms = None; body = P.Describe inst1 };
       { P.id = Some "r1"; deadline_ms = None; body = P.Lower_bound inst2 };
       { P.id = None; deadline_ms = Some 10_000;
@@ -277,6 +276,8 @@ let request_strings () =
       { P.id = None; deadline_ms = None;
         body = P.Simulate { inst = inst3; policy = "greedy"; reps = 3;
                             seed = 1 } } ]
+
+let request_strings () = List.map P.request_to_string (requests ())
 
 let test_e2e_byte_identical () =
   (* Every non-stats reply through the router must be byte-identical to
@@ -294,6 +295,92 @@ let test_e2e_byte_identical () =
                   Alcotest.(check string) "routed reply == direct reply"
                     direct_resp via_router)
                 (request_strings ()))))
+
+(* Read [n] reply frames off [fd], each as its raw bytes. *)
+let read_frames fd n =
+  let rd = Suu_server.Lineio.reader fd in
+  let rec frame acc =
+    match Suu_server.Lineio.next_line rd with
+    | None -> Alcotest.fail "stream ended inside a reply"
+    | Some "done" -> String.concat "" (List.rev ("done\n" :: acc))
+    | Some l -> frame ((l ^ "\n") :: acc)
+  in
+  List.init n (fun _ -> frame [])
+
+let frame_response raw =
+  let lines = ref (String.split_on_char '\n' raw) in
+  let next_line () =
+    match !lines with
+    | l :: rest ->
+        lines := rest;
+        Some l
+    | [] -> None
+  in
+  match P.read_response ~next_line with
+  | Some r -> r
+  | None -> Alcotest.fail "empty reply frame"
+
+let reply_id = function P.Ok { id; _ } | P.Err { id; _ } -> id
+
+let test_e2e_pipelined_byte_identical () =
+  (* The byte-identity requests with distinct ids, and a malformed frame
+     in the middle, in one write on one router connection: one located
+     parse error, and every other reply equal to the direct server's. *)
+  let reqs =
+    List.mapi
+      (fun i r -> P.request_to_string { r with P.id = Some (Printf.sprintf "p%d" i) })
+      (requests ())
+  in
+  let garbage = "total garbage\nmore\ndone\n" in
+  let half = List.length reqs / 2 in
+  let payload =
+    String.concat ""
+      (List.filteri (fun i _ -> i < half) reqs
+      @ [ garbage ]
+      @ List.filteri (fun i _ -> i >= half) reqs)
+  in
+  let direct = Server.start ~config:Server.default_config () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop direct)
+    (fun () ->
+      let want =
+        List.map
+          (fun req ->
+            let raw = raw_call ~port:(Server.port direct) req in
+            (reply_id (frame_response raw), raw))
+          reqs
+      in
+      with_two_shards (fun s1 s2 ->
+          with_router [ attach_spec s1; attach_spec s2 ] (fun r ->
+              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              Fun.protect
+                ~finally:(fun () ->
+                  try Unix.close fd with Unix.Unix_error _ -> ())
+                (fun () ->
+                  Unix.connect fd
+                    (Unix.ADDR_INET (Unix.inet_addr_loopback, Router.port r));
+                  let n =
+                    Unix.write_substring fd payload 0 (String.length payload)
+                  in
+                  Alcotest.(check int) "one write" (String.length payload) n;
+                  let got =
+                    List.map
+                      (fun raw -> (frame_response raw, raw))
+                      (read_frames fd (List.length reqs + 1))
+                  in
+                  let errors, replies =
+                    List.partition (fun (r, _) -> reply_id r = None) got
+                  in
+                  (match errors with
+                  | [ (P.Err { code = P.Parse; message; _ }, _) ] ->
+                      Alcotest.(check bool) "parse error is located" true
+                        (String.starts_with ~prefix:"line 1:" message)
+                  | _ -> Alcotest.fail "expected exactly one parse error");
+                  Alcotest.(check (list (pair (option string) string)))
+                    "routed replies == direct replies, matched by id"
+                    (List.sort compare want)
+                    (List.sort compare
+                       (List.map (fun (r, raw) -> (reply_id r, raw)) replies))))))
 
 let test_e2e_affinity_and_stats () =
   with_two_shards (fun s1 s2 ->
@@ -444,6 +531,49 @@ let test_e2e_failover () =
               Alcotest.(check int) "probe keeps it down" 1
                 (List.length (Router.live_shards r)))))
 
+let test_e2e_stop_drains () =
+  (* Stop must let an admitted request finish, and its reply reach the
+     client, before anything is torn down.  The simulate takes about
+     half a second on two cores; stop comes as soon as its frame is
+     parsed, which the process-wide [server.parse] phase count shows. *)
+  let inst = W.independent W.Near_one ~n:48 ~m:4 ~seed:17 in
+  let parses () =
+    List.assoc_opt "obs.phase.server.parse.count" (Suu_obs.Registry.render ())
+    |> Option.fold ~none:0 ~some:int_of_string
+  in
+  with_two_shards (fun s1 s2 ->
+      let r = Router.start ~shards:[ attach_spec s1; attach_spec s2 ] () in
+      let before = parses () in
+      let result = ref None in
+      let th =
+        Thread.create
+          (fun () ->
+            let c = Client.connect ~port:(Router.port r) () in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                result :=
+                  Some
+                    (Client.call c
+                       (P.Simulate
+                          { inst; policy = "greedy"; reps = 20_000; seed = 2 }))))
+          ()
+      in
+      let give_up = Unix.gettimeofday () +. 10.0 in
+      while parses () = before && Unix.gettimeofday () < give_up do
+        Thread.delay 0.002
+      done;
+      Router.stop r;
+      Thread.join th;
+      match !result with
+      | Some (P.Ok { rtype = "simulate"; fields; _ }) ->
+          Alcotest.(check bool) "got a real summary" true
+            (List.mem_assoc "mean" fields)
+      | Some (P.Err { code; message; _ }) ->
+          Alcotest.failf "in-flight request dropped: [%s] %s"
+            (P.error_code_to_string code) message
+      | _ -> Alcotest.fail "no simulate reply before stop returned")
+
 let () =
   Alcotest.run "router"
     [
@@ -473,11 +603,15 @@ let () =
         [
           Alcotest.test_case "byte-identical to direct server" `Quick
             test_e2e_byte_identical;
+          Alcotest.test_case "pipelined replies byte-identical" `Quick
+            test_e2e_pipelined_byte_identical;
           Alcotest.test_case "router registry kept out of the merge" `Quick
             test_e2e_stats_no_router_double_count;
           Alcotest.test_case "digest affinity + merged stats" `Quick
             test_e2e_affinity_and_stats;
           Alcotest.test_case "failover on shard death" `Quick
             test_e2e_failover;
+          Alcotest.test_case "stop drains in-flight requests" `Quick
+            test_e2e_stop_drains;
         ] );
     ]

@@ -1330,6 +1330,47 @@ let test_e2e_mid_request_disconnect () =
       in
       check_reaped ())
 
+let test_e2e_line_too_long_counted () =
+  (* A line past the 8 MiB cap is refused with a parse error and its
+     connection closed; the refusal counts like any other parse error. *)
+  with_server (fun server ->
+      let fd = connect_raw server in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            (* The server closes once the cap is passed, with the rest of
+               this write unread, so the write may fail part way. *)
+            (try
+               Suu_server.Lineio.write_all fd
+                 (String.make (9 * 1024 * 1024) 'x' ^ "\n")
+             with Unix.Unix_error _ -> ());
+            let buf = Buffer.create 128 in
+            let chunk = Bytes.create 4096 in
+            let rec drain () =
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> ()
+              | k ->
+                  Buffer.add_subbytes buf chunk 0 k;
+                  drain ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+            in
+            drain ();
+            Buffer.contents buf)
+      in
+      Alcotest.(check string) "one parse error, then the connection closes"
+        (P.response_to_string
+           (P.Err
+              { id = None; code = P.Parse;
+                message = "line too long; closing connection" }))
+        reply;
+      with_client server (fun c ->
+          let st = Client.stats c () in
+          Alcotest.(check string) "counted as a parse error" "1"
+            (field st "parse_errors");
+          Alcotest.(check string) "counted as a request" "1"
+            (field st "requests_total")))
+
 let () =
   Alcotest.run "server"
     [
@@ -1427,5 +1468,7 @@ let () =
             test_e2e_slow_reader_backpressure;
           Alcotest.test_case "mid-request disconnect is reaped" `Quick
             test_e2e_mid_request_disconnect;
+          Alcotest.test_case "over-long line refused and counted" `Quick
+            test_e2e_line_too_long_counted;
         ] );
     ]
