@@ -17,7 +17,18 @@ let feas_tol = 1e-7
    pivot row's alone.  On the LP2 of chains at n = 256, m = 16, ratios
    4, 8 and 16 have the tableau peak at about 8.1, 9.3 and 10.1 M words,
    and the sparse rows' scans come to 10%, 1.3% and 0.4% of the pivots'
-   updates. *)
+   updates.
+
+   Sparse rows live in the OCaml heap.  Dense rows, the bulk of a large
+   tableau, do not: each is a float64 Bigarray over zeroed memory from
+   [calloc] (simplex_stubs.c), which the GC neither owns nor counts.
+   {!solve_internal} frees every dense row of its tableau when it
+   returns or raises, so the next solve starts with their memory back,
+   instead of growing its own tableau beside a dead one that the major
+   heap has not collected yet.  A freed row has length 0, so a stray
+   access to it raises rather than reading freed memory.  The counters
+   [lp.dense_rows.allocated] and [lp.dense_rows.released] count the rows
+   made and freed. *)
 let dense_ratio = 8
 
 (* A position in a row's storage: the entry's slot in a sparse row, its
@@ -27,15 +38,37 @@ let dense_ratio = 8
 let pos_bits = 32
 let pos_mask = (1 lsl pos_bits) - 1
 
+type dense_row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external dense_alloc : int -> dense_row = "suu_lp_dense_alloc"
+external dense_free_all : dense_row array -> int = "suu_lp_dense_free_all"
+[@@noalloc]
+
+(* [dense_update d nz nnz f work] sets [d.{j} <- d.{j} -. (f *. work.(j))]
+   at the columns [j] of [nz]'s first [nnz] entries, unchecked. *)
+external dense_update :
+  dense_row -> int array -> int -> (float[@unboxed]) -> float array -> unit
+  = "suu_lp_dense_update_byte" "suu_lp_dense_update"
+[@@noalloc]
+
+(* The row of a sparse row's [dvals] slot: it holds nothing to free. *)
+let no_row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
+let allocated = Suu_obs.Registry.memo_counter "lp.dense_rows.allocated"
+let released = Suu_obs.Registry.memo_counter "lp.dense_rows.released"
+
 type tableau = {
   rows : int;
   cols : int; (* number of variable columns *)
   dense_above : int; (* a row holding more entries turns dense *)
   dense : bool array;
   vals : float array array;
-  (* row r's values: the stored entries of a sparse row, the first
-     len.(r) in use, or all [cols] columns of a dense one.  A sparse
-     entry is never removed, so it may hold a zero. *)
+  (* a sparse row's stored entries, the first len.(r) in use; [||] for a
+     dense row.  A sparse entry is never removed, so it may hold a
+     zero. *)
+  dvals : dense_row array;
+  (* a dense row's [cols] columns, outside the OCaml heap and freed by
+     {!release}; [no_row] for a sparse row *)
   idx : int array array; (* a sparse row's column of each stored entry *)
   len : int array;
   rhs : float array; (* right-hand side of each row *)
@@ -81,15 +114,14 @@ let with_room a len need fill =
     b
   end
 
-let densify t r =
-  let d = Array.make t.cols 0.0 in
-  let idx = t.idx.(r) and vals = t.vals.(r) in
-  for k = 0 to t.len.(r) - 1 do
-    d.(idx.(k)) <- vals.(k)
-  done;
-  t.vals.(r) <- d;
-  t.idx.(r) <- [||];
-  t.len.(r) <- 0;
+(* Give row [r] a dense row of zeros and list it among the dense rows.
+   The new row is in [dvals] before anything that can raise, so
+   {!release} finds it. *)
+let make_dense t r =
+  let c = allocated () in
+  let d = dense_alloc t.cols in
+  t.dvals.(r) <- d;
+  Suu_obs.Counter.incr c;
   t.dense.(r) <- true;
   t.dense_rows <- with_room t.dense_rows t.n_dense (t.n_dense + 1) 0;
   let i = ref t.n_dense in
@@ -99,6 +131,26 @@ let densify t r =
   done;
   t.dense_rows.(!i) <- r;
   t.n_dense <- t.n_dense + 1
+
+(* Move the sparse row [r]'s entries into a dense row. *)
+let densify t r =
+  make_dense t r;
+  let d = t.dvals.(r) and idx = t.idx.(r) and vals = t.vals.(r) in
+  for k = 0 to t.len.(r) - 1 do
+    d.{idx.(k)} <- vals.(k)
+  done;
+  t.vals.(r) <- [||];
+  t.idx.(r) <- [||];
+  t.len.(r) <- 0
+
+(* Free every dense row of [t]. *)
+let release t =
+  let c = released () in
+  Suu_obs.Counter.add c (dense_free_all t.dvals)
+
+(* The value at position [k] of row [r]. *)
+let[@inline] entry t r k =
+  if t.dense.(r) then t.dvals.(r).{k} else t.vals.(r).(k)
 
 (* Make room in the sparse row [r] for [extra] more entries. *)
 let reserve t r extra =
@@ -119,9 +171,9 @@ let[@inline] append t r j v =
   t.col_ent.(j).(c) <- (r lsl pos_bits) lor k;
   t.col_len.(j) <- c + 1
 
-(* Lay out columns as [structural | slack/surplus | artificial] and install
-   the initial basis: slack for <= rows, artificial for >= and = rows. *)
-let build problem =
+(* Lay out columns as [structural | slack/surplus | artificial]: a
+   tableau of [problem]'s shape, with no rows yet. *)
+let layout problem =
   let nstruct = Problem.num_vars problem in
   let nrows = Problem.num_constraints problem in
   (* Count extra columns. *)
@@ -139,30 +191,34 @@ let build problem =
       | Problem.Eq -> incr n_art);
   let first_artificial = nstruct + !n_slack in
   let cols = first_artificial + !n_art in
-  let basis = Array.make nrows (-1) in
-  let z1 = Array.make (cols + 1) 0.0 in
-  let z2 = Array.make (cols + 1) 0.0 in
-  let obj = Problem.objective problem in
-  Array.blit obj 0 z2 0 nstruct;
-  let t =
-    { rows = nrows; cols; dense_above = cols / dense_ratio;
-      dense = Array.make nrows false; vals = Array.make nrows [||];
-      idx = Array.make nrows [||]; len = Array.make nrows 0;
-      rhs = Array.make nrows 0.0; col_ent = Array.make cols [||];
-      col_len = Array.make cols 0; dense_rows = [||]; n_dense = 0; basis;
-      z1; z2; nstruct; first_artificial;
-      dual_of_row = Array.make nrows (0, 0.0); work = Array.make cols 0.0;
-      mark = Array.make cols (-1); stamp = 0; nz_cols = Array.make cols 0;
-      nz_ents = Array.make nrows 0; n_nz_ents = 0;
-      dense_ents = Array.make nrows 0 }
-  in
+  { rows = nrows; cols; dense_above = cols / dense_ratio;
+    dense = Array.make nrows false; vals = Array.make nrows [||];
+    dvals = Array.make nrows no_row;
+    idx = Array.make nrows [||]; len = Array.make nrows 0;
+    rhs = Array.make nrows 0.0; col_ent = Array.make cols [||];
+    col_len = Array.make cols 0; dense_rows = [||]; n_dense = 0;
+    basis = Array.make nrows (-1); z1 = Array.make (cols + 1) 0.0;
+    z2 = Array.make (cols + 1) 0.0; nstruct; first_artificial;
+    dual_of_row = Array.make nrows (0, 0.0); work = Array.make cols 0.0;
+    mark = Array.make cols (-1); stamp = 0; nz_cols = Array.make cols 0;
+    nz_ents = Array.make nrows 0; n_nz_ents = 0;
+    dense_ents = Array.make nrows 0 }
+
+(* Fill the rows of [t], laid out for [problem], and install the initial
+   basis: slack for <= rows, artificial for >= and = rows.  A row with
+   more than [dense_above] entries is written dense from the start. *)
+let build t problem =
+  let cols = t.cols and basis = t.basis and z1 = t.z1 in
+  (* The z rows store reduced costs in [0, cols) and minus the current
+     objective value at index [cols]. *)
+  Array.blit (Problem.objective problem) 0 t.z2 0 t.nstruct;
   (* Phase-1 reduced costs: cost 1 on every artificial column, then
      price out the initial (artificial) basics by subtracting their
      rows, in row order, as each is built. *)
-  for j = first_artificial to cols - 1 do
+  for j = t.first_artificial to cols - 1 do
     z1.(j) <- 1.0
   done;
-  let slack_next = ref nstruct and art_next = ref first_artificial in
+  let slack_next = ref t.nstruct and art_next = ref t.first_artificial in
   let r = ref 0 in
   Problem.iter_constraints problem (fun terms sense rhs ->
       let row = !r in
@@ -181,14 +237,6 @@ let build problem =
         else t.work.(v) <- t.work.(v) +. c
       in
       Array.iter put terms;
-      t.idx.(row) <- Array.make (!n + 2) 0;
-      t.vals.(row) <- Array.make (!n + 2) 0.0;
-      for k = 0 to !n - 1 do
-        let v = t.nz_cols.(k) in
-        if t.work.(v) <> 0.0 then append t row v t.work.(v);
-        t.work.(v) <- 0.0
-      done;
-      t.rhs.(row) <- (if flip then -.rhs else rhs);
       let sense =
         if flip then
           match sense with
@@ -197,6 +245,27 @@ let build problem =
           | Problem.Eq -> Problem.Eq
         else sense
       in
+      (* The row's entries: its nonzero sums, then its slack, surplus or
+         artificial columns. *)
+      let entries = ref (match sense with Problem.Ge -> 2 | _ -> 1) in
+      for k = 0 to !n - 1 do
+        if t.work.(t.nz_cols.(k)) <> 0.0 then incr entries
+      done;
+      let dense = !entries > t.dense_above in
+      if dense then make_dense t row
+      else begin
+        t.idx.(row) <- Array.make (!n + 2) 0;
+        t.vals.(row) <- Array.make (!n + 2) 0.0
+      end;
+      let store j v =
+        if dense then t.dvals.(row).{j} <- v else append t row j v
+      in
+      for k = 0 to !n - 1 do
+        let v = t.nz_cols.(k) in
+        if t.work.(v) <> 0.0 then store v t.work.(v);
+        t.work.(v) <- 0.0
+      done;
+      t.rhs.(row) <- (if flip then -.rhs else rhs);
       (* Record where this row's dual can be read off after phase 2:
          the reduced cost of a slack (+1) column is -y, of a surplus
          (-1) column +y, of a zero-cost artificial -y; a flipped row
@@ -206,37 +275,42 @@ let build problem =
       | Problem.Le ->
           let s = !slack_next in
           incr slack_next;
-          append t row s 1.0;
+          store s 1.0;
           basis.(row) <- s;
           t.dual_of_row.(row) <- (s, -.fsign)
       | Problem.Ge ->
           let s = !slack_next in
           incr slack_next;
-          append t row s (-1.0);
+          store s (-1.0);
           let art = !art_next in
           incr art_next;
-          append t row art 1.0;
+          store art 1.0;
           basis.(row) <- art;
           t.dual_of_row.(row) <- (s, fsign)
       | Problem.Eq ->
           let art = !art_next in
           incr art_next;
-          append t row art 1.0;
+          store art 1.0;
           basis.(row) <- art;
           t.dual_of_row.(row) <- (art, -.fsign));
-      if basis.(row) >= first_artificial then begin
-        for k = 0 to t.len.(row) - 1 do
-          let j = t.idx.(row).(k) in
-          z1.(j) <- z1.(j) -. t.vals.(row).(k)
-        done;
+      if basis.(row) >= t.first_artificial then begin
+        if dense then begin
+          (* Each column once, as the sparse entries are; subtracting a
+             zero column leaves z1 as it is. *)
+          let d = t.dvals.(row) in
+          for j = 0 to cols - 1 do
+            z1.(j) <- z1.(j) -. d.{j}
+          done
+        end
+        else
+          for k = 0 to t.len.(row) - 1 do
+            let j = t.idx.(row).(k) in
+            z1.(j) <- z1.(j) -. t.vals.(row).(k)
+          done;
         z1.(cols) <- z1.(cols) -. t.rhs.(row)
       end;
-      if t.len.(row) > t.dense_above then densify t row;
       incr r);
-  Array.fill t.mark 0 cols (-1);
-  (* The z rows store reduced costs in [0, cols) and minus the current
-     objective value at index [cols]. *)
-  t
+  Array.fill t.mark 0 cols (-1)
 
 (* Record in [nz_ents] the entries of column [col] with a nonzero value,
    in increasing row order, which the ratio test's tie-break needs.  The
@@ -272,7 +346,7 @@ let gather_rows t col =
   let d = t.dense_ents and b = ref 0 in
   for i = 0 to t.n_dense - 1 do
     let r = t.dense_rows.(i) in
-    if Float.abs t.vals.(r).(col) > 0.0 then begin
+    if Float.abs t.dvals.(r).{col} > 0.0 then begin
       d.(!b) <- (r lsl pos_bits) lor col;
       incr b
     end
@@ -302,33 +376,44 @@ let gather_rows t col =
    is [x -. f *. 0.0], which leaves [x] unchanged up to the sign of a
    zero. *)
 let pivot t ~row ~col =
-  let vals = t.vals.(row) in
-  let kcol =
-    if t.dense.(row) then col
-    else begin
-      let idx = t.idx.(row) in
-      let k = ref 0 in
-      while idx.(!k) <> col do
-        incr k
-      done;
-      !k
-    end
-  in
-  let inv = 1.0 /. vals.(kcol) in
   let work = t.work and nz = t.nz_cols and mark = t.mark in
   let nnz = ref 0 in
-  let n = if t.dense.(row) then t.cols else t.len.(row) in
-  for k = 0 to n - 1 do
-    let v = vals.(k) *. inv in
-    vals.(k) <- v;
-    if v <> 0.0 then begin
-      let j = if t.dense.(row) then k else t.idx.(row).(k) in
-      work.(j) <- v;
-      nz.(!nnz) <- j;
-      incr nnz
+  let inv =
+    if t.dense.(row) then begin
+      let d = t.dvals.(row) in
+      let inv = 1.0 /. d.{col} in
+      for k = 0 to t.cols - 1 do
+        let v = d.{k} *. inv in
+        d.{k} <- v;
+        if v <> 0.0 then begin
+          work.(k) <- v;
+          nz.(!nnz) <- k;
+          incr nnz
+        end
+      done;
+      d.{col} <- 1.0;
+      inv
     end
-  done;
-  vals.(kcol) <- 1.0;
+    else begin
+      let vals = t.vals.(row) and idx = t.idx.(row) in
+      let kcol = ref 0 in
+      while idx.(!kcol) <> col do
+        incr kcol
+      done;
+      let inv = 1.0 /. vals.(!kcol) in
+      for k = 0 to t.len.(row) - 1 do
+        let v = vals.(k) *. inv in
+        vals.(k) <- v;
+        if v <> 0.0 then begin
+          work.(idx.(k)) <- v;
+          nz.(!nnz) <- idx.(k);
+          incr nnz
+        end
+      done;
+      vals.(!kcol) <- 1.0;
+      inv
+    end
+  in
   work.(col) <- 1.0;
   let nnz = !nnz in
   let prhs = t.rhs.(row) *. inv in
@@ -340,20 +425,16 @@ let pivot t ~row ~col =
     let e = t.nz_ents.(i) in
     let r = e lsr pos_bits in
     if r <> row then begin
-      let tvals = t.vals.(r) in
       let kc = e land pos_mask in
       (* Nonzero: the gather kept only nonzero entries. *)
-      let f = tvals.(kc) in
+      let f = entry t r kc in
       if t.dense.(r) then begin
-        for q = 0 to nnz - 1 do
-          let j = Array.unsafe_get nz q in
-          Array.unsafe_set tvals j
-            (Array.unsafe_get tvals j -. (f *. Array.unsafe_get work j))
-        done;
-        tvals.(kc) <- 0.0
+        let d = t.dvals.(r) in
+        dense_update d nz nnz f work;
+        d.{kc} <- 0.0
       end
       else begin
-        let tidx = t.idx.(r) in
+        let tvals = t.vals.(r) and tidx = t.idx.(r) in
         t.stamp <- t.stamp + 1;
         let stamp = t.stamp in
         let matched = ref 0 in
@@ -369,11 +450,12 @@ let pivot t ~row ~col =
         tvals.(kc) <- 0.0;
         if t.len.(r) + nnz - !matched > t.dense_above then begin
           densify t r;
-          let d = t.vals.(r) in
+          let d = t.dvals.(r) in
           for q = 0 to nnz - 1 do
             let j = Array.unsafe_get nz q in
             if Array.unsafe_get mark j <> stamp then
-              Array.unsafe_set d j (0.0 -. (f *. Array.unsafe_get work j))
+              Bigarray.Array1.unsafe_set d j
+                (0.0 -. (f *. Array.unsafe_get work j))
           done
         end
         else begin
@@ -444,7 +526,7 @@ let leaving t col =
   for i = 0 to t.n_nz_ents - 1 do
     let e = t.nz_ents.(i) in
     let r = e lsr pos_bits in
-    let arc = t.vals.(r).(e land pos_mask) in
+    let arc = entry t r (e land pos_mask) in
     if arc > eps then begin
       let ratio = t.rhs.(r) /. arc in
       if
@@ -490,22 +572,24 @@ let run_phase t z ~limit ~iters_left ~bland_after =
 let expel_artificials t =
   for r = 0 to t.rows - 1 do
     if t.basis.(r) >= t.first_artificial then begin
-      let vals = t.vals.(r) in
       (* The lowest usable column; a sparse row stores its entries
          unsorted. *)
       let col = ref t.first_artificial in
       if t.dense.(r) then begin
+        let d = t.dvals.(r) in
         let j = ref 0 in
-        while !j < t.first_artificial && not (Float.abs vals.(!j) > 1e-7) do
+        while !j < t.first_artificial && not (Float.abs d.{!j} > 1e-7) do
           incr j
         done;
         col := !j
       end
-      else
+      else begin
+        let vals = t.vals.(r) in
         for k = 0 to t.len.(r) - 1 do
           let j = t.idx.(r).(k) in
           if j < !col && Float.abs vals.(k) > 1e-7 then col := j
-        done;
+        done
+      end;
       if !col < t.first_artificial then begin
         gather_rows t !col;
         pivot t ~row:r ~col:!col
@@ -513,8 +597,9 @@ let expel_artificials t =
     end
   done
 
-let solve_internal ?max_iters problem =
-  let t = build problem in
+(* Solve on the tableau [t], laid out for [problem]. *)
+let solve_tableau t ?max_iters problem =
+  build t problem;
   let default_budget = max 100_000 (50 * (t.rows + t.cols)) in
   let budget = match max_iters with Some b -> b | None -> default_budget in
   let bland_after = 10 * (t.rows + t.cols) in
@@ -564,6 +649,12 @@ let solve_internal ?max_iters problem =
            Some duals)
       | Unbounded_col, _ -> (Unbounded, None)
       | Out_of_iters, _ -> (Iteration_limit, None))
+
+let solve_internal ?max_iters problem =
+  let t = layout problem in
+  Fun.protect
+    ~finally:(fun () -> release t)
+    (fun () -> solve_tableau t ?max_iters problem)
 
 let solve ?max_iters problem = fst (solve_internal ?max_iters problem)
 

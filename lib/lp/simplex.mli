@@ -20,6 +20,12 @@
     most flip the sign of a zero.  So the pivot sequence, the optimum,
     [x] and the duals are those of the full sweep.
 
+    Dense rows live outside the OCaml heap, and each solve frees its
+    tableau's before it returns or raises, so a solve holds no memory
+    after it and a run of large solves peaks at one tableau.  The
+    counters [lp.dense_rows.allocated] and [lp.dense_rows.released]
+    count the rows made and freed.
+
     All comparisons use an absolute tolerance of [1e-9]; callers should
     treat returned values as accurate to roughly [1e-7] relative. *)
 

@@ -7,11 +7,21 @@
 # fails here.  The run's last stdout line must report "correct": true
 # and "failed": 0.
 #
+# mc-sweep must also keep its peak_rss_mb at or below MC_SWEEP_RSS_MIB.
+# Its peak is set by the set-up's two large LP2 tableaux; with each
+# tableau's dense rows outside the OCaml heap and freed as its solve
+# returns, it reads about 114 MiB, against about 170-177 MiB when
+# the dead chains tableau still sat in the major heap while the forest
+# one grew.  140 MiB leaves about 23% headroom over the first and fails
+# well short of the second.
+#
 # Needs dune and python3 (run.py builds the CLI and the driver from
 # source).  Run from anywhere: `scripts/smoke_perfbench.sh`.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+MC_SWEEP_RSS_MIB=140
 
 LOG=$(mktemp "${TMPDIR:-/tmp}/suu-perfbench.XXXXXX")
 trap 'rm -f "$LOG"' EXIT
@@ -30,6 +40,15 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)'
   then
     tail -n 30 "$LOG" >&2
     echo "perfbench $w: result not correct or has failed operations" >&2
+    exit 1
+  fi
+  if [ "$w" = mc-sweep ] && ! tail -n 1 "$LOG" | python3 -c '
+import json, sys
+rss = json.loads(sys.stdin.read())["metrics"]["peak_rss_mb"]["value"]
+print("perfbench mc-sweep: peak_rss_mb %.1f, ceiling %s" % (rss, sys.argv[1]))
+sys.exit(0 if rss <= float(sys.argv[1]) else 1)' "$MC_SWEEP_RSS_MIB"
+  then
+    echo "perfbench mc-sweep: peak_rss_mb above $MC_SWEEP_RSS_MIB MiB" >&2
     exit 1
   fi
   echo "perfbench $w: $(tail -n 1 "$LOG" | cut -c1-60)..."

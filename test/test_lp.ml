@@ -820,22 +820,29 @@ let test_oracle_ratio_row_order () =
         "x on row 2's bound" [| 1.0; 1.0 |] (Array.sub x 0 2)
   | _ -> Alcotest.fail "not optimal"
 
+module W = Suu_workload.Workload
+
+let hazard = W.Uniform { lo = 0.2; hi = 0.95 }
+
+(* The (LP2) problem SUU-C builds for random chains at n = 96, m = 8. *)
+let chains_lp2 () =
+  let n = 96 and m = 8 in
+  let chains = W.random_chains hazard ~n ~z:(n / 8) ~m ~seed:3 in
+  match Suu_dag.Chains.of_dag (Suu_core.Instance.dag chains) with
+  | Some c -> Suu_core.Lp2.problem_for_testing chains ~chains:c
+  | None -> Alcotest.fail "chains instance is not chains"
+
 (* Real (LP2) problems of several hundred rows, as SUU-C and SUU-T
    build them: fill-in is heavy at this scale, unlike in the small
    random families above. *)
 let test_oracle_lp2_scale () =
-  let module W = Suu_workload.Workload in
-  let hazard = W.Uniform { lo = 0.2; hi = 0.95 } in
   let check name p =
     Alcotest.(check bool)
       (Printf.sprintf "%s (%d rows)" name (P.num_constraints p))
       true (agrees_with_oracle p)
   in
+  check "chains" (chains_lp2 ());
   let n = 96 and m = 8 in
-  let chains = W.random_chains hazard ~n ~z:(n / 8) ~m ~seed:3 in
-  (match Suu_dag.Chains.of_dag (Suu_core.Instance.dag chains) with
-  | Some c -> check "chains" (Suu_core.Lp2.problem_for_testing chains ~chains:c)
-  | None -> Alcotest.fail "chains instance is not chains");
   let forest =
     W.forest hazard ~n ~trees:(n / 16) ~orientation:`Mixed ~m ~seed:3
   in
@@ -848,6 +855,104 @@ let test_oracle_lp2_scale () =
             (Suu_core.Lp2.problem_for_testing forest ~chains:c))
         blocks
   | None -> Alcotest.fail "forest instance is not a forest"
+
+(* --- the dense rows' lifetime --- *)
+
+(* Dense rows live outside the OCaml heap, and every solve frees its
+   own as it returns or raises: the rows made and freed so far. *)
+let dense_rows () =
+  let get name = Suu_obs.Counter.get (Suu_obs.Registry.counter name) in
+  (get "lp.dense_rows.allocated", get "lp.dense_rows.released")
+
+let check_none_live name =
+  let made, freed = dense_rows () in
+  Alcotest.(check int) (name ^ ": no dense row left live") made freed
+
+(* [solve ()] must make dense rows and leave none live. *)
+let releases name solve =
+  let made0, _ = dense_rows () in
+  let r = solve () in
+  Alcotest.(check bool) (name ^ ": made dense rows") true
+    (fst (dense_rows ()) > made0);
+  check_none_live name;
+  r
+
+(* On tableaux of a few columns every row is dense from the start. *)
+let test_release_on_every_result () =
+  let p = P.create () in
+  let x = P.add_var ~obj:(-3.0) p and y = P.add_var ~obj:(-2.0) p in
+  P.add_constraint p [ (x, 1.0); (y, 1.0) ] P.Le 4.0;
+  P.add_constraint p [ (x, 1.0); (y, 3.0) ] P.Le 6.0;
+  (match releases "optimal" (fun () -> S.solve p) with
+  | S.Optimal _ -> ()
+  | _ -> Alcotest.fail "expected optimal");
+  (* One pivot reaches the optimum, but the budget runs out before the
+     next pricing sees it. *)
+  (match releases "iteration limit" (fun () -> S.solve ~max_iters:1 p) with
+  | S.Iteration_limit -> ()
+  | _ -> Alcotest.fail "expected the iteration limit");
+  let p = P.create () in
+  let x = P.add_var ~obj:1.0 p in
+  P.add_constraint p [ (x, 1.0) ] P.Ge 5.0;
+  P.add_constraint p [ (x, 1.0) ] P.Le 3.0;
+  (match releases "infeasible" (fun () -> S.solve p) with
+  | S.Infeasible -> ()
+  | _ -> Alcotest.fail "expected infeasible");
+  let p = P.create () in
+  let x = P.add_var ~obj:(-1.0) p in
+  P.add_constraint p [ (x, 1.0) ] P.Ge 1.0;
+  match releases "unbounded" (fun () -> S.solve p) with
+  | S.Unbounded -> ()
+  | _ -> Alcotest.fail "expected unbounded"
+
+exception Alarm
+
+(* A SIGALRM handler raises [Alarm] at whichever poll point of the solve
+   the timer lands on.  The timer is tried at shorter and shorter delays
+   until one lands after the solve made dense rows and before it
+   returned; after every try no row may be left live. *)
+let test_release_on_exception () =
+  let p = chains_lp2 () in
+  let arm delay =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.0; it_value = delay })
+  in
+  let attempt delay =
+    let made0, _ = dense_rows () in
+    let returned = ref false in
+    let raised =
+      try
+        arm delay;
+        ignore (S.solve p);
+        returned := true;
+        arm 0.0;
+        false
+      with Alarm | Fun.Finally_raised Alarm -> true
+    in
+    arm 0.0;
+    check_none_live (Printf.sprintf "alarm after %g s" delay);
+    raised && (not !returned) && fst (dense_rows ()) > made0
+  in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Alarm)) in
+  Fun.protect
+    ~finally:(fun () ->
+      arm 0.0;
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      Alcotest.(check bool) "an alarm landed inside a solve" true
+        (List.exists attempt [ 0.005; 0.002; 0.001; 0.0005; 0.0002 ]))
+
+(* Two domains solving at once each get the sequential solve's result. *)
+let test_two_domains () =
+  let p = chains_lp2 () in
+  let seq = S.solve_detailed p in
+  let ds = List.init 2 (fun _ -> Domain.spawn (fun () -> S.solve_detailed p)) in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "= sequential solve" true (Domain.join d = seq))
+    ds;
+  check_none_live "two domains"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -873,6 +978,14 @@ let () =
             test_oracle_ratio_row_order;
           Alcotest.test_case "expel takes a sparse row's lowest column" `Quick
             test_oracle_expel_lowest_column;
+        ] );
+      ( "dense-rows",
+        [
+          Alcotest.test_case "freed on every result" `Quick
+            test_release_on_every_result;
+          Alcotest.test_case "freed when a solve raises" `Quick
+            test_release_on_exception;
+          Alcotest.test_case "two domains at once" `Quick test_two_domains;
         ] );
       ( "problem",
         [

@@ -1009,12 +1009,20 @@ let test_e2e_faults_retries_converge () =
 
 let test_e2e_graceful_shutdown_drains () =
   (* Stop must let an in-flight request finish and its reply reach the
-     client before the connection is torn down. *)
+     client before the connection is torn down.  The simulate takes
+     about half a second on one worker; stop comes as soon as its frame
+     is parsed, which the process-wide [server.parse] phase count
+     shows, so the request is still running when the drain starts. *)
   let config =
     { Server.default_config with workers = 1; sim_jobs = Some 1 }
   in
   let inst = W.independent W.Near_one ~n:24 ~m:4 ~seed:17 in
+  let parses () =
+    List.assoc_opt "obs.phase.server.parse.count" (Suu_obs.Registry.render ())
+    |> Option.fold ~none:0 ~some:int_of_string
+  in
   let server = Server.start ~config () in
+  let before = parses () in
   let result = ref None in
   let th =
     Thread.create
@@ -1024,10 +1032,13 @@ let test_e2e_graceful_shutdown_drains () =
               Some
                 (Client.call c
                    (P.Simulate
-                      { inst; policy = "greedy"; reps = 500; seed = 2 }))))
+                      { inst; policy = "greedy"; reps = 30_000; seed = 2 }))))
       ()
   in
-  Thread.delay 0.05;
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while parses () = before && Unix.gettimeofday () < give_up do
+    Thread.delay 0.002
+  done;
   Server.stop server;
   Thread.join th;
   match !result with
