@@ -856,6 +856,48 @@ let test_oracle_lp2_scale () =
         blocks
   | None -> Alcotest.fail "forest instance is not a forest"
 
+(* LP2s too large for the oracle: mc-sweep's set-up solves these
+   shapes at n = 256, m = 16, and their results are pinned by the MD5
+   of the marshalled [(objective, x, duals)], which holds every float's
+   bits, signs of zeros included.  The digests were recorded from the
+   tableau whose pivot updates one dense row per pass; a pivot must
+   reproduce its arithmetic on every entry to keep them. *)
+let pinned_digest p =
+  match S.solve_detailed p with
+  | Some d ->
+      Digest.to_hex
+        (Digest.string (Marshal.to_string (d.S.objective, d.S.x, d.S.duals) []))
+  | None -> Alcotest.fail "expected optimal"
+
+let test_pinned_lp2_256 () =
+  let n = 256 and m = 16 in
+  let check name expected p =
+    Alcotest.(check string)
+      (Printf.sprintf "%s (%d rows)" name (P.num_constraints p))
+      expected (pinned_digest p)
+  in
+  let chains = W.random_chains hazard ~n ~z:(n / 8) ~m ~seed:7 in
+  (match Suu_dag.Chains.of_dag (Suu_core.Instance.dag chains) with
+  | Some c ->
+      check "chains" "9c6b37de17f670e147e6a24edb6b0244" (Suu_core.Lp2.problem_for_testing chains ~chains:c)
+  | None -> Alcotest.fail "chains instance is not chains");
+  let forest =
+    W.forest hazard ~n ~trees:(n / 16) ~orientation:`Mixed ~m ~seed:7
+  in
+  match Suu_dag.Forest.decompose (Suu_core.Instance.dag forest) with
+  | Some blocks ->
+      let largest =
+        Array.fold_left
+          (fun best c ->
+            let p = Suu_core.Lp2.problem_for_testing forest ~chains:c in
+            match best with
+            | Some b when P.num_constraints b >= P.num_constraints p -> best
+            | _ -> Some p)
+          None blocks
+      in
+      check "forest's largest block" "5fa4d92e015a4d1a05c4b13604586931" (Option.get largest)
+  | None -> Alcotest.fail "forest instance is not a forest"
+
 (* --- the dense rows' lifetime --- *)
 
 (* Dense rows live outside the OCaml heap, and every solve frees its
@@ -978,6 +1020,8 @@ let () =
             test_oracle_ratio_row_order;
           Alcotest.test_case "expel takes a sparse row's lowest column" `Quick
             test_oracle_expel_lowest_column;
+          Alcotest.test_case "pinned LP2s at n = 256, m = 16" `Slow
+            test_pinned_lp2_256;
         ] );
       ( "dense-rows",
         [
