@@ -44,11 +44,15 @@ external dense_alloc : int -> dense_row = "suu_lp_dense_alloc"
 external dense_free_all : dense_row array -> int = "suu_lp_dense_free_all"
 [@@noalloc]
 
-(* [dense_update d nz nnz f work] sets [d.{j} <- d.{j} -. (f *. work.(j))]
-   at the columns [j] of [nz]'s first [nnz] entries, unchecked. *)
-external dense_update :
-  dense_row -> int array -> int -> (float[@unboxed]) -> float array -> unit
-  = "suu_lp_dense_update_byte" "suu_lp_dense_update"
+(* [dense_update_rows dvals rows fs count nz nnz work col] sets, for
+   each k < [count], [d.{j} <- d.{j} -. (fs.(k) *. work.(j))] in the
+   dense row [d = dvals.(rows.(k))] at the columns [j] of [nz]'s first
+   [nnz] entries, then [d.{col} <- 0.0], unchecked.  It updates the rows
+   four to a pass over [nz] and [work]. *)
+external dense_update_rows :
+  dense_row array -> int array -> float array -> int -> int array -> int ->
+  float array -> int -> unit
+  = "suu_lp_dense_update_rows_byte" "suu_lp_dense_update_rows"
 [@@noalloc]
 
 (* The row of a sparse row's [dvals] slot: it holds nothing to free. *)
@@ -103,6 +107,10 @@ type tableau = {
      [n_nz_ents] are in use *)
   mutable n_nz_ents : int;
   dense_ents : int array; (* gather scratch, length rows *)
+  batch_rows : int array;
+  batch_f : float array;
+  (* pivot scratch, length rows: the dense target rows of a pivot and
+     their multipliers, handed to {!dense_update_rows} together *)
 }
 
 (* [a], or a copy of its first [len] entries, with room for [need]. *)
@@ -202,7 +210,8 @@ let layout problem =
     dual_of_row = Array.make nrows (0, 0.0); work = Array.make cols 0.0;
     mark = Array.make cols (-1); stamp = 0; nz_cols = Array.make cols 0;
     nz_ents = Array.make nrows 0; n_nz_ents = 0;
-    dense_ents = Array.make nrows 0 }
+    dense_ents = Array.make nrows 0; batch_rows = Array.make nrows 0;
+    batch_f = Array.make nrows 0.0 }
 
 (* Fill the rows of [t], laid out for [problem], and install the initial
    basis: slack for <= rows, artificial for >= and = rows.  A row with
@@ -368,10 +377,12 @@ let gather_rows t col =
 (* Pivot on ([row], [col]), eliminating [col] from the rows listed in
    [nz_ents] (which must be those with a nonzero in [col]) and from both
    z rows.  The scaled pivot row is scattered into [work].  A dense
-   target row is updated at the pivot row's nonzero columns; a sparse
+   target row is updated at the pivot row's nonzero columns, after the
+   sparse ones and four rows to a pass ({!dense_update_rows}); a sparse
    one at its stored entries there, after which it gains, from 0.0, the
    nonzero columns it lacks (turning dense first if they would take it
-   over [dense_above]).  So every entry a full sweep would change with
+   over [dense_above]).  Rows are independent, so their order changes
+   no entry.  So every entry a full sweep would change with
    a nonzero [f *. a] gets the same [x -. f *. a], and a skipped update
    is [x -. f *. 0.0], which leaves [x] unchanged up to the sign of a
    zero. *)
@@ -420,7 +431,9 @@ let pivot t ~row ~col =
   t.rhs.(row) <- prhs;
   (* Unchecked reads and writes: every entry of [nz] and every stored
      column is below [cols], the length of [work], [mark] and a dense
-     row, and [nnz <= cols]. *)
+     row, and [nnz <= cols].  Dense target rows are listed here and
+     updated together after the loop. *)
+  let batched = ref 0 in
   for i = 0 to t.n_nz_ents - 1 do
     let e = t.nz_ents.(i) in
     let r = e lsr pos_bits in
@@ -429,9 +442,9 @@ let pivot t ~row ~col =
       (* Nonzero: the gather kept only nonzero entries. *)
       let f = entry t r kc in
       if t.dense.(r) then begin
-        let d = t.dvals.(r) in
-        dense_update d nz nnz f work;
-        d.{kc} <- 0.0
+        t.batch_rows.(!batched) <- r;
+        t.batch_f.(!batched) <- f;
+        incr batched
       end
       else begin
         let tvals = t.vals.(r) and tidx = t.idx.(r) in
@@ -470,6 +483,7 @@ let pivot t ~row ~col =
       if prhs <> 0.0 then t.rhs.(r) <- t.rhs.(r) -. (f *. prhs)
     end
   done;
+  dense_update_rows t.dvals t.batch_rows t.batch_f !batched nz nnz work col;
   let eliminate z =
     let f = z.(col) in
     if Float.abs f > 0.0 then begin

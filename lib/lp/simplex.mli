@@ -14,7 +14,10 @@
     pivot costs one pass over the entering column's entries (ratio
     test), one over the pivot row, and an update of only the rows with a
     nonzero in the entering column at only the pivot row's nonzero
-    columns.  Every entry it updates sees the same floating-point
+    columns.  The dense rows among them are updated four to a pass over
+    the pivot row's nonzeros, which loads each column once for four rows;
+    rows are independent, so grouping them changes no entry's
+    arithmetic.  Every entry it updates sees the same floating-point
     operations, in the same order, as a sweep of the whole dense
     tableau; the skipped updates would subtract [f *. 0.0], which can at
     most flip the sign of a zero.  So the pivot sequence, the optimum,

@@ -1,5 +1,5 @@
 /* Dense tableau rows outside the OCaml heap, and the pivot's update
-   of one.  A tableau's dense rows are its bulk (tens of MB on a large
+   of them.  A tableau's dense rows are its bulk (tens of MB on a large
    LP2) and die together when its solve returns; as heap blocks they
    would stay in the major heap until a later cycle collects them, while
    the next solve's rows grow beside them.  So each dense row is a
@@ -43,27 +43,68 @@ CAMLprim value suu_lp_dense_free_all(value vrows)
   return Val_long(freed);
 }
 
-/* The pivot's update of a dense row [d]: [d.{j} <- d.{j} -. f *. work.(j)]
-   at each column [j] among the first [nnz] entries of [nz].  Here the
-   loop keeps its arrays and the row's data pointer in registers and has
-   no poll point, where the OCaml loop reloaded them at every column.
-   The build turns off floating-point contraction (-ffp-contract=off), so
-   each update is a rounded multiply then a rounded subtract, as in
-   OCaml, never a fused multiply-add. */
-CAMLprim value suu_lp_dense_update(value vd, value vnz, value vnnz, double f,
-                                   value vwork)
+/* The data of the dense row [dvals.(rows.(k))]. */
+static inline double *batch_row(value vdvals, value vrows, intnat k)
 {
-  double *d = Caml_ba_data_val(vd);
-  intnat nnz = Long_val(vnnz);
-  for (intnat q = 0; q < nnz; q++) {
-    intnat j = Long_val(Field(vnz, q));
-    d[j] = d[j] - f * Double_flat_field(vwork, j);
+  return Caml_ba_data_val(Field(vdvals, Long_val(Field(vrows, k))));
+}
+
+/* The pivot's update of the dense rows [dvals.(rows.(k))], k < [count]:
+   [d.{j} <- d.{j} -. fs.(k) *. work.(j)] at each column [j] among the
+   first [nnz] entries of [nz], then [d.{col} <- 0.0].  The rows go in
+   groups of four, each group in one pass over [nz] and [work], which
+   loads each column's index and pivot-row value once for the group's
+   rows instead of once per row; a last group of fewer rows goes one row
+   at a time.  Rows are distinct and independent, so grouping them
+   changes no entry's arithmetic.  The build turns off floating-point
+   contraction (-ffp-contract=off), so each update is a rounded multiply
+   then a rounded subtract, as in OCaml, never a fused multiply-add.
+   Unchecked: every row index is below the length of [dvals] and names a
+   dense row, every column is below its length, and [nnz] is at most
+   the length of [nz]. */
+CAMLprim value suu_lp_dense_update_rows(value vdvals, value vrows, value vfs,
+                                        value vcount, value vnz, value vnnz,
+                                        value vwork, value vcol)
+{
+  intnat count = Long_val(vcount), nnz = Long_val(vnnz), col = Long_val(vcol);
+  /* A float array's floats are contiguous, aligned doubles (OCaml 5 is
+     64-bit only). */
+  const double *work = (const double *) vwork;
+  const double *fs = (const double *) vfs;
+  intnat k = 0;
+  for (; k + 4 <= count; k += 4) {
+    double *d0 = batch_row(vdvals, vrows, k);
+    double *d1 = batch_row(vdvals, vrows, k + 1);
+    double *d2 = batch_row(vdvals, vrows, k + 2);
+    double *d3 = batch_row(vdvals, vrows, k + 3);
+    double f0 = fs[k], f1 = fs[k + 1], f2 = fs[k + 2], f3 = fs[k + 3];
+    for (intnat q = 0; q < nnz; q++) {
+      intnat j = Long_val(Field(vnz, q));
+      double w = work[j];
+      d0[j] = d0[j] - f0 * w;
+      d1[j] = d1[j] - f1 * w;
+      d2[j] = d2[j] - f2 * w;
+      d3[j] = d3[j] - f3 * w;
+    }
+    d0[col] = 0.0;
+    d1[col] = 0.0;
+    d2[col] = 0.0;
+    d3[col] = 0.0;
+  }
+  for (; k < count; k++) {
+    double *d = batch_row(vdvals, vrows, k), f = fs[k];
+    for (intnat q = 0; q < nnz; q++) {
+      intnat j = Long_val(Field(vnz, q));
+      d[j] = d[j] - f * work[j];
+    }
+    d[col] = 0.0;
   }
   return Val_unit;
 }
 
-CAMLprim value suu_lp_dense_update_byte(value vd, value vnz, value vnnz,
-                                        value vf, value vwork)
+CAMLprim value suu_lp_dense_update_rows_byte(value *argv, int argn)
 {
-  return suu_lp_dense_update(vd, vnz, vnnz, Double_val(vf), vwork);
+  (void) argn;
+  return suu_lp_dense_update_rows(argv[0], argv[1], argv[2], argv[3],
+                                  argv[4], argv[5], argv[6], argv[7]);
 }

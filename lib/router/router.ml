@@ -66,7 +66,7 @@ type t = {
   ring : Ring.t;
   mutable health : Health.t option;
   mutable server : Server.t option;
-  started : float;
+  started_ns : int64; (* on {!Suu_obs.Clock} *)
   stopping : bool Atomic.t;
 }
 
@@ -228,8 +228,10 @@ let stats_reply t req =
         [ ("router_shards", string_of_int (Array.length t.shards));
           ("router_shards_up", string_of_int up);
           ("router_uptime_ms",
-           string_of_int
-             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
+           Int64.to_string
+             (Int64.div
+                (Int64.sub (Suu_obs.Clock.now_ns ()) t.started_ns)
+                1_000_000L))
         ]
         @ merged @ breakdown
         (* The router's own registry (router.*, its loop's server.*
@@ -276,7 +278,7 @@ let start ?(config = default_config) ~shards () =
   let ring = Ring.create (List.map (fun (sp : shard_spec) -> sp.id) shards) in
   let t =
     { cfg = config; shards = shard_arr; ring; health = None; server = None;
-      started = Unix.gettimeofday (); stopping = Atomic.make false }
+      started_ns = Suu_obs.Clock.now_ns (); stopping = Atomic.make false }
   in
   let h =
     Health.create ~fail_threshold:config.fail_threshold

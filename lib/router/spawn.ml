@@ -141,17 +141,23 @@ let drain ?echo c =
 
 let signal c sg = if not c.reaped then try Unix.kill c.pid sg with _ -> ()
 
+(* Poll [waitpid] until the child is reaped or [timeout_s] has passed
+   on the monotonic clock.  A stopping server exits within about a
+   millisecond of its SIGTERM, so the first sleep is 1 ms, doubling to
+   at most 20 ms for a child that takes longer. *)
 let reap ?(timeout_s = 5.0) c =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec wait () =
+  let deadline =
+    Int64.add (Suu_obs.Clock.now_ns ()) (Int64.of_float (timeout_s *. 1e9))
+  in
+  let rec wait delay =
     if c.reaped then true
     else
       match Unix.waitpid [ Unix.WNOHANG ] c.pid with
       | 0, _ ->
-          if Unix.gettimeofday () > deadline then false
+          if Int64.compare (Suu_obs.Clock.now_ns ()) deadline > 0 then false
           else begin
-            Thread.delay 0.02;
-            wait ()
+            Thread.delay delay;
+            wait (Float.min 0.02 (2.0 *. delay))
           end
       | _ ->
           c.reaped <- true;
@@ -160,7 +166,7 @@ let reap ?(timeout_s = 5.0) c =
           c.reaped <- true;
           true
   in
-  wait ()
+  wait 0.001
 
 let terminate ?(timeout_s = 5.0) c =
   signal c Sys.sigterm;

@@ -37,4 +37,5 @@ val drain : ?echo:(string -> unit) -> child -> Thread.t
     after {!wait_ready}. *)
 
 val terminate : ?timeout_s:float -> child -> unit
-(** SIGTERM, wait (default 5 s), escalate to SIGKILL, close the pipe. *)
+(** SIGTERM, wait (default 5 s on the monotonic clock, polling from
+    1 ms up to every 20 ms), escalate to SIGKILL, close the pipe. *)

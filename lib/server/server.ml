@@ -149,7 +149,7 @@ type t = {
   faults : Faults.t option;
   journal : Journal.t option;
   jseq : int Atomic.t;
-  started : float;
+  started_ns : int64; (* on [cfg.clock_ns] *)
   stopping : bool Atomic.t;
   finishing : bool Atomic.t;
   reactor : Reactor.t;
@@ -883,7 +883,7 @@ let serve config ~metrics ~warm make_handler =
   Reactor.add reactor wake_r ~read:true ~write:false;
   let queue = Bqueue.create ~capacity:config.queue_capacity in
   let completions = Bqueue.create ~capacity:max_int in
-  let started = Unix.gettimeofday () in
+  let started_ns = config.clock_ns () in
   let conn_count = Atomic.make 0 in
   (* Warm-start: replay the recovered journal's request bodies into the
      handler's caches (for {!Service.warm}, instances and policies only
@@ -912,7 +912,7 @@ let serve config ~metrics ~warm make_handler =
           (match journal_info with
           | Some (_, entries) -> Journal.next_seq entries
           | None -> 0);
-      started;
+      started_ns;
       stopping = Atomic.make false; finishing = Atomic.make false; reactor;
       wake_r; wake_w; wake_pending = Atomic.make false;
       conns_by_fd = Hashtbl.create 64; conns_by_key = Hashtbl.create 64;
@@ -945,8 +945,9 @@ let start ?(config = default_config) () =
           ("connections", string_of_int (Atomic.get t.conn_count));
           ("reactor", Reactor.backend t.reactor);
           ("uptime_ms",
-           string_of_int
-             (int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0)))
+           Int64.to_string
+             (Int64.div (Int64.sub (t.cfg.clock_ns ()) t.started_ns)
+                1_000_000L))
         ]
   in
   let service =

@@ -789,6 +789,36 @@ let test_oracle_expel_lowest_column () =
     (fun seed -> check (redundant_lp ~max_vars ~max_rows ~densities seed))
     [ 385; 1077 ]
 
+(* A pivot updates its dense target rows four to a pass, then the
+   remaining one to three one at a time.  Below 16 columns a row of two
+   entries is past [cols / 8] and so dense from the start.  Here every
+   one of [k + 1] rows holds x0, the column of the lowest cost, which
+   enters first: that pivot updates [k] dense rows, and later pivots
+   fewer.  Over [k] = 1, 2, 3, 4, 5, 8, 9 every size of the last group
+   runs, after zero, one and two full groups. *)
+let batch_lp k seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let budget = ([ (0, 1.0); (1, 1.0); (2, 1.0) ], P.Le, 10.0) in
+  let row _ =
+    ( [ (0, 0.5 +. Suu_prng.Rng.float rng 2.0); (1, coeff rng); (2, coeff rng) ],
+      (if Suu_prng.Rng.int rng 4 = 0 then P.Ge else P.Le),
+      if Suu_prng.Rng.bool rng then float_of_int (Suu_prng.Rng.int rng 6)
+      else Suu_prng.Rng.range rng ~lo:0.0 ~hi:5.0 )
+  in
+  { obj = [| -3.0; coeff rng; coeff rng |];
+    rows = budget :: List.init k row }
+
+let test_oracle_batch_sizes () =
+  List.iter
+    (fun k ->
+      for seed = 0 to 19 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%d dense target rows, seed %d" k seed)
+          true
+          (agrees_with_oracle (to_problem (batch_lp k seed)))
+      done)
+    [ 1; 2; 3; 4; 5; 8; 9 ]
+
 (* The ratio test's tie-break is order-sensitive: rows 0..2 tie with x
    within eps in a chain (1 + 1.2e-9, 1 + 0.6e-9, 1) whose ends do not
    tie, so visiting them in row order picks row 2, and any order that
@@ -1020,6 +1050,8 @@ let () =
             test_oracle_ratio_row_order;
           Alcotest.test_case "expel takes a sparse row's lowest column" `Quick
             test_oracle_expel_lowest_column;
+          Alcotest.test_case "dense rows updated in groups of four" `Quick
+            test_oracle_batch_sizes;
           Alcotest.test_case "pinned LP2s at n = 256, m = 16" `Slow
             test_pinned_lp2_256;
         ] );

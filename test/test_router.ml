@@ -159,6 +159,37 @@ let test_spawn_wait_ready () =
   | Result.Ok _ -> Alcotest.fail "dead child reported ready"
   | Result.Error _ -> Spawn.terminate dead
 
+(* [terminate] reaps a child that exits on SIGTERM, and one that
+   ignores SIGTERM, by SIGKILL once its timeout passes.  Each child
+   prints its readiness line only after its signal disposition is set,
+   so the SIGTERM cannot land before it. *)
+let test_spawn_terminate () =
+  let ready script =
+    let child = Spawn.spawn ~prog:"/bin/sh" ~args:[ "-c"; script ] () in
+    (match Spawn.wait_ready ~timeout_s:5.0 child with
+    | Result.Ok _ -> ()
+    | Result.Error msg -> Alcotest.fail msg);
+    child
+  in
+  let gone name child =
+    Alcotest.(check bool) (name ^ ": reaped") false (Spawn.alive child);
+    Alcotest.(check bool) (name ^ ": no such process") true
+      (match Unix.kill (Spawn.pid child) 0 with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true)
+  in
+  let exits = ready "echo stub listening on 127.0.0.1:1; exec sleep 30" in
+  Spawn.terminate exits;
+  gone "exits on SIGTERM" exits;
+  let stubborn =
+    ready "trap '' TERM; echo stub listening on 127.0.0.1:1; exec sleep 30"
+  in
+  Unix.kill (Spawn.pid stubborn) Sys.sigterm;
+  Thread.delay 0.05;
+  Alcotest.(check bool) "ignores SIGTERM" true (Spawn.alive stubborn);
+  Spawn.terminate ~timeout_s:0.1 stubborn;
+  gone "killed after the timeout" stubborn
+
 (* --- stats merging --- *)
 
 let test_stats_merge_counters () =
@@ -591,6 +622,8 @@ let () =
             test_ready_line_parse;
           Alcotest.test_case "wait_ready on a real child" `Quick
             test_spawn_wait_ready;
+          Alcotest.test_case "terminate, with and without SIGKILL" `Quick
+            test_spawn_terminate;
         ] );
       ( "stats-merge",
         [

@@ -911,6 +911,22 @@ let test_service_simulate_across_batches () =
                 ("max", s.max) ])
     [ 1; 4 ]
 
+(* [uptime_ms] is read on the server's injected monotonic clock, so a
+   wall-clock step cannot move it. *)
+let test_e2e_uptime_follows_clock () =
+  let now = Atomic.make 5_000_000_000L in
+  let config =
+    { Server.default_config with clock_ns = (fun () -> Atomic.get now) }
+  in
+  with_server ~config (fun server ->
+      with_client server (fun c ->
+          let uptime () = field (Client.stats c ()) "uptime_ms" in
+          Alcotest.(check string) "at start" "0" (uptime ());
+          Atomic.set now 6_234_567_890L;
+          Alcotest.(check string) "1.23 s later" "1234" (uptime ());
+          Atomic.set now 65_000_000_000L;
+          Alcotest.(check string) "a minute later" "60000" (uptime ())))
+
 let test_e2e_deadline_ignores_wall_clock () =
   (* Regression: queue-expiry used to compare [Unix.gettimeofday]
      against a wall-clock deadline, so real time spent queued (or an
@@ -1447,6 +1463,8 @@ let () =
             `Quick test_service_deadline_monotonic;
           Alcotest.test_case "queued request ignores wall clock" `Quick
             test_e2e_deadline_ignores_wall_clock;
+          Alcotest.test_case "uptime follows the injected clock" `Quick
+            test_e2e_uptime_follows_clock;
         ] );
       ( "e2e",
         [
