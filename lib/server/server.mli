@@ -82,8 +82,9 @@ type config = {
           ({!Service.warm}).  Recovery truncates a torn tail left by a
           [kill -9].  See {!Replay} for re-execution. *)
   clock_ns : unit -> int64;
-      (** monotonic clock for deadline arithmetic (default
-          {!Suu_obs.Clock.now_ns}; injectable for tests) *)
+      (** monotonic clock for deadline arithmetic and the [stats]
+          reply's [uptime_ms] (default {!Suu_obs.Clock.now_ns};
+          injectable for tests) *)
   so_sndbuf : int option;
       (** send-buffer size forced onto accepted sockets ([None], the
           default, keeps the OS value).  A tiny value makes the kernel
