@@ -11,13 +11,24 @@ let feas_tol = 1e-7
 
 (* A row is stored sparse until it would hold more than [cols /
    dense_ratio] entries, and dense from then on.  A sparse entry costs
-   three words (column, value, column-index entry) and a dense column
-   one; a pivot updates a sparse row in time proportional to the row's
-   entries plus the pivot row's, a dense row in time proportional to the
-   pivot row's alone.  On the LP2 of chains at n = 256, m = 16, ratios
-   4, 8 and 16 have the tableau peak at about 8.1, 9.3 and 10.1 M words,
-   and the sparse rows' scans come to 10%, 1.3% and 0.4% of the pivots'
-   updates.
+   three words (column, value, column-index entry) and a dense row one
+   word per nonbasic column; a pivot updates a sparse row in time
+   proportional to the row's entries plus the pivot row's, a dense row
+   in time proportional to the pivot row's alone.  On the LP2 of chains
+   at n = 256, m = 16, ratios 4, 8 and 16 have the tableau peak at about
+   5.2, 5.3 and 5.6 M words, the solve takes about 1.4, 1 and 0.95 times
+   ratio 8's time, and the sparse rows' scans come to 10%, 1.3% and 0.4%
+   of the pivots' updates.
+
+   A dense row holds only the nonbasic columns.  In a simplex tableau a
+   basic column is a unit column: 1.0 in its own row and 0.0 in every
+   other, set when it enters and never updated while it stays basic,
+   since the pivot row holds 0.0 there.  So a dense row stores [cols -
+   rows] floats, one per slot; [slot_of] maps a variable to its slot
+   (-1 while basic) and [var_of_slot] back.  The slots start as the
+   nonbasic variables in increasing order, and a pivot hands the
+   entering column's slot to the leaving column.  Sparse rows, the
+   column index, [rhs], [z1], [z2] and [work] stay indexed by variable.
 
    Sparse rows live in the OCaml heap.  Dense rows, the bulk of a large
    tableau, do not: each is a float64 Bigarray over zeroed memory from
@@ -31,8 +42,8 @@ let feas_tol = 1e-7
    made and freed. *)
 let dense_ratio = 8
 
-(* A position in a row's storage: the entry's slot in a sparse row, its
-   column in a dense one.  A column-index entry packs a row and a
+(* A position in a row's storage: the entry's index in a sparse row, its
+   column's slot in a dense one.  A column-index entry packs a row and a
    position as [row lsl pos_bits lor position] in one 63-bit int, so
    ordering entries as integers orders them by row. *)
 let pos_bits = 32
@@ -44,14 +55,14 @@ external dense_alloc : int -> dense_row = "suu_lp_dense_alloc"
 external dense_free_all : dense_row array -> int = "suu_lp_dense_free_all"
 [@@noalloc]
 
-(* [dense_update_rows dvals rows fs count nz nnz work col] sets, for
-   each k < [count], [d.{j} <- d.{j} -. (fs.(k) *. work.(j))] in the
-   dense row [d = dvals.(rows.(k))] at the columns [j] of [nz]'s first
-   [nnz] entries, then [d.{col} <- 0.0], unchecked.  It updates the rows
-   four to a pass over [nz] and [work]. *)
+(* [dense_update_rows dvals rows fs count slots ws n slot] sets, for
+   each k < [count], [d.{slot} <- 0.0] in the dense row [d =
+   dvals.(rows.(k))], then [d.{s} <- d.{s} -. (fs.(k) *. ws.(q))] at
+   [s = slots.(q)] for each q < [n], unchecked.  It updates the rows
+   four to a pass over [slots] and [ws]. *)
 external dense_update_rows :
-  dense_row array -> int array -> float array -> int -> int array -> int ->
-  float array -> int -> unit
+  dense_row array -> int array -> float array -> int -> int array ->
+  float array -> int -> int -> unit
   = "suu_lp_dense_update_rows_byte" "suu_lp_dense_update_rows"
 [@@noalloc]
 
@@ -71,8 +82,10 @@ type tableau = {
      dense row.  A sparse entry is never removed, so it may hold a
      zero. *)
   dvals : dense_row array;
-  (* a dense row's [cols] columns, outside the OCaml heap and freed by
-     {!release}; [no_row] for a sparse row *)
+  (* a dense row's entries by slot, one per nonbasic column; its own
+     basic column is an implicit 1.0 and every other basic column an
+     implicit 0.0.  Outside the OCaml heap and freed by {!release};
+     [no_row] for a sparse row *)
   idx : int array array; (* a sparse row's column of each stored entry *)
   len : int array;
   rhs : float array; (* right-hand side of each row *)
@@ -85,6 +98,8 @@ type tableau = {
   (* the dense rows in increasing order, the first n_dense in use *)
   mutable n_dense : int;
   basis : int array; (* basic column of each row *)
+  slot_of : int array; (* length cols: a column's slot, -1 while basic *)
+  var_of_slot : int array; (* length cols - rows: the column in a slot *)
   z1 : float array; (* phase-1 reduced costs, length cols + 1 *)
   z2 : float array; (* phase-2 reduced costs, length cols + 1 *)
   nstruct : int; (* structural variables occupy columns [0, nstruct) *)
@@ -111,6 +126,10 @@ type tableau = {
   batch_f : float array;
   (* pivot scratch, length rows: the dense target rows of a pivot and
      their multipliers, handed to {!dense_update_rows} together *)
+  nz_slots : int array;
+  nz_work : float array;
+  (* pivot scratch, length cols - rows: the scaled pivot row's nonzero
+     slots and their values *)
 }
 
 (* [a], or a copy of its first [len] entries, with room for [need]. *)
@@ -127,7 +146,7 @@ let with_room a len need fill =
    {!release} finds it. *)
 let make_dense t r =
   let c = allocated () in
-  let d = dense_alloc t.cols in
+  let d = dense_alloc (Array.length t.var_of_slot) in
   t.dvals.(r) <- d;
   Suu_obs.Counter.incr c;
   t.dense.(r) <- true;
@@ -140,12 +159,14 @@ let make_dense t r =
   t.dense_rows.(!i) <- r;
   t.n_dense <- t.n_dense + 1
 
-(* Move the sparse row [r]'s entries into a dense row. *)
+(* Move the sparse row [r]'s entries at nonbasic columns into a dense
+   row; those at basic columns are its implicit 1.0 and 0.0s. *)
 let densify t r =
   make_dense t r;
   let d = t.dvals.(r) and idx = t.idx.(r) and vals = t.vals.(r) in
   for k = 0 to t.len.(r) - 1 do
-    d.{idx.(k)} <- vals.(k)
+    let s = t.slot_of.(idx.(k)) in
+    if s >= 0 then d.{s} <- vals.(k)
   done;
   t.vals.(r) <- [||];
   t.idx.(r) <- [||];
@@ -179,39 +200,70 @@ let[@inline] append t r j v =
   t.col_ent.(j).(c) <- (r lsl pos_bits) lor k;
   t.col_len.(j) <- c + 1
 
+(* A constraint's sense once its right-hand side is made nonnegative. *)
+let standard_sense sense rhs =
+  if rhs < 0.0 then
+    match sense with
+    | Problem.Le -> Problem.Ge
+    | Problem.Ge -> Problem.Le
+    | Problem.Eq -> Problem.Eq
+  else sense
+
 (* Lay out columns as [structural | slack/surplus | artificial]: a
-   tableau of [problem]'s shape, with no rows yet. *)
+   tableau of [problem]'s shape, with no rows yet.  The initial basis is
+   a slack for each <= row and an artificial for each >= and = row, so
+   the slots go to the structural columns, then the >= rows' surplus
+   columns. *)
 let layout problem =
   let nstruct = Problem.num_vars problem in
   let nrows = Problem.num_constraints problem in
+  let senses = Array.make nrows Problem.Le and r = ref 0 in
+  Problem.iter_constraints problem (fun _ sense rhs ->
+      senses.(!r) <- standard_sense sense rhs;
+      incr r);
   (* Count extra columns. *)
   let n_slack = ref 0 and n_art = ref 0 in
-  Problem.iter_constraints problem (fun _ sense rhs ->
-      let sense = if rhs < 0.0 then
-          (match sense with Problem.Le -> Problem.Ge
-                          | Problem.Ge -> Problem.Le
-                          | Problem.Eq -> Problem.Eq)
-        else sense
-      in
-      match sense with
+  Array.iter
+    (function
       | Problem.Le -> incr n_slack
       | Problem.Ge -> incr n_slack; incr n_art
-      | Problem.Eq -> incr n_art);
+      | Problem.Eq -> incr n_art)
+    senses;
   let first_artificial = nstruct + !n_slack in
   let cols = first_artificial + !n_art in
+  let slot_of = Array.make cols (-1) in
+  let var_of_slot = Array.make (cols - nrows) 0 in
+  let n = ref 0 in
+  let give v =
+    slot_of.(v) <- !n;
+    var_of_slot.(!n) <- v;
+    incr n
+  in
+  for v = 0 to nstruct - 1 do
+    give v
+  done;
+  let slack = ref nstruct in
+  Array.iter
+    (function
+      | Problem.Le -> incr slack
+      | Problem.Ge -> give !slack; incr slack
+      | Problem.Eq -> ())
+    senses;
   { rows = nrows; cols; dense_above = cols / dense_ratio;
     dense = Array.make nrows false; vals = Array.make nrows [||];
     dvals = Array.make nrows no_row;
     idx = Array.make nrows [||]; len = Array.make nrows 0;
     rhs = Array.make nrows 0.0; col_ent = Array.make cols [||];
     col_len = Array.make cols 0; dense_rows = [||]; n_dense = 0;
-    basis = Array.make nrows (-1); z1 = Array.make (cols + 1) 0.0;
+    basis = Array.make nrows (-1); slot_of; var_of_slot;
+    z1 = Array.make (cols + 1) 0.0;
     z2 = Array.make (cols + 1) 0.0; nstruct; first_artificial;
     dual_of_row = Array.make nrows (0, 0.0); work = Array.make cols 0.0;
     mark = Array.make cols (-1); stamp = 0; nz_cols = Array.make cols 0;
     nz_ents = Array.make nrows 0; n_nz_ents = 0;
     dense_ents = Array.make nrows 0; batch_rows = Array.make nrows 0;
-    batch_f = Array.make nrows 0.0 }
+    batch_f = Array.make nrows 0.0; nz_slots = Array.make !n 0;
+    nz_work = Array.make !n 0.0 }
 
 (* Fill the rows of [t], laid out for [problem], and install the initial
    basis: slack for <= rows, artificial for >= and = rows.  A row with
@@ -246,14 +298,7 @@ let build t problem =
         else t.work.(v) <- t.work.(v) +. c
       in
       Array.iter put terms;
-      let sense =
-        if flip then
-          match sense with
-          | Problem.Le -> Problem.Ge
-          | Problem.Ge -> Problem.Le
-          | Problem.Eq -> Problem.Eq
-        else sense
-      in
+      let sense = standard_sense sense rhs in
       (* The row's entries: its nonzero sums, then its slack, surplus or
          artificial columns. *)
       let entries = ref (match sense with Problem.Ge -> 2 | _ -> 1) in
@@ -266,8 +311,10 @@ let build t problem =
         t.idx.(row) <- Array.make (!n + 2) 0;
         t.vals.(row) <- Array.make (!n + 2) 0.0
       end;
+      (* A dense row skips its own basic column, an implicit 1.0. *)
       let store j v =
-        if dense then t.dvals.(row).{j} <- v else append t row j v
+        if not dense then append t row j v
+        else if t.slot_of.(j) >= 0 then t.dvals.(row).{t.slot_of.(j)} <- v
       in
       for k = 0 to !n - 1 do
         let v = t.nz_cols.(k) in
@@ -306,10 +353,12 @@ let build t problem =
         if dense then begin
           (* Each column once, as the sparse entries are; subtracting a
              zero column leaves z1 as it is. *)
-          let d = t.dvals.(row) in
-          for j = 0 to cols - 1 do
-            z1.(j) <- z1.(j) -. d.{j}
-          done
+          let d = t.dvals.(row) and b = basis.(row) in
+          for k = 0 to Bigarray.Array1.dim d - 1 do
+            let j = t.var_of_slot.(k) in
+            z1.(j) <- z1.(j) -. d.{k}
+          done;
+          z1.(b) <- z1.(b) -. 1.0
         end
         else
           for k = 0 to t.len.(row) - 1 do
@@ -352,11 +401,11 @@ let gather_rows t col =
     Array.sort Int.compare s;
     Array.blit s 0 nz 0 a
   end;
-  let d = t.dense_ents and b = ref 0 in
+  let d = t.dense_ents and b = ref 0 and slot = t.slot_of.(col) in
   for i = 0 to t.n_dense - 1 do
     let r = t.dense_rows.(i) in
-    if Float.abs t.dvals.(r).{col} > 0.0 then begin
-      d.(!b) <- (r lsl pos_bits) lor col;
+    if Float.abs t.dvals.(r).{slot} > 0.0 then begin
+      d.(!b) <- (r lsl pos_bits) lor slot;
       incr b
     end
   done;
@@ -376,33 +425,50 @@ let gather_rows t col =
 
 (* Pivot on ([row], [col]), eliminating [col] from the rows listed in
    [nz_ents] (which must be those with a nonzero in [col]) and from both
-   z rows.  The scaled pivot row is scattered into [work].  A dense
-   target row is updated at the pivot row's nonzero columns, after the
-   sparse ones and four rows to a pass ({!dense_update_rows}); a sparse
-   one at its stored entries there, after which it gains, from 0.0, the
-   nonzero columns it lacks (turning dense first if they would take it
-   over [dense_above]).  Rows are independent, so their order changes
-   no entry.  So every entry a full sweep would change with
-   a nonzero [f *. a] gets the same [x -. f *. a], and a skipped update
-   is [x -. f *. 0.0], which leaves [x] unchanged up to the sign of a
-   zero. *)
+   z rows.  The scaled pivot row is scattered into [work], and its
+   nonzero columns listed in [nz_cols]; the leaving column, whose 1.0
+   scales to [1.0 *. inv], then takes the entering column's slot.  A
+   dense target row is cleared at that slot, where it held [f], and
+   updated at the pivot row's nonzero slots, after the sparse ones and
+   four rows to a pass ({!dense_update_rows}); a sparse one at its
+   stored entries there, after which it gains, from 0.0, the nonzero
+   columns it lacks (turning dense first if they would take it over
+   [dense_above]).  Rows are independent, so their order changes no
+   entry.  So every entry a full sweep would change with a nonzero [f
+   *. a] gets the same [x -. f *. a], where the cleared slot's [x] is
+   the 0.0 the sweep held at the basic leaving column, and a skipped
+   update is [x -. f *. 0.0], which leaves [x] unchanged up to the sign
+   of a zero. *)
 let pivot t ~row ~col =
   let work = t.work and nz = t.nz_cols and mark = t.mark in
-  let nnz = ref 0 in
+  let slot = t.slot_of.(col) and leaving = t.basis.(row) in
+  let nnz = ref 0 and nnz_slots = ref 0 in
   let inv =
     if t.dense.(row) then begin
+      (* Scaled slot by slot, listing the nonzero columns in slot order
+         (the leaving column last), which takes no pass over all the
+         columns, and the nonzero slots in increasing order for
+         {!dense_update_rows}, with [slot] already holding the leaving
+         column's value. *)
       let d = t.dvals.(row) in
-      let inv = 1.0 /. d.{col} in
-      for k = 0 to t.cols - 1 do
+      let inv = 1.0 /. d.{slot} in
+      for k = 0 to Bigarray.Array1.dim d - 1 do
         let v = d.{k} *. inv in
         d.{k} <- v;
         if v <> 0.0 then begin
-          work.(k) <- v;
-          nz.(!nnz) <- k;
+          let j = t.var_of_slot.(k) in
+          work.(j) <- v;
+          nz.(!nnz) <- j;
+          t.nz_slots.(!nnz) <- k;
+          t.nz_work.(!nnz) <- (if k = slot then 1.0 *. inv else v);
           incr nnz
         end
       done;
-      d.{col} <- 1.0;
+      d.{slot} <- 1.0 *. inv;
+      work.(leaving) <- 1.0 *. inv;
+      nnz_slots := !nnz;
+      nz.(!nnz) <- leaving;
+      incr nnz;
       inv
     end
     else begin
@@ -425,14 +491,17 @@ let pivot t ~row ~col =
       inv
     end
   in
+  t.slot_of.(leaving) <- slot;
+  t.var_of_slot.(slot) <- leaving;
+  t.slot_of.(col) <- -1;
   work.(col) <- 1.0;
   let nnz = !nnz in
   let prhs = t.rhs.(row) *. inv in
   t.rhs.(row) <- prhs;
   (* Unchecked reads and writes: every entry of [nz] and every stored
-     column is below [cols], the length of [work], [mark] and a dense
-     row, and [nnz <= cols].  Dense target rows are listed here and
-     updated together after the loop. *)
+     column is below [cols], the length of [work] and [mark], and [nnz
+     <= cols].  Dense target rows are listed here and updated together
+     after the loop. *)
   let batched = ref 0 in
   for i = 0 to t.n_nz_ents - 1 do
     let e = t.nz_ents.(i) in
@@ -463,12 +532,13 @@ let pivot t ~row ~col =
         tvals.(kc) <- 0.0;
         if t.len.(r) + nnz - !matched > t.dense_above then begin
           densify t r;
+          (* The row stores [col], so every column it lacks has a
+             slot. *)
           let d = t.dvals.(r) in
           for q = 0 to nnz - 1 do
             let j = Array.unsafe_get nz q in
             if Array.unsafe_get mark j <> stamp then
-              Bigarray.Array1.unsafe_set d j
-                (0.0 -. (f *. Array.unsafe_get work j))
+              d.{t.slot_of.(j)} <- 0.0 -. (f *. Array.unsafe_get work j)
           done
         end
         else begin
@@ -483,7 +553,21 @@ let pivot t ~row ~col =
       if prhs <> 0.0 then t.rhs.(r) <- t.rhs.(r) -. (f *. prhs)
     end
   done;
-  dense_update_rows t.dvals t.batch_rows t.batch_f !batched nz nnz work col;
+  if !batched > 0 then begin
+    if not t.dense.(row) then
+      (* A sparse pivot row's nonzero slots, in its stored order. *)
+      for q = 0 to nnz - 1 do
+        let j = nz.(q) in
+        let s = t.slot_of.(j) in
+        if s >= 0 then begin
+          t.nz_slots.(!nnz_slots) <- s;
+          t.nz_work.(!nnz_slots) <- work.(j);
+          incr nnz_slots
+        end
+      done;
+    dense_update_rows t.dvals t.batch_rows t.batch_f !batched t.nz_slots
+      t.nz_work !nnz_slots slot
+  end;
   let eliminate z =
     let f = z.(col) in
     if Float.abs f > 0.0 then begin
@@ -587,15 +671,14 @@ let expel_artificials t =
   for r = 0 to t.rows - 1 do
     if t.basis.(r) >= t.first_artificial then begin
       (* The lowest usable column; a sparse row stores its entries
-         unsorted. *)
+         unsorted, a dense one by slot. *)
       let col = ref t.first_artificial in
       if t.dense.(r) then begin
         let d = t.dvals.(r) in
-        let j = ref 0 in
-        while !j < t.first_artificial && not (Float.abs d.{!j} > 1e-7) do
-          incr j
-        done;
-        col := !j
+        for k = 0 to Bigarray.Array1.dim d - 1 do
+          let j = t.var_of_slot.(k) in
+          if j < !col && Float.abs d.{k} > 1e-7 then col := j
+        done
       end
       else begin
         let vals = t.vals.(r) in

@@ -11,6 +11,9 @@
     The tableau's memory follows its nonzeros: a row is stored sparse
     until it would fill more than an eighth of the columns, and dense
     from then on; a column index lists each column's sparse entries.  A
+    dense row stores only the [cols - rows] nonbasic columns: a basic
+    column is 1.0 in its own row and 0.0 in the others, and none of its
+    entries changes while it stays basic.  A
     pivot costs one pass over the entering column's entries (ratio
     test), one over the pivot row, and an update of only the rows with a
     nonzero in the entering column at only the pivot row's nonzero

@@ -1,5 +1,6 @@
 /* Dense tableau rows outside the OCaml heap, and the pivot's update
-   of them.  A tableau's dense rows are its bulk (tens of MB on a large
+   of them.  A dense row holds one double per nonbasic column of its
+   tableau.  A tableau's dense rows are its bulk (tens of MB on a large
    LP2) and die together when its solve returns; as heap blocks they
    would stay in the major heap until a later cycle collects them, while
    the next solve's rows grow beside them.  So each dense row is a
@@ -49,27 +50,30 @@ static inline double *batch_row(value vdvals, value vrows, intnat k)
   return Caml_ba_data_val(Field(vdvals, Long_val(Field(vrows, k))));
 }
 
-/* The pivot's update of the dense rows [dvals.(rows.(k))], k < [count]:
-   [d.{j} <- d.{j} -. fs.(k) *. work.(j)] at each column [j] among the
-   first [nnz] entries of [nz], then [d.{col} <- 0.0].  The rows go in
-   groups of four, each group in one pass over [nz] and [work], which
-   loads each column's index and pivot-row value once for the group's
-   rows instead of once per row; a last group of fewer rows goes one row
-   at a time.  Rows are distinct and independent, so grouping them
-   changes no entry's arithmetic.  The build turns off floating-point
-   contraction (-ffp-contract=off), so each update is a rounded multiply
-   then a rounded subtract, as in OCaml, never a fused multiply-add.
-   Unchecked: every row index is below the length of [dvals] and names a
-   dense row, every column is below its length, and [nnz] is at most
-   the length of [nz]. */
+/* The pivot's update of the dense rows [dvals.(rows.(k))], k < [count].
+   A dense row holds its nonbasic columns by slot (simplex.ml), and the
+   pivot hands the entering column's slot [slot] to the leaving column,
+   so each row first gets [d.{slot} <- 0.0], the leaving column's value
+   while it was basic, then [d.{s} <- d.{s} -. fs.(k) *. ws.(q)] at each
+   slot [s = slots.(q)], q < [n], where [ws.(q)] is the pivot row's value
+   there.  The rows go in groups of four, each group in one pass over
+   [slots] and [ws], which loads each slot and pivot-row value once for
+   the group's rows instead of once per row; a last group of fewer rows
+   goes one row at a time.  Rows are distinct and independent, so
+   grouping them changes no entry's arithmetic.  The build turns off
+   floating-point contraction (-ffp-contract=off), so each update is a
+   rounded multiply then a rounded subtract, as in OCaml, never a fused
+   multiply-add.  Unchecked: every row index is below the length of
+   [dvals] and names a dense row, every slot is below its length, and [n]
+   is at most the length of [slots] and [ws]. */
 CAMLprim value suu_lp_dense_update_rows(value vdvals, value vrows, value vfs,
-                                        value vcount, value vnz, value vnnz,
-                                        value vwork, value vcol)
+                                        value vcount, value vslots, value vws,
+                                        value vn, value vslot)
 {
-  intnat count = Long_val(vcount), nnz = Long_val(vnnz), col = Long_val(vcol);
+  intnat count = Long_val(vcount), n = Long_val(vn), slot = Long_val(vslot);
   /* A float array's floats are contiguous, aligned doubles (OCaml 5 is
      64-bit only). */
-  const double *work = (const double *) vwork;
+  const double *ws = (const double *) vws;
   const double *fs = (const double *) vfs;
   intnat k = 0;
   for (; k + 4 <= count; k += 4) {
@@ -78,26 +82,26 @@ CAMLprim value suu_lp_dense_update_rows(value vdvals, value vrows, value vfs,
     double *d2 = batch_row(vdvals, vrows, k + 2);
     double *d3 = batch_row(vdvals, vrows, k + 3);
     double f0 = fs[k], f1 = fs[k + 1], f2 = fs[k + 2], f3 = fs[k + 3];
-    for (intnat q = 0; q < nnz; q++) {
-      intnat j = Long_val(Field(vnz, q));
-      double w = work[j];
-      d0[j] = d0[j] - f0 * w;
-      d1[j] = d1[j] - f1 * w;
-      d2[j] = d2[j] - f2 * w;
-      d3[j] = d3[j] - f3 * w;
+    d0[slot] = 0.0;
+    d1[slot] = 0.0;
+    d2[slot] = 0.0;
+    d3[slot] = 0.0;
+    for (intnat q = 0; q < n; q++) {
+      intnat s = Long_val(Field(vslots, q));
+      double w = ws[q];
+      d0[s] = d0[s] - f0 * w;
+      d1[s] = d1[s] - f1 * w;
+      d2[s] = d2[s] - f2 * w;
+      d3[s] = d3[s] - f3 * w;
     }
-    d0[col] = 0.0;
-    d1[col] = 0.0;
-    d2[col] = 0.0;
-    d3[col] = 0.0;
   }
   for (; k < count; k++) {
     double *d = batch_row(vdvals, vrows, k), f = fs[k];
-    for (intnat q = 0; q < nnz; q++) {
-      intnat j = Long_val(Field(vnz, q));
-      d[j] = d[j] - f * work[j];
+    d[slot] = 0.0;
+    for (intnat q = 0; q < n; q++) {
+      intnat s = Long_val(Field(vslots, q));
+      d[s] = d[s] - f * ws[q];
     }
-    d[col] = 0.0;
   }
   return Val_unit;
 }

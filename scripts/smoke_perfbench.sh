@@ -8,12 +8,13 @@
 # and "failed": 0.
 #
 # mc-sweep must also keep its peak_rss_mb at or below MC_SWEEP_RSS_MIB.
-# Its peak is set by the set-up's two large LP2 tableaux; with each
-# tableau's dense rows outside the OCaml heap and freed as its solve
-# returns, it reads about 114 MiB, against about 170-177 MiB when
-# the dead chains tableau still sat in the major heap while the forest
-# one grew.  140 MiB leaves about 23% headroom over the first and fails
-# well short of the second.
+# Its peak is set by the set-up's two large LP2 tableaux, whose dense
+# rows live outside the OCaml heap and are freed as each solve returns.
+# With dense rows that store only the nonbasic columns it reads about
+# 75 MiB (74.8-74.9 at seed 1); with full-width dense rows it read
+# about 112-114 MiB, and about 170-177 MiB when the dead chains tableau
+# still sat in the major heap while the forest one grew.  95 MiB leaves
+# about 27% headroom over the first and fails the full-width tableau.
 #
 # Needs dune and python3 (run.py builds the CLI and the driver from
 # source).  Run from anywhere: `scripts/smoke_perfbench.sh`.
@@ -21,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MC_SWEEP_RSS_MIB=140
+MC_SWEEP_RSS_MIB=95
 
 LOG=$(mktemp "${TMPDIR:-/tmp}/suu-perfbench.XXXXXX")
 trap 'rm -f "$LOG"' EXIT

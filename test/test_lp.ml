@@ -819,6 +819,66 @@ let test_oracle_batch_sizes () =
       done)
     [ 1; 2; 3; 4; 5; 8; 9 ]
 
+(* A dense row stores only the nonbasic columns, by slot, and a pivot
+   hands the entering column's slot to the leaving column, which the
+   oracle stores in a column of its own.  Each way a row meets that
+   hand-over is checked over a range of seeds. *)
+let check_seeds name gen seeds =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, seed %d" name seed)
+        true
+        (agrees_with_oracle (to_problem (gen seed))))
+    seeds
+
+let seeds n = List.init n Fun.id
+
+(* Equality rows over three to five variables at a feasible point with
+   zeros, then the sum of two of them: at most nine columns, so every
+   row is dense from birth.  Phase 1 ends degenerate, with artificials
+   basic at level zero in rows that still have usable columns, and
+   [expel_artificials] pivots them out, often at a negative entry. *)
+let eq_lp seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let nv = 3 + Suu_prng.Rng.int rng 3 in
+  let x0 = Array.init nv (fun _ -> float_of_int (Suu_prng.Rng.int rng 3)) in
+  let row () =
+    let terms =
+      List.init nv (fun v -> (v, float_of_int (Suu_prng.Rng.int rng 7 - 3)))
+    in
+    (terms, List.fold_left (fun acc (v, c) -> acc +. (c *. x0.(v))) 0.0 terms)
+  in
+  let rows = List.init (2 + Suu_prng.Rng.int rng 2) (fun _ -> row ()) in
+  let (ta, ra), (tb, rb) = (List.nth rows 0, List.nth rows 1) in
+  let rows = rows @ [ (ta @ tb, ra +. rb) ] in
+  { obj = Array.init nv (fun _ -> coeff rng);
+    rows = List.map (fun (terms, rhs) -> (terms, P.Eq, rhs)) rows }
+
+let test_slot_expel_dense () =
+  check_seeds "expel on dense rows" eq_lp (seeds 200)
+
+(* A pivot that takes a sparse row past [cols / 8] turns it dense with
+   the leaving column either already stored, as the zero its own entry
+   was eliminated to, or gained as fill-in.  The first is rare: it needs
+   a column that entered and now leaves while the row crosses the
+   threshold.  These LP2-shaped and {!wide} seeds are ones where it
+   happens; in the first 150 {!wide} seeds the second happens in about
+   half the problems. *)
+let test_slot_densify () =
+  let max_vars, max_rows, densities = wide in
+  let wide_lp seed = snd (sparse_lp ~max_vars ~max_rows ~densities seed) in
+  check_seeds "leaving column stored" lp2_lp
+    [ 25; 135; 174; 413; 1771; 2194; 2703; 2854 ];
+  check_seeds "leaving column stored, wide" wide_lp [ 176; 842; 991; 2647 ];
+  check_seeds "leaving column as fill-in" wide_lp (seeds 150)
+
+(* Over up to fifteen variables and rows, most pivot rows are dense:
+   they are scaled by slot, and the leaving column's 1.0 lands in the
+   entering column's slot. *)
+let test_slot_dense_pivot_row () =
+  check_seeds "dense pivot rows" (fun seed -> snd (sparse_lp seed)) (seeds 200)
+
 (* The ratio test's tie-break is order-sensitive: rows 0..2 tie with x
    within eps in a chain (1 + 1.2e-9, 1 + 0.6e-9, 1) whose ends do not
    tie, so visiting them in row order picks row 2, and any order that
@@ -1052,6 +1112,12 @@ let () =
             test_oracle_expel_lowest_column;
           Alcotest.test_case "dense rows updated in groups of four" `Quick
             test_oracle_batch_sizes;
+          Alcotest.test_case "expel pivots dense rows by slot" `Quick
+            test_slot_expel_dense;
+          Alcotest.test_case "sparse rows densify around the leaving column"
+            `Quick test_slot_densify;
+          Alcotest.test_case "dense pivot rows hand over their slot" `Quick
+            test_slot_dense_pivot_row;
           Alcotest.test_case "pinned LP2s at n = 256, m = 16" `Slow
             test_pinned_lp2_256;
         ] );
