@@ -9,7 +9,9 @@
 
     The worker count defaults to the [SUU_JOBS] environment variable
     when set, else [Domain.recommended_domain_count ()]; every entry
-    point takes an explicit override.
+    point takes an explicit override.  On OCaml 5.1 that count is the
+    number of CPUs in the process's affinity mask, not the machine's
+    core count: 2 on a 2-vCPU host, 1 under [taskset -c 1].
 
     Replications are embarrassingly parallel: {!Runner.run_range} fans
     them out through {!parallel_for}, sharing one policy value across
@@ -17,7 +19,8 @@
 
 val default_jobs : unit -> int
 (** [SUU_JOBS] when set (raises [Invalid_argument] if it is not a
-    positive integer), else [Domain.recommended_domain_count ()]. *)
+    positive integer), else [Domain.recommended_domain_count ()], the
+    CPUs this process may run on. *)
 
 val parallel_for : ?jobs:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for ~n f] runs [f 0 .. f (n - 1)] across [jobs] domains

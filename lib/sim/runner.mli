@@ -10,10 +10,10 @@
     runs through {!run_range}, the one replication body.
 
     Replications run across [jobs] domains (default {!Parallel.default_jobs},
-    i.e. [SUU_JOBS] or the machine's core count).  The fan-out is
-    bit-identical to a sequential loop: replication [k] always draws
-    trace and policy randomness from the pair [(rep_rngs ~seed ~reps).(k)],
-    regardless of [jobs] or [reps].  The one shared value is [policy]
+    i.e. [SUU_JOBS] or the number of CPUs in the process's affinity
+    mask).  The fan-out is bit-identical to a sequential loop:
+    replication [k] always draws trace and policy randomness from the
+    pair [(rep_rngs ~seed ~reps).(k)], regardless of [jobs] or [reps].  The one shared value is [policy]
     itself: its [fresh] steppers run concurrently, which every policy in
     this repository supports (per-execution state lives in the stepper;
     policy-level caches and stats sinks are lock-protected).  Pass
