@@ -879,6 +879,53 @@ let test_slot_densify () =
 let test_slot_dense_pivot_row () =
   check_seeds "dense pivot rows" (fun seed -> snd (sparse_lp seed)) (seeds 200)
 
+(* A sparse row stores only nonzeros.  An update that leaves an exact
+   0.0 removes the entry, which moves the row's later entries down, and
+   the column index, which lists rows, is checked against the rows when
+   a column is gathered.  Each case below is a set of seeds at which the
+   named path runs; a scratch mutation of that path fails each of them. *)
+
+(* An entry cancels to exactly 0.0 and leaves its row, and a later pivot
+   puts fill-in back in that column, so the column lists the row twice
+   until it is next gathered. *)
+let test_sparse_cancel_then_fill () =
+  let max_vars, max_rows, densities = wide in
+  check_seeds "cancelled, then filled in" lp2_lp
+    [ 44; 90; 135; 158; 191; 203; 238; 244 ];
+  check_seeds "cancelled, then filled in, wide"
+    (fun seed -> snd (sparse_lp ~max_vars ~max_rows ~densities seed))
+    [ 288; 1017; 1116; 1138; 1239; 1762 ]
+
+(* The entering column's entry leaves every sparse target row, and its
+   index is left listing only a sparse pivot row; these seeds gather such
+   a column again while that row still stores it. *)
+let test_sparse_entering_leaves () =
+  let max_vars, max_rows, densities = wide in
+  check_seeds "entering column relisted" lp2_lp
+    [ 134; 195; 203; 266; 300; 408 ];
+  check_seeds "entering column relisted, wide"
+    (fun seed -> snd (sparse_lp ~max_vars ~max_rows ~densities seed))
+    [ 1227; 1708 ]
+
+(* A row loses entries, which leaves stale copies past its last one,
+   then turns dense: only its stored entries may reach the dense row. *)
+let test_sparse_shrink_then_dense () =
+  let max_vars, max_rows, densities = wide in
+  check_seeds "shrunk, then dense" lp2_lp [ 0; 1; 2; 4; 5; 9 ];
+  check_seeds "shrunk, then dense, wide"
+    (fun seed -> snd (sparse_lp ~max_vars ~max_rows ~densities seed))
+    [ 104; 230; 414; 465 ]
+
+(* Entries move, inside their row as earlier ones leave and with the row
+   when it outgrows its room, and later gathers look them up by column
+   among the row's stored entries only. *)
+let test_sparse_lookup_after_moves () =
+  let max_vars, max_rows, densities = wide in
+  check_seeds "lookups after moves"
+    (fun seed -> snd (sparse_lp ~max_vars ~max_rows ~densities seed))
+    [ 78; 104; 198; 390; 466 ];
+  check_seeds "lookups after moves, LP2" lp2_lp [ 2; 5; 9; 11; 20 ]
+
 (* The ratio test's tie-break is order-sensitive: rows 0..2 tie with x
    within eps in a chain (1 + 1.2e-9, 1 + 0.6e-9, 1) whose ends do not
    tie, so visiting them in row order picks row 2, and any order that
@@ -987,6 +1034,164 @@ let test_pinned_lp2_256 () =
       in
       check "forest's largest block" "5fa4d92e015a4d1a05c4b13604586931" (Option.get largest)
   | None -> Alcotest.fail "forest instance is not a forest"
+
+(* --- LP1's lower bound, certified by its duals --- *)
+
+(* Every Table-1 ratio divides by a lower bound whose LP part is
+   [Lower_bound.lp1_half]: half LP1's optimum as the tableau computes it
+   in floats.  LP1 is min t subject to coverage rows sum_i l_ij x_ij >= L
+   (dual y_j >= 0) and load rows sum_j x_ij - t <= 0 (dual -u_i, u_i >=
+   0).  A dual point is feasible when l_ij y_j <= u_i at every x_ij (its
+   reduced cost, a load coefficient being 1) and sum_i u_i <= 1 (t's),
+   and then L sum_j y_j is at most LP1's optimum (weak duality).
+
+   [certified_lp1] builds such a point from the tableau's duals and
+   returns a float no larger than its objective.  The duals are clipped
+   to their signs; each u_i is raised to the rounded-up products l_ij y_j
+   of its columns, so every x_ij is feasible exactly; the point is then
+   divided by D, the rounded sum of the u_i raised by 2 gamma(m + 1) and
+   at least 1, so t is feasible too.  The objective's dot product of k
+   coverage terms, the division and the final scaling are each off by
+   at most gamma(k) = k u / (1 - k u) relative, u = 2^-53 (Higham,
+   "Accuracy and Stability of Numerical Algorithms", 3.1), so the value
+   is scaled down by 1 - gamma(k + 3). *)
+let gamma k =
+  let u = epsilon_float /. 2.0 in
+  float_of_int k *. u /. (1.0 -. (float_of_int k *. u))
+
+let certified_lp1 p =
+  let d =
+    match S.solve_detailed p with
+    | Some d -> d
+    | None -> Alcotest.fail "LP1 not optimal"
+  in
+  let rows = ref [] and r = ref 0 in
+  P.iter_constraints p (fun terms sense rhs ->
+      rows := (terms, sense, rhs, d.S.duals.(!r)) :: !rows;
+      incr r);
+  let need = Array.make (P.num_vars p) 0.0 in
+  let num = ref 0.0 and k = ref 0 in
+  List.iter
+    (fun (terms, sense, rhs, y) ->
+      if sense = P.Ge then begin
+        let y = Float.max 0.0 y in
+        num := !num +. (rhs *. y);
+        incr k;
+        Array.iter
+          (fun (v, a) ->
+            let ay = a *. y in
+            if ay > 0.0 then need.(v) <- Float.max need.(v) (Float.succ ay))
+          terms
+      end)
+    !rows;
+  let sum_u = ref 0.0 and m = ref 0 in
+  List.iter
+    (fun (terms, sense, _, y) ->
+      if sense = P.Le then begin
+        let u =
+          Array.fold_left
+            (fun u (v, a) ->
+              if a > 0.0 then begin
+                if a <> 1.0 then Alcotest.failf "load coefficient %g" a;
+                Float.max u need.(v)
+              end
+              else u)
+            (Float.max 0.0 (-.y))
+            terms
+        in
+        sum_u := !sum_u +. u;
+        incr m
+      end)
+    !rows;
+  let dd = Float.max 1.0 (!sum_u *. (1.0 +. (2.0 *. gamma (!m + 1)))) in
+  (d.S.objective, !num /. dd *. (1.0 -. gamma (!k + 3)))
+
+module Inst = Suu_core.Instance
+module LB = Suu_core.Lower_bound
+
+(* The instances of the golden sweeps E1, E1m, E2, E3, E4 and A3 (as
+   [bench/main.ml] builds them), then random ones. *)
+let golden_instances () =
+  let u95 = W.Uniform { lo = 0.2; hi = 0.95 }
+  and u90 = W.Uniform { lo = 0.2; hi = 0.9 } in
+  let e1 =
+    List.concat_map
+      (fun h ->
+        List.map
+          (fun n -> W.independent h ~n ~m:8 ~seed:(101 + n))
+          [ 8; 16; 32; 64; 128; 256 ])
+      [ W.Near_one; u95; W.Specialists { capable = 3 } ]
+  and e1m =
+    List.map
+      (fun m -> W.independent W.Near_one ~n:64 ~m ~seed:(131 + m))
+      [ 2; 4; 8; 16; 32 ]
+  and e2 =
+    List.map
+      (fun (z, len) -> W.chains u95 ~z ~length:len ~m:4 ~seed:(202 + (z * len)))
+      [ (8, 6); (12, 8); (20, 8); (24, 10) ]
+  and e3 =
+    List.map
+      (fun n ->
+        W.forest u95 ~n ~trees:(max 1 (n / 8)) ~orientation:`Mixed ~m:4
+          ~seed:(303 + n))
+      [ 32; 64; 128; 192 ]
+  and e4 =
+    List.map
+      (fun (n, m) -> W.independent u90 ~n ~m ~seed:(404 + (10 * n) + m))
+      [ (3, 2); (4, 2); (4, 3); (5, 2) ]
+    @ List.map
+        (fun (z, len, m) ->
+          W.chains u90 ~z ~length:len ~m ~seed:(404 + (100 * z) + len))
+        [ (2, 4, 2); (3, 5, 2); (2, 8, 3) ]
+  and a3 =
+    List.map
+      (fun k ->
+        let m = 8 and n = 64 in
+        Inst.make
+          ~name:(Printf.sprintf "trap-k%d" k)
+          ~dag:(Suu_dag.Dag.empty n)
+          (Array.init m (fun i ->
+               Array.init n (fun j ->
+                   if j < k then if i = 0 then 0.5 else 1.0
+                   else if i = 0 then 0.05
+                   else 0.5))))
+      [ 2; 4; 8; 16 ]
+  in
+  e1 @ e1m @ e2 @ e3 @ e4 @ a3
+
+let random_instances () =
+  let hazards = Array.of_list W.default_hazards in
+  List.init 40 (fun seed ->
+      let rng = Suu_prng.Rng.create ~seed:(7000 + seed) in
+      let h = hazards.(Suu_prng.Rng.int rng (Array.length hazards)) in
+      let n = 1 + Suu_prng.Rng.int rng 80 and m = 1 + Suu_prng.Rng.int rng 12 in
+      W.independent h ~n ~m ~seed:(7000 + seed))
+
+(* [lp1_half] is at most the certified bound, halved, times (1 + tol):
+   tol = 1e-9 relative, the simplex's own tolerance, for the pricing
+   that stops at reduced costs above -1e-9.  The largest relative excess
+   of [lp1_half] over the certified half is printed. *)
+let check_certified name insts =
+  let tol = 1e-9 and worst = ref neg_infinity in
+  List.iteri
+    (fun i inst ->
+      let jobs = Array.init (Inst.n inst) Fun.id in
+      let p = Suu_core.Lp1.problem_for_testing inst ~jobs ~target:0.5 in
+      let _, cert = certified_lp1 p in
+      let half = LB.lp1_half inst and cert_half = cert /. 2.0 in
+      worst := Float.max !worst ((half -. cert_half) /. cert_half);
+      if not (half <= cert_half *. (1.0 +. tol)) then
+        Alcotest.failf "%s instance %d (%s): lp1_half %.17g above certified %.17g"
+          name i (Inst.name inst) half cert_half)
+    insts;
+  Printf.printf "%s: %d instances, largest (lp1_half - certified) / certified = %.3g\n"
+    name (List.length insts) !worst
+
+let test_lp1_certified_golden () =
+  check_certified "golden sweeps" (golden_instances ())
+
+let test_lp1_certified_random () =
+  check_certified "random" (random_instances ())
 
 (* --- the dense rows' lifetime --- *)
 
@@ -1118,6 +1323,14 @@ let () =
             `Quick test_slot_densify;
           Alcotest.test_case "dense pivot rows hand over their slot" `Quick
             test_slot_dense_pivot_row;
+          Alcotest.test_case "exact cancellation, then fill-in" `Quick
+            test_sparse_cancel_then_fill;
+          Alcotest.test_case "entering column leaves sparse rows" `Quick
+            test_sparse_entering_leaves;
+          Alcotest.test_case "sparse row shrinks, then turns dense" `Quick
+            test_sparse_shrink_then_dense;
+          Alcotest.test_case "column lookups after entries move" `Quick
+            test_sparse_lookup_after_moves;
           Alcotest.test_case "pinned LP2s at n = 256, m = 16" `Slow
             test_pinned_lp2_256;
         ] );
@@ -1128,6 +1341,13 @@ let () =
           Alcotest.test_case "freed when a solve raises" `Quick
             test_release_on_exception;
           Alcotest.test_case "two domains at once" `Quick test_two_domains;
+        ] );
+      ( "certificate",
+        [
+          Alcotest.test_case "lp1_half <= certified, golden sweeps" `Quick
+            test_lp1_certified_golden;
+          Alcotest.test_case "lp1_half <= certified, random" `Quick
+            test_lp1_certified_random;
         ] );
       ( "problem",
         [
