@@ -10,15 +10,28 @@ let eps = 1e-9
 let feas_tol = 1e-7
 
 (* A row is stored sparse until it would hold more than [cols /
-   dense_ratio] entries, and dense from then on.  A sparse entry costs
-   three words (column, value, column-index entry) and a dense row one
+   dense_ratio] nonzeros, and dense from then on.  A sparse entry costs
+   three words (column, value, column-index node) and a dense row one
    word per nonbasic column; a pivot updates a sparse row in time
    proportional to the row's entries plus the pivot row's, a dense row
    in time proportional to the pivot row's alone.  On the LP2 of chains
-   at n = 256, m = 16, ratios 4, 8 and 16 have the tableau peak at about
-   5.2, 5.3 and 5.6 M words, the solve takes about 1.4, 1 and 0.95 times
-   ratio 8's time, and the sparse rows' scans come to 10%, 1.3% and 0.4%
-   of the pivots' updates.
+   at n = 256, m = 16, while sparse rows still kept their zeros, ratios
+   4, 8 and 16 had the tableau peak at about 5.2, 5.3 and 5.6 M words,
+   the solve took about 1.4, 1 and 0.95 times ratio 8's time, and the
+   sparse rows' scans came to 10%, 1.3% and 0.4% of the pivots'
+   updates.
+
+   A sparse row stores only nonzeros.  An update that leaves an exact
+   0.0, the entering column's entry among them, removes the entry, and
+   fill-in appends only nonzero values.  A stored zero would change no
+   result: it never passes the ratio test or scales the pivot row, and
+   for [x <> 0.0], [z -. x] is [0.0 -. x] for both signed zeros [z].
+   All sparse rows share one file ([fidx], [fvals]): a row that outgrows
+   its room moves to the end, and the file is compacted in place when
+   the end is full, so the space the rows hold follows the nonzeros live
+   at once rather than each row's own peak.  The column index lists
+   rows, not positions, in chains of nodes from one pool; a gather looks
+   the column up in each listed row, so entries may move freely.
 
    A dense row holds only the nonbasic columns.  In a simplex tableau a
    basic column is a unit column: 1.0 in its own row and 0.0 in every
@@ -30,21 +43,23 @@ let feas_tol = 1e-7
    entering column's slot to the leaving column.  Sparse rows, the
    column index, [rhs], [z1], [z2] and [work] stay indexed by variable.
 
-   Sparse rows live in the OCaml heap.  Dense rows, the bulk of a large
-   tableau, do not: each is a float64 Bigarray over zeroed memory from
-   [calloc] (simplex_stubs.c), which the GC neither owns nor counts.
-   {!solve_internal} frees every dense row of its tableau when it
-   returns or raises, so the next solve starts with their memory back,
-   instead of growing its own tableau beside a dead one that the major
-   heap has not collected yet.  A freed row has length 0, so a stray
-   access to it raises rather than reading freed memory.  The counters
-   [lp.dense_rows.allocated] and [lp.dense_rows.released] count the rows
-   made and freed. *)
+   The tableau's storage lives outside the OCaml heap.  Each dense row,
+   the bulk of a large tableau, is a float64 Bigarray over zeroed memory
+   from [calloc] (simplex_stubs.c), which the GC neither owns nor
+   counts; the file and the node pool are Bigarrays over [malloc]'d
+   memory that grow by [realloc] in place.  {!solve_internal} frees all
+   of it when it returns or raises, so the next solve starts with that
+   memory back, instead of growing its own tableau beside a dead one
+   that the major heap has not collected yet, and a solve leaves the
+   heap no garbage but its scratch arrays.  A freed store has length 0,
+   so a stray checked access to it raises rather than reading freed
+   memory.  The counters [lp.dense_rows.allocated] and
+   [lp.dense_rows.released] count the dense rows made and freed. *)
 let dense_ratio = 8
 
 (* A position in a row's storage: the entry's index in a sparse row, its
-   column's slot in a dense one.  A column-index entry packs a row and a
-   position as [row lsl pos_bits lor position] in one 63-bit int, so
+   column's slot in a dense one.  The ratio test's entries pack a row and
+   a position as [row lsl pos_bits lor position] in one 63-bit int, so
    ordering entries as integers orders them by row. *)
 let pos_bits = 32
 let pos_mask = (1 lsl pos_bits) - 1
@@ -66,8 +81,25 @@ external dense_update_rows :
   = "suu_lp_dense_update_rows_byte" "suu_lp_dense_update_rows"
 [@@noalloc]
 
-(* The row of a sparse row's [dvals] slot: it holds nothing to free. *)
+(* The sparse rows' file and the column index's nodes live outside the
+   OCaml heap too, in stores from malloc that grow by realloc in place
+   ([store_resize]) and are freed by {!release}. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external int_alloc : int -> ints = "suu_lp_int_alloc"
+external float_alloc : int -> dense_row = "suu_lp_float_alloc"
+
+external store_resize : ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t -> int -> unit
+  = "suu_lp_resize"
+
+external store_free : ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t -> unit
+  = "suu_lp_store_free"
+[@@noalloc]
+
+(* The row of a sparse row's [dvals] slot, and the stores of a tableau
+   not yet built: they hold nothing to free. *)
 let no_row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+let no_ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
 
 let allocated = Suu_obs.Registry.memo_counter "lp.dense_rows.allocated"
 let released = Suu_obs.Registry.memo_counter "lp.dense_rows.released"
@@ -77,23 +109,41 @@ type tableau = {
   cols : int; (* number of variable columns *)
   dense_above : int; (* a row holding more entries turns dense *)
   dense : bool array;
-  vals : float array array;
-  (* a sparse row's stored entries, the first len.(r) in use; [||] for a
-     dense row.  A sparse entry is never removed, so it may hold a
-     zero. *)
   dvals : dense_row array;
   (* a dense row's entries by slot, one per nonbasic column; its own
      basic column is an implicit 1.0 and every other basic column an
      implicit 0.0.  Outside the OCaml heap and freed by {!release};
      [no_row] for a sparse row *)
-  idx : int array array; (* a sparse row's column of each stored entry *)
+  mutable fidx : ints;
+  mutable fvals : dense_row;
+  (* the sparse rows' file: row r stores len.(r) entries, columns in
+     fidx and values in fvals from position start.(r) on, after a
+     header [-(r + 1)] in fidx, and has room up to start.(r) +
+     room.(r).  Every stored value is nonzero: an update that leaves 0.0
+     removes the entry.  A row that outgrows its room moves to the end
+     of the file, leaving a gap; a dense row keeps no room.  Outside the
+     OCaml heap and freed by {!release}; [no_ints] and [no_row] until
+     {!build} *)
+  start : int array;
+  room : int array;
   len : int array;
+  mutable fend : int; (* positions from fend on are free *)
   rhs : float array; (* right-hand side of each row *)
-  col_ent : int array array;
-  (* column index: the packed entries of sparse rows in column j, the
-     first col_len.(j) in use.  Entries of rows that have turned dense
-     are dropped when the column is next gathered. *)
-  col_len : int array;
+  col_head : int array;
+  col_tail : int array;
+  (* column index: column j lists rows in a chain of nodes from
+     col_head.(j) to col_tail.(j) (-1 when empty), in the order they
+     were listed.  Every sparse row that stores j is listed; a row may
+     also be listed twice, or after it lost j or turned dense, until the
+     column is next gathered or the index rebuilt. *)
+  mutable nodes : ints;
+  (* the nodes of every column's chain: node n packs a listed row and
+     the next node (-1 for none) as [row lsl pos_bits lor (next + 1)].
+     Outside the OCaml heap and freed by {!release} *)
+  mutable free : int; (* the unused nodes, chained as the columns' are *)
+  mutable stored : int; (* entries stored in sparse rows *)
+  mutable listed : int; (* nodes in use *)
+  seen : int array; (* gather scratch, length rows: per-row stamps *)
   mutable dense_rows : int array;
   (* the dense rows in increasing order, the first n_dense in use *)
   mutable n_dense : int;
@@ -163,42 +213,161 @@ let make_dense t r =
    row; those at basic columns are its implicit 1.0 and 0.0s. *)
 let densify t r =
   make_dense t r;
-  let d = t.dvals.(r) and idx = t.idx.(r) and vals = t.vals.(r) in
-  for k = 0 to t.len.(r) - 1 do
-    let s = t.slot_of.(idx.(k)) in
-    if s >= 0 then d.{s} <- vals.(k)
+  let d = t.dvals.(r) and base = t.start.(r) in
+  for k = base to base + t.len.(r) - 1 do
+    let s = t.slot_of.(t.fidx.{k}) in
+    if s >= 0 then d.{s} <- t.fvals.{k}
   done;
-  t.vals.(r) <- [||];
-  t.idx.(r) <- [||];
+  t.stored <- t.stored - t.len.(r);
+  t.room.(r) <- 0;
   t.len.(r) <- 0
 
-(* Free every dense row of [t]. *)
+(* Free [t]'s storage outside the heap: the file and the node pool,
+   then every dense row. *)
 let release t =
+  store_free t.fidx;
+  store_free t.fvals;
+  store_free t.nodes;
   let c = released () in
   Suu_obs.Counter.add c (dense_free_all t.dvals)
 
 (* The value at position [k] of row [r]. *)
 let[@inline] entry t r k =
-  if t.dense.(r) then t.dvals.(r).{k} else t.vals.(r).(k)
+  if t.dense.(r) then t.dvals.(r).{k} else t.fvals.{t.start.(r) + k}
 
-(* Make room in the sparse row [r] for [extra] more entries. *)
+(* Move every sparse row, in file order, to the front of the file with
+   no room to spare.  No row moves past its own start.  The scan finds
+   each row by its header, the position before its start, which holds
+   [-(r + 1)] for row [r]: a header whose row is dense or starts
+   elsewhere is stale, and every other position outside a row's room
+   holds stale or never-written values, which may look like headers of
+   no row. *)
+let compact t =
+  let fidx = t.fidx and fvals = t.fvals in
+  let p = ref 0 and pos = ref 0 in
+  while !p < t.fend do
+    let h = fidx.{!p} in
+    let r = -h - 1 in
+    if r >= 0 && r < t.rows && t.start.(r) = !p + 1 && not t.dense.(r)
+    then begin
+      let l = t.len.(r) in
+      fidx.{!pos} <- h;
+      for k = 1 to l do
+        fidx.{!pos + k} <- fidx.{!p + k};
+        fvals.{!pos + k} <- fvals.{!p + k}
+      done;
+      p := !p + 1 + t.room.(r);
+      t.start.(r) <- !pos + 1;
+      t.room.(r) <- l;
+      pos := !pos + 1 + l
+    end
+    else incr p
+  done;
+  t.fend <- !pos
+
+(* Give the sparse row [r] room for [extra] more entries: if it has too
+   little, move it to the end of the file with room for twice its
+   entries, or more if [extra] needs it.  When the end has too little
+   space, the file is compacted first, and grows to three times what
+   its rows and the moved row's room then fill if that leaves it less
+   than half free. *)
 let reserve t r extra =
   let len = t.len.(r) in
-  t.idx.(r) <- with_room t.idx.(r) len (len + extra) 0;
-  t.vals.(r) <- with_room t.vals.(r) len (len + extra) 0.0
+  if len + extra > t.room.(r) then begin
+    let need = max (len + extra) (2 * len) in
+    if t.fend + 1 + need > Bigarray.Array1.dim t.fidx then begin
+      compact t;
+      let live = t.fend + 1 + need in
+      if 2 * live > Bigarray.Array1.dim t.fidx then begin
+        store_resize t.fidx (3 * live);
+        store_resize t.fvals (3 * live)
+      end
+    end;
+    let fidx = t.fidx and fvals = t.fvals and s = t.fend + 1 in
+    let base = t.start.(r) in
+    fidx.{s - 1} <- -(r + 1);
+    for k = 0 to len - 1 do
+      fidx.{s + k} <- fidx.{base + k};
+      fvals.{s + k} <- fvals.{base + k}
+    done;
+    t.start.(r) <- s;
+    t.room.(r) <- need;
+    t.fend <- s + need
+  end
 
-(* Store [v] at column [j] of the sparse row [r], which must not store
-   [j] yet and must have room, and list it in column [j]'s index. *)
+let[@inline] node_row t n = t.nodes.{n} lsr pos_bits
+let[@inline] node_next t n = (t.nodes.{n} land pos_mask) - 1
+let[@inline] set_node t n r next = t.nodes.{n} <- (r lsl pos_bits) lor (next + 1)
+
+(* Put node [n] back among the unused nodes. *)
+let[@inline] free_node t n =
+  set_node t n 0 t.free;
+  t.free <- n;
+  t.listed <- t.listed - 1
+
+(* Chain nodes [lo, hi) in order, the last to [next]. *)
+let chain_nodes t lo hi next =
+  for n = lo to hi - 1 do
+    set_node t n 0 (if n + 1 < hi then n + 1 else next)
+  done
+
+(* Add [n] unused nodes to the pool. *)
+let grow_pool t n =
+  let old = Bigarray.Array1.dim t.nodes in
+  store_resize t.nodes (old + n);
+  chain_nodes t old (old + n) t.free;
+  t.free <- old
+
+(* Append row [r] to column [j]'s chain, doubling the node pool when no
+   node is free. *)
+let list_row t j r =
+  if t.free < 0 then grow_pool t (max 64 (Bigarray.Array1.dim t.nodes));
+  let n = t.free in
+  t.free <- node_next t n;
+  set_node t n r (-1);
+  let tail = t.col_tail.(j) in
+  if tail < 0 then t.col_head.(j) <- n
+  else set_node t tail (node_row t tail) n;
+  t.col_tail.(j) <- n;
+  t.listed <- t.listed + 1
+
+(* Store [v], nonzero, at column [j] of the sparse row [r], which must
+   not store [j] yet and must have room, and list [r] in column [j]'s
+   index. *)
 let[@inline] append t r j v =
   let k = t.len.(r) in
-  t.idx.(r).(k) <- j;
-  t.vals.(r).(k) <- v;
+  t.fidx.{t.start.(r) + k} <- j;
+  t.fvals.{t.start.(r) + k} <- v;
   t.len.(r) <- k + 1;
-  let c = t.col_len.(j) in
-  if c = Array.length t.col_ent.(j) then
-    t.col_ent.(j) <- with_room t.col_ent.(j) c (c + 1) 0;
-  t.col_ent.(j).(c) <- (r lsl pos_bits) lor k;
-  t.col_len.(j) <- c + 1
+  t.stored <- t.stored + 1;
+  list_row t j r
+
+(* Rebuild the column index from the sparse rows: each column lists
+   exactly the rows that store it, in increasing order.  {!pivot} calls
+   it once more nodes are in use than twice the stored entries plus one
+   per row, so its cost, one pass over the pool and the stored entries,
+   is paid for by the removals that left the nodes it frees stale. *)
+let reindex t =
+  Array.fill t.col_head 0 t.cols (-1);
+  Array.fill t.col_tail 0 t.cols (-1);
+  let cap = Bigarray.Array1.dim t.nodes in
+  chain_nodes t 0 cap (-1);
+  t.free <- (if cap > 0 then 0 else -1);
+  t.listed <- 0;
+  for r = 0 to t.rows - 1 do
+    for k = t.start.(r) to t.start.(r) + t.len.(r) - 1 do
+      list_row t t.fidx.{k} r
+    done
+  done
+
+(* The position of column [j] in the sparse row [r], or -1. *)
+let position t r j =
+  let base = t.start.(r) and len = t.len.(r) in
+  let k = ref 0 in
+  while !k < len && Bigarray.Array1.unsafe_get t.fidx (base + !k) <> j do
+    incr k
+  done;
+  if !k < len then !k else -1
 
 (* A constraint's sense once its right-hand side is made nonnegative. *)
 let standard_sense sense rhs =
@@ -250,11 +419,13 @@ let layout problem =
       | Problem.Eq -> ())
     senses;
   { rows = nrows; cols; dense_above = cols / dense_ratio;
-    dense = Array.make nrows false; vals = Array.make nrows [||];
-    dvals = Array.make nrows no_row;
-    idx = Array.make nrows [||]; len = Array.make nrows 0;
-    rhs = Array.make nrows 0.0; col_ent = Array.make cols [||];
-    col_len = Array.make cols 0; dense_rows = [||]; n_dense = 0;
+    dense = Array.make nrows false; dvals = Array.make nrows no_row;
+    fidx = no_ints; fvals = no_row; start = Array.make nrows 0;
+    room = Array.make nrows 0; len = Array.make nrows 0; fend = 0;
+    rhs = Array.make nrows 0.0; col_head = Array.make cols (-1);
+    col_tail = Array.make cols (-1); nodes = no_ints; free = -1; stored = 0;
+    listed = 0; seen = Array.make nrows (-1); dense_rows = [||];
+    n_dense = 0;
     basis = Array.make nrows (-1); slot_of; var_of_slot;
     z1 = Array.make (cols + 1) 0.0;
     z2 = Array.make (cols + 1) 0.0; nstruct; first_artificial;
@@ -269,6 +440,16 @@ let layout problem =
    basis: slack for <= rows, artificial for >= and = rows.  A row with
    more than [dense_above] entries is written dense from the start. *)
 let build t problem =
+  (* Room for the rows' entries as built, at most two beyond their terms
+     and a header each, in a file three times that, as {!reserve} keeps
+     it, and a node for each entry. *)
+  let entries = ref 0 in
+  Problem.iter_constraints problem (fun terms _ _ ->
+      entries := !entries + Array.length terms + 2);
+  t.fidx <- int_alloc (3 * (!entries + t.rows));
+  t.fvals <- float_alloc (3 * (!entries + t.rows));
+  t.nodes <- int_alloc 0;
+  grow_pool t !entries;
   let cols = t.cols and basis = t.basis and z1 = t.z1 in
   (* The z rows store reduced costs in [0, cols) and minus the current
      objective value at index [cols]. *)
@@ -307,10 +488,7 @@ let build t problem =
       done;
       let dense = !entries > t.dense_above in
       if dense then make_dense t row
-      else begin
-        t.idx.(row) <- Array.make (!n + 2) 0;
-        t.vals.(row) <- Array.make (!n + 2) 0.0
-      end;
+      else reserve t row !entries;
       (* A dense row skips its own basic column, an implicit 1.0. *)
       let store j v =
         if not dense then append t row j v
@@ -361,9 +539,9 @@ let build t problem =
           z1.(b) <- z1.(b) -. 1.0
         end
         else
-          for k = 0 to t.len.(row) - 1 do
-            let j = t.idx.(row).(k) in
-            z1.(j) <- z1.(j) -. t.vals.(row).(k)
+          for k = t.start.(row) to t.start.(row) + t.len.(row) - 1 do
+            let j = t.fidx.{k} in
+            z1.(j) <- z1.(j) -. t.fvals.{k}
           done;
         z1.(cols) <- z1.(cols) -. t.rhs.(row)
       end;
@@ -372,25 +550,35 @@ let build t problem =
 
 (* Record in [nz_ents] the entries of column [col] with a nonzero value,
    in increasing row order, which the ratio test's tie-break needs.  The
-   column index lists a column's sparse entries in the order they were
-   stored, so those are sorted when out of order, then merged with the
-   dense rows' entries. *)
+   column index lists a column's sparse rows in the order they gained
+   it; each is searched for [col], and the index keeps only the sparse
+   rows that store it, once each.  Those entries are sorted when out of
+   order, then merged with the dense rows' entries. *)
 let gather_rows t col =
-  let ents = t.col_ent.(col) and nz = t.nz_ents in
-  let live = ref 0 and a = ref 0 in
-  for i = 0 to t.col_len.(col) - 1 do
-    let e = ents.(i) in
-    let r = e lsr pos_bits in
-    if not t.dense.(r) then begin
-      ents.(!live) <- e;
-      incr live;
-      if Float.abs t.vals.(r).(e land pos_mask) > 0.0 then begin
-        nz.(!a) <- e;
-        incr a
-      end
+  let nz = t.nz_ents in
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp and a = ref 0 in
+  let prev = ref (-1) and n = ref t.col_head.(col) in
+  while !n >= 0 do
+    let node = !n in
+    let r = node_row t node in
+    n := node_next t node;
+    let k =
+      if t.dense.(r) || t.seen.(r) = stamp then -1 else position t r col
+    in
+    if k >= 0 then begin
+      t.seen.(r) <- stamp;
+      nz.(!a) <- (r lsl pos_bits) lor k;
+      incr a;
+      prev := node
+    end
+    else begin
+      if !prev < 0 then t.col_head.(col) <- !n
+      else set_node t !prev (node_row t !prev) !n;
+      free_node t node
     end
   done;
-  t.col_len.(col) <- !live;
+  t.col_tail.(col) <- !prev;
   let a = !a in
   let sorted = ref true in
   for i = 1 to a - 1 do
@@ -433,12 +621,16 @@ let gather_rows t col =
    four rows to a pass ({!dense_update_rows}); a sparse one at its
    stored entries there, after which it gains, from 0.0, the nonzero
    columns it lacks (turning dense first if they would take it over
-   [dense_above]).  Rows are independent, so their order changes no
-   entry.  So every entry a full sweep would change with a nonzero [f
-   *. a] gets the same [x -. f *. a], where the cleared slot's [x] is
-   the 0.0 the sweep held at the basic leaving column, and a skipped
-   update is [x -. f *. 0.0], which leaves [x] unchanged up to the sign
-   of a zero. *)
+   [dense_above]).  A sparse row keeps only its nonzero results, and
+   loses the entering column's entry.  Rows are independent, so their
+   order changes no entry.  So every entry a full sweep would change
+   with a nonzero [f *. a] gets the same [x -. f *. a], where the
+   cleared slot's [x] is the 0.0 the sweep held at the basic leaving
+   column, and a skipped update is [x -. f *. 0.0], which leaves [x]
+   unchanged up to the sign of a zero.  Then the entering column's
+   chain is cut back to the sparse pivot row, the only row that stores
+   it, and the column index is rebuilt once its chains hold more than
+   twice the stored entries plus one node per row. *)
 let pivot t ~row ~col =
   let work = t.work and nz = t.nz_cols and mark = t.mark in
   let slot = t.slot_of.(col) and leaving = t.basis.(row) in
@@ -472,22 +664,22 @@ let pivot t ~row ~col =
       inv
     end
     else begin
-      let vals = t.vals.(row) and idx = t.idx.(row) in
-      let kcol = ref 0 in
-      while idx.(!kcol) <> col do
-        incr kcol
-      done;
-      let inv = 1.0 /. vals.(!kcol) in
+      (* Scaled in place, keeping only the nonzero products. *)
+      let fidx = t.fidx and fvals = t.fvals and base = t.start.(row) in
+      let kcol = position t row col in
+      let inv = 1.0 /. fvals.{base + kcol} in
       for k = 0 to t.len.(row) - 1 do
-        let v = vals.(k) *. inv in
-        vals.(k) <- v;
+        let j = fidx.{base + k} and v = fvals.{base + k} *. inv in
         if v <> 0.0 then begin
-          work.(idx.(k)) <- v;
-          nz.(!nnz) <- idx.(k);
+          fidx.{base + !nnz} <- j;
+          fvals.{base + !nnz} <- (if k = kcol then 1.0 else v);
+          work.(j) <- v;
+          nz.(!nnz) <- j;
           incr nnz
         end
       done;
-      vals.(!kcol) <- 1.0;
+      t.stored <- t.stored - t.len.(row) + !nnz;
+      t.len.(row) <- !nnz;
       inv
     end
   in
@@ -516,21 +708,34 @@ let pivot t ~row ~col =
         incr batched
       end
       else begin
-        let tvals = t.vals.(r) and tidx = t.idx.(r) in
+        (* Updated in place, keeping the nonzero results; the entering
+           column's entry leaves the row. *)
+        let fidx = t.fidx and fvals = t.fvals and base = t.start.(r) in
         t.stamp <- t.stamp + 1;
         let stamp = t.stamp in
-        let matched = ref 0 in
-        for k = 0 to t.len.(r) - 1 do
-          let j = Array.unsafe_get tidx k in
+        let matched = ref 0 and kept = ref base in
+        for k = base to base + t.len.(r) - 1 do
+          let j = Bigarray.Array1.unsafe_get fidx k in
           let a = Array.unsafe_get work j in
-          if a <> 0.0 then begin
-            Array.unsafe_set tvals k (Array.unsafe_get tvals k -. (f *. a));
-            Array.unsafe_set mark j stamp;
-            incr matched
+          let v = Bigarray.Array1.unsafe_get fvals k in
+          let v =
+            if a <> 0.0 then begin
+              Array.unsafe_set mark j stamp;
+              incr matched;
+              v -. (f *. a)
+            end
+            else v
+          in
+          if v <> 0.0 && j <> col then begin
+            Bigarray.Array1.unsafe_set fidx !kept j;
+            Bigarray.Array1.unsafe_set fvals !kept v;
+            incr kept
           end
         done;
-        tvals.(kc) <- 0.0;
-        if t.len.(r) + nnz - !matched > t.dense_above then begin
+        let kept = !kept - base in
+        t.stored <- t.stored - t.len.(r) + kept;
+        t.len.(r) <- kept;
+        if kept + nnz - !matched > t.dense_above then begin
           densify t r;
           (* The row stores [col], so every column it lacks has a
              slot. *)
@@ -545,8 +750,10 @@ let pivot t ~row ~col =
           reserve t r (nnz - !matched);
           for q = 0 to nnz - 1 do
             let j = Array.unsafe_get nz q in
-            if Array.unsafe_get mark j <> stamp then
-              append t r j (0.0 -. (f *. Array.unsafe_get work j))
+            if Array.unsafe_get mark j <> stamp then begin
+              let v = 0.0 -. (f *. Array.unsafe_get work j) in
+              if v <> 0.0 then append t r j v
+            end
           done
         end
       end;
@@ -585,7 +792,19 @@ let pivot t ~row ~col =
     work.(nz.(q)) <- 0.0
   done;
   work.(col) <- 0.0;
-  t.basis.(row) <- col
+  t.basis.(row) <- col;
+  (* [col] is now a unit column: stored, as 1.0, only in a sparse pivot
+     row. *)
+  let n = ref t.col_head.(col) in
+  while !n >= 0 do
+    let node = !n in
+    n := node_next t node;
+    free_node t node
+  done;
+  t.col_head.(col) <- -1;
+  t.col_tail.(col) <- -1;
+  if not t.dense.(row) then list_row t col row;
+  if t.listed > (2 * t.stored) + t.rows then reindex t
 
 (* Choose the entering column: Dantzig (most negative reduced cost) unless
    [bland], then the lowest eligible index.  [limit] excludes artificial
@@ -680,13 +899,11 @@ let expel_artificials t =
           if j < !col && Float.abs d.{k} > 1e-7 then col := j
         done
       end
-      else begin
-        let vals = t.vals.(r) in
-        for k = 0 to t.len.(r) - 1 do
-          let j = t.idx.(r).(k) in
-          if j < !col && Float.abs vals.(k) > 1e-7 then col := j
-        done
-      end;
+      else
+        for k = t.start.(r) to t.start.(r) + t.len.(r) - 1 do
+          let j = t.fidx.{k} in
+          if j < !col && Float.abs t.fvals.{k} > 1e-7 then col := j
+        done;
       if !col < t.first_artificial then begin
         gather_rows t !col;
         pivot t ~row:r ~col:!col

@@ -9,8 +9,11 @@
     [d >= 1]), which at [n = 256, m = 16] is 4,656 rows by ~9.5k columns.
 
     The tableau's memory follows its nonzeros: a row is stored sparse
-    until it would fill more than an eighth of the columns, and dense
-    from then on; a column index lists each column's sparse entries.  A
+    until it would hold more than an eighth of the columns as nonzeros,
+    and dense from then on.  A sparse row keeps only its nonzeros, and
+    all sparse rows share one file that is compacted in place, so their
+    storage follows the nonzeros live at once; a column index lists the
+    sparse rows of each column.  A
     dense row stores only the [cols - rows] nonbasic columns: a basic
     column is 1.0 in its own row and 0.0 in the others, and none of its
     entries changes while it stays basic.  A
@@ -26,11 +29,11 @@
     most flip the sign of a zero.  So the pivot sequence, the optimum,
     [x] and the duals are those of the full sweep.
 
-    Dense rows live outside the OCaml heap, and each solve frees its
-    tableau's before it returns or raises, so a solve holds no memory
-    after it and a run of large solves peaks at one tableau.  The
-    counters [lp.dense_rows.allocated] and [lp.dense_rows.released]
-    count the rows made and freed.
+    Dense rows, the sparse rows' file and the column index live outside
+    the OCaml heap, and each solve frees its tableau's before it returns
+    or raises, so a solve holds no memory after it and a run of large
+    solves peaks at one tableau.  The counters [lp.dense_rows.allocated]
+    and [lp.dense_rows.released] count the dense rows made and freed.
 
     All comparisons use an absolute tolerance of [1e-9]; callers should
     treat returned values as accurate to roughly [1e-7] relative. *)

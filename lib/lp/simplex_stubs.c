@@ -1,11 +1,14 @@
-/* Dense tableau rows outside the OCaml heap, and the pivot's update
-   of them.  A dense row holds one double per nonbasic column of its
-   tableau.  A tableau's dense rows are its bulk (tens of MB on a large
-   LP2) and die together when its solve returns; as heap blocks they
-   would stay in the major heap until a later cycle collects them, while
-   the next solve's rows grow beside them.  So each dense row is a
+/* Tableau storage outside the OCaml heap, and the pivot's update of
+   the dense rows.  A dense row holds one double per nonbasic column of
+   its tableau.  A tableau's dense rows are its bulk (tens of MB on a
+   large LP2) and die together when its solve returns; as heap blocks
+   they would stay in the major heap until a later cycle collects them,
+   while the next solve's rows grow beside them.  So each dense row is a
    float64 Bigarray over calloc'd memory, which the GC does not own, and
-   the solve frees every row as it returns (simplex.ml). */
+   the solve frees every row as it returns (simplex.ml).  The sparse
+   rows' file and the column index's nodes are Bigarrays over malloc'd
+   memory for the same reason: they grow by realloc, which leaves the
+   heap no dead copy to sweep, and are freed with the dense rows. */
 
 #include <stdlib.h>
 #include <caml/mlvalues.h>
@@ -22,26 +25,80 @@ CAMLprim value suu_lp_dense_alloc(value vn)
       CAML_BA_FLOAT64 | CAML_BA_C_LAYOUT | CAML_BA_EXTERNAL, 1, data, n);
 }
 
-/* Free each row of the array [vrows] that [suu_lp_dense_alloc] made
-   and make it empty: its data NULL and its length 0, so a bounds-checked
-   access to it raises.  An empty row, or a Bigarray whose memory OCaml
-   manages, is left alone.  Returns the number of rows freed.  No OCaml
+/* Both kinds of store hold 8-byte elements (OCaml 5 is 64-bit only). */
+#define STORE_ELT 8
+_Static_assert(sizeof(intnat) == STORE_ELT && sizeof(double) == STORE_ELT,
+               "stores hold 8-byte elements");
+
+/* [n] uninitialised elements of [kind], from malloc. */
+static value store_alloc(int kind, value vn)
+{
+  intnat n = Long_val(vn);
+  void *data = malloc((n > 0 ? n : 1) * STORE_ELT);
+  if (data == NULL) caml_raise_out_of_memory();
+  return caml_ba_alloc_dims(
+      kind | CAML_BA_C_LAYOUT | CAML_BA_EXTERNAL, 1, data, n);
+}
+
+/* A store of [n] OCaml ints. */
+CAMLprim value suu_lp_int_alloc(value vn)
+{
+  return store_alloc(CAML_BA_CAML_INT, vn);
+}
+
+/* A store of [n] doubles. */
+CAMLprim value suu_lp_float_alloc(value vn)
+{
+  return store_alloc(CAML_BA_FLOAT64, vn);
+}
+
+/* Make the store [va], from one of the two above, [n] elements long,
+   keeping its first min(old, n): in place, so every OCaml value naming
+   it sees the new data and length. */
+CAMLprim value suu_lp_resize(value va, value vn)
+{
+  struct caml_ba_array *b = Caml_ba_array_val(va);
+  intnat n = Long_val(vn);
+  void *data = realloc(b->data, (n > 0 ? n : 1) * STORE_ELT);
+  if (data == NULL) caml_raise_out_of_memory();
+  b->data = data;
+  b->dim[0] = n;
+  return Val_unit;
+}
+
+/* Free [va] if it is one of the Bigarrays this file makes and make it
+   empty: its data NULL and its length 0, so a bounds-checked access to
+   it raises.  An empty one, or a Bigarray whose memory OCaml manages,
+   is left alone.  Returns whether it freed. */
+static int free_external(value va)
+{
+  struct caml_ba_array *b = Caml_ba_array_val(va);
+  if (b->data == NULL
+      || (b->flags & CAML_BA_MANAGED_MASK) != CAML_BA_EXTERNAL)
+    return 0;
+  free(b->data);
+  b->data = NULL;
+  b->dim[0] = 0;
+  return 1;
+}
+
+/* Free each row of the array [vrows] that [suu_lp_dense_alloc] made, as
+   [free_external] does.  Returns the number of rows freed.  No OCaml
    code runs inside it, so an exception from a signal handler cannot
    stop it half-way. */
 CAMLprim value suu_lp_dense_free_all(value vrows)
 {
   intnat freed = 0;
-  for (mlsize_t i = 0; i < Wosize_val(vrows); i++) {
-    struct caml_ba_array *b = Caml_ba_array_val(Field(vrows, i));
-    if (b->data == NULL
-        || (b->flags & CAML_BA_MANAGED_MASK) != CAML_BA_EXTERNAL)
-      continue;
-    free(b->data);
-    b->data = NULL;
-    b->dim[0] = 0;
-    freed++;
-  }
+  for (mlsize_t i = 0; i < Wosize_val(vrows); i++)
+    freed += free_external(Field(vrows, i));
   return Val_long(freed);
+}
+
+/* Free one store, as [free_external] does. */
+CAMLprim value suu_lp_store_free(value va)
+{
+  free_external(va);
+  return Val_unit;
 }
 
 /* The data of the dense row [dvals.(rows.(k))]. */

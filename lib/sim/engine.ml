@@ -14,8 +14,11 @@ type result = {
 (* Completion uses a tolerance *relative* to the threshold: the accrued
    mass is a sum of floats of the threshold's magnitude, so its roundoff
    scales with w_j — an absolute epsilon under-completes for large w_j.
-   [1.0] floors the scale so tiny thresholds keep the old behaviour. *)
-let completion_slack w = 1e-12 *. Float.max 1.0 w
+   [1.0] floors the scale so tiny thresholds keep the old behaviour.
+   Thresholds are never NaN ([Trace.of_thresholds] rejects them), so a
+   plain comparison gives [Float.max]'s result without the cross-module
+   call that boxes a float per job per run. *)
+let completion_slack w = 1e-12 *. if w > 1.0 then w else 1.0
 
 (* Telemetry is recorded per *run*, never per step: two clock reads and a
    handful of batched counter adds bound the overhead regardless of the

@@ -8,13 +8,13 @@
 # and "failed": 0.
 #
 # mc-sweep must also keep its peak_rss_mb at or below MC_SWEEP_RSS_MIB.
-# Its peak is set by the set-up's two large LP2 tableaux, whose dense
-# rows live outside the OCaml heap and are freed as each solve returns.
-# With dense rows that store only the nonbasic columns it reads about
-# 75 MiB (74.8-74.9 at seed 1); with full-width dense rows it read
-# about 112-114 MiB, and about 170-177 MiB when the dead chains tableau
-# still sat in the major heap while the forest one grew.  95 MiB leaves
-# about 27% headroom over the first and fails the full-width tableau.
+# Its peak is set by the set-up's two large LP2 tableaux, whose storage
+# lives outside the OCaml heap and is freed as each solve returns.
+# With sparse rows that keep only their nonzeros, in one file compacted
+# in place, it reads about 54 MiB; when sparse rows kept the zeros
+# their updates left, in the heap, about 75 MiB (74.8-74.9 at seed 1);
+# with full-width dense rows, about 112-114 MiB.  65 MiB leaves about
+# 20% headroom over the first and fails the second.
 #
 # Needs dune and python3 (run.py builds the CLI and the driver from
 # source).  Run from anywhere: `scripts/smoke_perfbench.sh`.
@@ -22,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MC_SWEEP_RSS_MIB=95
+MC_SWEEP_RSS_MIB=65
 
 LOG=$(mktemp "${TMPDIR:-/tmp}/suu-perfbench.XXXXXX")
 trap 'rm -f "$LOG"' EXIT
