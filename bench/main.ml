@@ -18,7 +18,12 @@
      dune exec bench/main.exe e1 e4 perf # selected experiments
    Experiment ids: e1 e1m e2 e3 e4 e5 e6 e7 e8 a1 a2 a3 perf table1 serve
    chaos replay shard (see DESIGN.md and [experiments] below).  Flags:
-   --connections N and --workload SPEC for serve, --router for chaos. *)
+   --connections N and --workload SPEC for serve.
+
+   perf, table1, serve, chaos, replay and shard each write
+   BENCH_<id>.json, then run that experiment's checks from
+   {!Checks.table} on it, all but the baseline rules, which gate.exe
+   adds.  The run exits 1 if any check failed. *)
 
 module W = Suu_workload.Workload
 module Table = Suu_util.Table
@@ -47,15 +52,24 @@ let str s = J.String s
 let quantiles q ps = J.Obj (List.map (fun (k, p) -> (k, num (q p))) ps)
 let p50_to_max = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("max", 1.0) ]
 
-(* The current value of each named obs counter. *)
-let counters names =
-  List.map (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n))) names
+(* [let growth = growth_since () in ... let d = growth () in d name]:
+   how far the obs counter [name] grew between the two snapshots.  The
+   registry is process-wide, so a bench reads its own run's counts even
+   after other benches ran in the same process. *)
+let growth_since () =
+  let counters () = (Suu_obs.Registry.snapshot ()).Suu_obs.Registry.counters in
+  let before = counters () in
+  fun () ->
+    let now = counters () in
+    fun name ->
+      let get cs = Option.value (List.assoc_opt name cs) ~default:0 in
+      get now - get before
 
-(* A count read back out of a section built with [int]. *)
-let count j key =
-  int_of_float (Option.value (J.to_float (J.member key j)) ~default:0.0)
+(* How many checks failed in the artifacts written so far. *)
+let failed_checks = ref 0
 
-(* BENCH_<experiment>.json: the experiment id and scale, then [fields]. *)
+(* BENCH_<experiment>.json: the experiment id and scale, then [fields].
+   The written file is then checked against the experiment's rules. *)
 let write_artifact experiment fields =
   let file = Printf.sprintf "BENCH_%s.json" experiment in
   J.to_file file
@@ -63,7 +77,9 @@ let write_artifact experiment fields =
        (("experiment", str experiment)
        :: ("scale", str (if tiny_scale () then "tiny" else "full"))
        :: fields));
-  note "\nwrote %s" file
+  note "\nwrote %s" file;
+  Checks.verify (J.of_file file);
+  failed_checks := !failed_checks + Checks.report ()
 
 (* Durable memoization: with SUU_STORE set to a directory, every ratio
    sweep routes through {!Suu_store.Memo} — committed replication
@@ -1047,6 +1063,28 @@ let chaos_pool () =
     W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
   |]
 
+(* A closed-loop request stream over [pool]: each request draws an
+   instance, then a roll out of 100 that picks its kind through
+   [weights] (in order, summing to 100) and seeds it.  [`Online]
+   simulates under lzf or backfill by the roll's parity. *)
+let request_mix ~pool ~sim_reps weights rng =
+  let module P = Suu_server.Protocol in
+  let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
+  let roll = Suu_prng.Rng.int rng 100 in
+  let rec kind r = function
+    | [ (_, k) ] -> k
+    | (w, k) :: rest -> if r < w then k else kind (r - w) rest
+    | [] -> invalid_arg "request_mix: no weights"
+  in
+  let simulate policy = P.Simulate { inst; policy; reps = sim_reps; seed = roll } in
+  match kind roll weights with
+  | `Simulate -> simulate "auto"
+  | `Online -> simulate (if roll land 1 = 0 then "lzf" else "backfill")
+  | `Plan -> P.Plan { inst; policy = "auto"; seed = roll }
+  | `Describe -> P.Describe inst
+  | `Lower_bound -> P.Lower_bound inst
+  | `Stats -> P.Stats
+
 (* A router's view of an in-process server. *)
 let shard_spec s =
   let port = Suu_server.Server.port s in
@@ -1316,7 +1354,7 @@ let open_loop_run ~port ~nconns ~reqs =
    missing (a reply arriving on another connection is missing on its
    own).  Returns the JSON object embedded as BENCH_serve.json's
    "connection_scale" section, whose dropped/mismatched counts the
-   caller fails on. *)
+   checks require to be zero. *)
 
 let connections_target = ref 500
 
@@ -1457,8 +1495,7 @@ let open_loop_requests ~tiny spec =
   (reqs, label, span, compression)
 
 (* The full pass: fresh server, two identical replays, byte-compare.
-   Returns the JSON object for the "workload" section plus the
-   failure counts the caller aborts on. *)
+   Returns the JSON object for the "workload" section. *)
 let open_loop_replay ~tiny spec =
   let module Server = Suu_server.Server in
   note "";
@@ -1531,24 +1568,12 @@ let serve_bench () =
      expensive request), a slice of it rides the LP-free online tier
      (lzf/backfill, counted as plan-cache bypasses), and the rest
      exercise parsing, caching and stats. *)
-  let pick_body rng =
-    let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
-    let roll = Suu_prng.Rng.int rng 100 in
-    if roll < 30 then
-      P.Simulate { inst; policy = "auto"; reps = sim_reps; seed = roll }
-    else if roll < 40 then
-      P.Simulate
-        { inst; policy = (if roll land 1 = 0 then "lzf" else "backfill");
-          reps = sim_reps; seed = roll }
-    else if roll < 65 then P.Plan { inst; policy = "auto"; seed = roll }
-    else if roll < 80 then P.Describe inst
-    else if roll < 95 then P.Lower_bound inst
-    else P.Stats
-  in
   let load =
     closed_loop ~clients ~per_client ~seed:9000
       ~connect:(fun _ -> Client.connect ~port ())
-      pick_body
+      (request_mix ~pool ~sim_reps
+         [ (30, `Simulate); (10, `Online); (25, `Plan); (15, `Describe);
+           (15, `Lower_bound); (5, `Stats) ])
   in
   let wall = load.wall and lats = load.lats in
   let stats_fields =
@@ -1635,32 +1660,13 @@ let serve_bench () =
       ("solver", str (cache_stat "solver"));
       ("deterministic_over_the_wire", J.Bool deterministic);
       ("connection_scale", cs);
-      (* null when the bench ran without --workload: the gate only
-         audits the open-loop section when a replay actually happened. *)
+      (* null when the bench ran without --workload: the checks audit
+         the open-loop section only when a replay actually happened. *)
       ("workload", wl);
       (* The load-tested server runs in this process, so the registry
          holds its request-phase spans (parse / queue_wait / execute /
          write). *)
-      ("phases", phases) ];
-  if errors > 0 then failwith "serve bench saw unexpected error responses";
-  if not deterministic then
-    failwith "serve bench: simulate responses differ across worker counts";
-  if count cs "dropped" > 0 || count cs "mismatched" > 0 then
-    failwith
-      (Printf.sprintf
-         "serve bench connection-scale: %d dropped, %d mismatched connections"
-         (count cs "dropped") (count cs "mismatched"));
-  if wl <> J.Null then begin
-    if count wl "incomplete" > 0 then
-      failwith
-        (Printf.sprintf
-           "serve bench workload replay: %d arrivals never completed"
-           (count wl "incomplete"));
-    if J.member "deterministic_replay" wl <> Some (J.Bool true) then
-      failwith
-        "serve bench workload replay: responses differ across two runs at \
-         the same seed"
-  end
+      ("phases", phases) ]
 
 (* ------------------------------------------------------------------ *)
 (* chaos — the fault-tolerance harness: an in-process server with the
@@ -1671,12 +1677,12 @@ let serve_bench () =
    lost request under these fault rates means the retry logic, not the
    network, is broken. *)
 
-(* chaos --router: two in-process shards behind a router; the shard
-   owning the first pool instance's keys is stopped mid-load.  The
-   router must mark it down, re-route its keyspace, and every client
-   request must still complete — the scale-out analogue of the
-   single-server retry claim below.  Returns the JSON object embedded
-   as BENCH_chaos.json's "router" section. *)
+(* The router scenario of chaos: two in-process shards behind a
+   router; the shard owning the first pool instance's keys is stopped
+   mid-load.  The router must mark it down, re-route its keyspace, and
+   every client request must still complete — the scale-out analogue
+   of the single-server retry claim below.  Returns the JSON object
+   embedded as BENCH_chaos.json's "router" section. *)
 let chaos_router_run () =
   let module Server = Suu_server.Server in
   let module Client = Suu_server.Client in
@@ -1684,21 +1690,12 @@ let chaos_router_run () =
   let module Ring = Suu_router.Ring in
   let module P = Suu_server.Protocol in
   note "";
-  section "chaos --router: shard kill mid-load behind the router";
+  section "chaos router: shard kill mid-load behind the router";
   let tiny = tiny_scale () in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 25 else 100 in
   let sim_reps = if tiny then 8 else 32 in
   let pool = chaos_pool () in
-  let pick_body rng =
-    let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
-    let roll = Suu_prng.Rng.int rng 100 in
-    if roll < 35 then
-      P.Simulate { inst; policy = "auto"; reps = sim_reps; seed = roll }
-    else if roll < 60 then P.Plan { inst; policy = "auto"; seed = roll }
-    else if roll < 85 then P.Describe inst
-    else P.Lower_bound inst
-  in
   let config = { Server.default_config with workers = 4; queue_capacity = 32 } in
   let s1 = Server.start ~config () in
   let s2 = Server.start ~config () in
@@ -1725,15 +1722,8 @@ let chaos_router_run () =
     | Some id -> (s2, id)
     | None -> assert false
   in
-  let tracked =
-    [ "router.route"; "router.failover"; "router.health.mark_down";
-      "router.health.mark_up" ]
-  in
-  let sample () = counters tracked in
-  let before = sample () in
-  let routed () =
-    List.assoc "router.route" (sample ()) - List.assoc "router.route" before
-  in
+  let growth = growth_since () in
+  let routed () = growth () "router.route" in
   let total = clients * per_client in
   let load_done = Atomic.make false in
   let killer =
@@ -1754,15 +1744,15 @@ let chaos_router_run () =
       ~connect:(fun i ->
         Client.connect ~port ~retries:8 ~timeout_ms:2_000 ~backoff_ms:5
           ~retry_seed:(7200 + i) ())
-      pick_body
+      (request_mix ~pool ~sim_reps
+         [ (35, `Simulate); (25, `Plan); (25, `Describe); (15, `Lower_bound) ])
   in
   Atomic.set load_done true;
   Thread.join killer;
   (* settle health state before reading it *)
   Router.check_health router;
   let live = List.length (Router.live_shards router) in
-  let after = sample () in
-  let delta n = List.assoc n after - List.assoc n before in
+  let delta = growth () in
   Router.stop router;
   Server.stop s1;
   Server.stop s2;
@@ -1774,13 +1764,6 @@ let chaos_router_run () =
     (delta "router.route") (delta "router.failover")
     (delta "router.health.mark_down")
     (delta "router.health.mark_up") live;
-  if delta "router.health.mark_down" < 1 then
-    failwith "chaos --router: the dead shard was never marked down";
-  if success_rate < 1.0 then
-    failwith
-      (Printf.sprintf
-         "chaos --router: %d of %d requests lost despite failover" failed
-         total);
   J.Obj
     [ ("shards", int 2); ("killed_shard", str victim_id);
       ("requests", int total); ("completed", int completed);
@@ -1789,11 +1772,6 @@ let chaos_router_run () =
       ("failovers", int (delta "router.failover"));
       ("mark_down", int (delta "router.health.mark_down"));
       ("live_shards_after", int live) ]
-
-(* Set by the --router flag on the bench command line; the chaos
-   experiment then runs the shard-kill scenario too and embeds its
-   section in BENCH_chaos.json (the gate requires it in CI). *)
-let chaos_router_enabled = ref false
 
 let chaos_bench () =
   section "chaos: fault-injected suu-serve vs retrying clients";
@@ -1816,17 +1794,8 @@ let chaos_bench () =
     | Result.Error msg -> failwith ("chaos bench: bad fault spec: " ^ msg)
   in
   (* The injector, the server workers and the clients all share this
-     process's registry; counters are sampled before and after so the
-     artifact reports this run's deltas even when other benches ran
-     first in the same process. *)
-  let tracked =
-    [ "faults.injected.drop"; "faults.injected.delay";
-      "faults.injected.error"; "faults.injected.kill";
-      "faults.injected.crash"; "server.worker.restarts"; "client.retries";
-      "client.timeouts"; "client.reconnects"; "client.giveups" ]
-  in
-  let sample () = counters tracked in
-  let before = sample () in
+     process's registry. *)
+  let growth = growth_since () in
   let config =
     { Server.default_config with
       workers; queue_capacity; faults = Some fault_config }
@@ -1834,22 +1803,14 @@ let chaos_bench () =
   let server = Server.start ~config () in
   let port = Server.port server in
   let pool = chaos_pool () in
-  let pick_body rng =
-    let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
-    let roll = Suu_prng.Rng.int rng 100 in
-    if roll < 35 then
-      P.Simulate { inst; policy = "auto"; reps = sim_reps; seed = roll }
-    else if roll < 60 then P.Plan { inst; policy = "auto"; seed = roll }
-    else if roll < 80 then P.Describe inst
-    else if roll < 95 then P.Lower_bound inst
-    else P.Stats
-  in
   let load =
     closed_loop ~clients ~per_client ~seed:9100
       ~connect:(fun i ->
         Client.connect ~port ~retries ~timeout_ms ~backoff_ms:5
           ~retry_seed:(7100 + i) ())
-      pick_body
+      (request_mix ~pool ~sim_reps
+         [ (35, `Simulate); (25, `Plan); (20, `Describe); (15, `Lower_bound);
+           (5, `Stats) ])
   in
   let wall = load.wall and lats = load.lats in
   Server.stop server;
@@ -1857,10 +1818,7 @@ let chaos_bench () =
   let requests = clients * per_client in
   let success_rate = float_of_int completed /. float_of_int requests in
   let q p = 1000.0 *. Summary.quantile lats p in
-  let after = sample () in
-  let delta name =
-    List.assoc name after - List.assoc name before
-  in
+  let delta = growth () in
   let injected_total =
     List.fold_left
       (fun a n -> a + delta n)
@@ -1890,6 +1848,7 @@ let chaos_bench () =
     (delta "client.reconnects") (delta "client.giveups");
   note "latency ms (incl. retries): p50=%.2f p95=%.2f p99=%.2f max=%.2f"
     (q 0.5) (q 0.95) (q 0.99) (q 1.0);
+  let router = chaos_router_run () in
   write_artifact "chaos"
     [ ( "config",
         J.Obj
@@ -1915,15 +1874,7 @@ let chaos_bench () =
       ("client_reconnects", int (delta "client.reconnects"));
       ("client_giveups", int (delta "client.giveups"));
       ("latency_ms", quantiles q p50_to_max);
-      ( "router",
-        if !chaos_router_enabled then chaos_router_run () else J.Null ) ];
-  if injected_total = 0 then
-    failwith "chaos bench: fault injector never fired";
-  if success_rate < 1.0 then
-    failwith
-      (Printf.sprintf
-         "chaos bench: %d of %d requests lost despite retries" failed
-         requests)
+      ("router", router) ]
 
 (* ------------------------------------------------------------------ *)
 (* replay — the incremental-sweep experiment: a small Table-1-style
@@ -1938,7 +1889,7 @@ let chaos_bench () =
               [kill -9] mid-append leaves — and the full sweep re-runs
               over it.
 
-   The claim gated in CI: all four outputs are identical (memoized and
+   The claim checked: all four outputs are identical (memoized and
    resumed sweeps are certified equal to the direct computation), the
    warm pass is served from the store, and recovery truncated the torn
    tail.  Writes BENCH_replay.json. *)
@@ -1995,11 +1946,6 @@ let replay_bench () =
   let dir_a = "_bench_replay_store_a" and dir_b = "_bench_replay_store_b" in
   rm_rf dir_a;
   rm_rf dir_b;
-  let counter name = Suu_obs.Registry.counter ("store.memo." ^ name) in
-  let sample () =
-    (Suu_obs.Counter.get (counter "served"),
-     Suu_obs.Counter.get (counter "computed"))
-  in
   (* direct: the reference output, no store anywhere. *)
   let direct = run_cells None cells ~reps in
   (* cold: fresh store, everything computed and committed.  One cold
@@ -2026,13 +1972,13 @@ let replay_bench () =
   in
   (* warm: same store, everything served. *)
   let store_a = RS.open_store dir_a in
-  let served0, computed0 = sample () in
+  let growth = growth_since () in
   let t0 = Unix.gettimeofday () in
   let warm = run_cells (Some store_a) cells ~reps in
   let warm_sec = Unix.gettimeofday () -. t0 in
-  let served1, computed1 = sample () in
-  let warm_served = served1 - served0
-  and warm_computed = computed1 - computed0 in
+  let delta = growth () in
+  let warm_served = delta "store.memo.served"
+  and warm_computed = delta "store.memo.computed" in
   let stats_a = RS.stats store_a in
   RS.close store_a;
   (* resumed: emulate a sweep killed mid-run.  Pass 1 completes half
@@ -2054,13 +2000,9 @@ let replay_bench () =
   in
   output_string oc "\x40\x00\x00\x00\xde\xad\xbe\xef tor";
   close_out oc;
-  let truncated0 =
-    Suu_obs.Counter.get (Suu_obs.Registry.counter "store.truncated")
-  in
+  let growth = growth_since () in
   let store_b = RS.open_store dir_b in
-  let truncated1 =
-    Suu_obs.Counter.get (Suu_obs.Registry.counter "store.truncated")
-  in
+  let truncated = growth () "store.truncated" in
   let resumed = run_cells (Some store_b) cells ~reps in
   RS.close store_b;
   let identical =
@@ -2068,7 +2010,6 @@ let replay_bench () =
     && String.equal cold warm
   in
   let resumed_identical = String.equal direct resumed in
-  let truncated = truncated1 - truncated0 in
   let total_reps = List.length cells * reps in
   note "cells=%d reps/cell=%d (%d replications per full sweep)"
     (List.length cells) reps total_reps;
@@ -2089,24 +2030,14 @@ let replay_bench () =
       ("identical", J.Bool identical);
       ("resumed_identical", J.Bool resumed_identical);
       ("torn_tail_truncated", int truncated); ("warm_served", int warm_served);
-      ("warm_computed", int warm_computed);
+      ("warm_computed", int warm_computed); ("sweep_reps", int total_reps);
       ( "store",
         J.Obj
           [ ("keys", int stats_a.RS.keys); ("records", int stats_a.RS.records);
             ("reps", int stats_a.RS.reps);
             ("file_bytes", int stats_a.RS.file_bytes) ] ) ];
   rm_rf dir_a;
-  rm_rf dir_b;
-  if not identical then
-    failwith "replay bench: store-served sweep diverged from direct run";
-  if not resumed_identical then
-    failwith "replay bench: kill-resume sweep diverged from direct run";
-  if warm_served <> total_reps || warm_computed <> 0 then
-    failwith
-      (Printf.sprintf
-         "replay bench: warm pass not fully served (served=%d computed=%d \
-          of %d)"
-         warm_served warm_computed total_reps)
+  rm_rf dir_b
 
 (* ------------------------------------------------------------------ *)
 (* shard — the scale-out experiment: the same closed-loop load measured
@@ -2116,7 +2047,7 @@ let replay_bench () =
    identical to the unrouted server's.  All servers share this
    process's plan cache, so a common warmup pass makes the comparison
    about the wire path, not about who populated the cache first.
-   Writes BENCH_shard.json; the gate enforces the proxy-overhead floor
+   Writes BENCH_shard.json, whose checks hold the proxy-overhead floor
    and byte identity. *)
 
 let shard_bench () =
@@ -2134,21 +2065,16 @@ let shard_bench () =
   (* Simulate-heavy mix: the proxy-overhead ratio is only meaningful
      under a compute-bound load; a ping-pong mix would just measure
      the extra hop twice. *)
-  let pick_body rng =
-    let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
-    let roll = Suu_prng.Rng.int rng 100 in
-    if roll < 70 then
-      P.Simulate { inst; policy = "auto"; reps = sim_reps; seed = roll }
-    else if roll < 80 then P.Plan { inst; policy = "auto"; seed = roll }
-    else if roll < 88 then P.Describe inst
-    else if roll < 96 then P.Lower_bound inst
-    else P.Stats
+  let mix =
+    request_mix ~pool ~sim_reps
+      [ (70, `Simulate); (10, `Plan); (8, `Describe); (8, `Lower_bound);
+        (4, `Stats) ]
   in
   (* One closed-loop measurement against whatever is listening on
      [port]; returns (rps, ok, errors). *)
   let run_load ~port =
     let connect _ = Client.connect ~port ~retries:2 ~timeout_ms:30_000 () in
-    let l = closed_loop ~clients ~per_client ~seed:9300 ~connect pick_body in
+    let l = closed_loop ~clients ~per_client ~seed:9300 ~connect mix in
     let rps = float_of_int (clients * per_client) /. l.wall in
     (rps, l.ok, l.overloaded + l.failed)
   in
@@ -2173,8 +2099,7 @@ let shard_bench () =
   Server.stop direct;
   note "direct:   %.1f req/s (ok=%d err=%d)" rps_direct ok_d err_d;
   (* (b) routed, one shard: the pure cost of the extra hop *)
-  let c_route = Suu_obs.Registry.counter "router.route" in
-  let route_before = Suu_obs.Counter.get c_route in
+  let growth = growth_since () in
   let s1 = Server.start ~config () in
   let r1 = Router.start ~shards:[ shard_spec s1 ] () in
   let rps_routed1, ok_r1, err_r1 = run_load ~port:(Router.port r1) in
@@ -2186,9 +2111,7 @@ let shard_bench () =
   let sb = Server.start ~config () in
   let r2 = Router.start ~shards:[ shard_spec sa; shard_spec sb ] () in
   let rps_routed2, ok_r2, err_r2 = run_load ~port:(Router.port r2) in
-  let routed_requests =
-    Suu_obs.Counter.get c_route - route_before
-  in
+  let routed_requests = growth () "router.route" in
   Router.stop r2;
   Server.stop sa;
   Server.stop sb;
@@ -2266,11 +2189,7 @@ let shard_bench () =
       ("errors", int (err_d + err_r1 + err_r2));
       ("sweep_requests", int (List.length sweep_requests));
       ("sweep_mismatches", int mismatches);
-      ("byte_identical", J.Bool byte_identical) ];
-  if err_d + err_r1 + err_r2 > 0 then
-    failwith "shard bench saw error responses";
-  if not byte_identical then
-    failwith "shard bench: routed responses differ from direct server"
+      ("byte_identical", J.Bool byte_identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* table1 — the Table-1 harness extended with the online family: for a
@@ -2510,9 +2429,6 @@ let () =
   in
   let rec parse acc = function
     | [] -> List.rev acc
-    | "--router" :: rest ->
-        chaos_router_enabled := true;
-        parse acc rest
     | "--connections" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n > 0 ->
@@ -2549,4 +2465,8 @@ let () =
             (String.concat ", " (List.map fst experiments));
           exit 1)
     requested;
-  Printf.printf "\ntotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\ntotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0);
+  if !failed_checks > 0 then begin
+    Printf.eprintf "bench: %d check(s) failed\n" !failed_checks;
+    exit 1
+  end

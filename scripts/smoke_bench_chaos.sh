@@ -1,12 +1,9 @@
 #!/bin/sh
-# Chaos-bench smoke: fault-injected server vs retrying clients; the
-# bench itself fails below 100% completion, and the gate re-checks the
-# artifact (success rate, injected > 0, retries > 0).  --router adds
-# the scale-out scenario: a shard killed mid-load behind the router,
-# with zero lost requests required.
+# Chaos-bench smoke: fault-injected server vs retrying clients, then a
+# shard killed mid-load behind the router.  The bench checks its own
+# artifact (every request completed, faults injected, retries made,
+# the dead shard marked down) and exits non-zero on a failed check.
 . "$(dirname "$0")/smoke_lib.sh"
 
-SUU_PERF_SCALE=tiny "$BENCH" chaos --router
+SUU_PERF_SCALE=tiny "$BENCH" chaos
 test -s BENCH_chaos.json
-grep -q '"success_rate": 1' BENCH_chaos.json
-grep -q '"mark_down": 1' BENCH_chaos.json

@@ -1,7 +1,10 @@
 #!/bin/sh
-# Serve-bench smoke: tiny-scale load test plus the connection-scale
-# pass — the event loop must hold >= 500 concurrent pipelined
-# connections with zero drops and byte-exact replies.  500 client
+# Serve-bench smoke: tiny-scale load test, the connection-scale pass
+# and an open-loop replay of the sample trace.  The bench checks its
+# own artifact (no error replies, simulate bytes identical across
+# worker counts, zero dropped or mismatched connections, every arrival
+# completed, the replay deterministic) and exits non-zero on a failed
+# check; the gate adds the >= 500 connection floor.  500 client
 # sockets + 500 accepted sockets live in one process, so raise the fd
 # ceiling where the soft default (often 1024) is too tight.
 . "$(dirname "$0")/smoke_lib.sh"
@@ -11,10 +14,3 @@ ulimit -n 4096 2>/dev/null || true
 SUU_PERF_SCALE=tiny "$BENCH" serve --connections "${CONNECTIONS:-500}" \
   --workload "${WORKLOAD:-swf:bench/workloads/sample20.swf}"
 test -s BENCH_serve.json
-grep -q '"deterministic_over_the_wire": true' BENCH_serve.json
-grep -q '"dropped": 0' BENCH_serve.json
-grep -q '"mismatched": 0' BENCH_serve.json
-# open-loop replay section: gated downstream by gate.exe (completion,
-# determinism, latency quantiles present)
-grep -q '"deterministic_replay": true' BENCH_serve.json
-grep -q '"incomplete": 0' BENCH_serve.json

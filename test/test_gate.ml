@@ -6,7 +6,8 @@
    the gate must let through (an absent open-loop section, a phase
    below the noise floor or missing on one side).  Only the exit status
    is asserted, so the test is indifferent to the wording of the
-   gate's messages. *)
+   gate's messages.  Last, the bench driver's use of the same table,
+   which skips the baseline rules, is run in process. *)
 
 module J = Suu_util.Json
 
@@ -18,6 +19,7 @@ let baseline =
            "bechamel_ns_per_run": {"suu lp1-mwu-certified-64x8": 5000},
            "phases": {"engine.exec": {"p50_ms": 1}, "lp1.solve": {"p50_ms": 1}, "lp.rounding": {"p50_ms": 1}}},
   "serve": {"throughput_rps": 1000, "latency_ms": {"p50": 1},
+            "connection_scale": {"connections": 500},
             "phases": {"server.request": {"p50_ms": 1}, "server.execute": {"p50_ms": 1}, "server.queue_wait": {"p50_ms": 1}}},
   "chaos": {"throughput_rps": 100},
   "shard": {"direct_rps": 100, "routed_2shard_rps": 100},
@@ -30,7 +32,9 @@ let artifacts =
   [
     ( "perf",
       {|{"experiment": "perf", "scale": "tiny", "obs_overhead_pct": 1,
-  "engine": {"steps_per_sec": 1000000}, "ratio_sweep": {"sequential_sec": 0.1},
+  "engine": {"steps_per_sec": 1000000},
+  "ratio_sweep": {"sequential_sec": 0.1,
+                  "parallel": [{"bit_identical": true}, {"bit_identical": true}]},
   "bechamel_ns_per_run": {"suu lp1-simplex-seq-64x8": 10000,
                           "suu lp1-mwu-certified-64x8": 5000},
   "solver_parity": [{"policy": "suu-i-sem", "ratio": 1.01}, {"policy": "suu-i-obl", "ratio": 0.99}],
@@ -38,6 +42,7 @@ let artifacts =
     );
     ( "serve",
       {|{"experiment": "serve", "scale": "tiny", "throughput_rps": 1000, "latency_ms": {"p50": 1},
+  "errors": 0, "deterministic_over_the_wire": true,
   "plan_cache_hit_rate": 0.9, "plan_cache_bypass": 5,
   "connection_scale": {"connections": 500, "dropped": 0, "mismatched": 0},
   "workload": {"arrivals": 20, "completed": 20, "queueing_ms": {"p50": 0.1},
@@ -55,7 +60,7 @@ let artifacts =
     );
     ( "replay",
       {|{"experiment": "replay", "scale": "tiny", "identical": true, "resumed_identical": true,
-  "warm_served": 30, "warm_computed": 0, "torn_tail_truncated": 1, "store": {"records": 3},
+  "warm_served": 30, "sweep_reps": 30, "warm_computed": 0, "torn_tail_truncated": 1, "store": {"records": 3},
   "cold_sec": 0.01}|}
     );
     ( "table1",
@@ -124,6 +129,10 @@ let mutations =
         ("engine steps/sec missing from baseline",
          [ Set_base ([ "perf"; "engine" ], J.Obj []) ], false);
         ("ratio-sweep time band", [ Set ([ "ratio_sweep"; "sequential_sec" ], num 0.3) ], false);
+        ("a parallel run not bit-identical",
+         [ Set ([ "ratio_sweep"; "parallel"; "1"; "bit_identical" ], J.Bool false) ], false);
+        ("bit identity missing", [ Del [ "ratio_sweep"; "parallel"; "0"; "bit_identical" ] ], false);
+        ("no parallel rows", [ Set ([ "ratio_sweep"; "parallel" ], J.List []) ], false);
         ("obs overhead at the budget", [ Set ([ "obs_overhead_pct" ], num 5.0) ], false);
         ("obs overhead just under", [ Set ([ "obs_overhead_pct" ], num 4.99) ], true);
         ("obs overhead missing", [ Del [ "obs_overhead_pct" ] ], false);
@@ -149,6 +158,11 @@ let mutations =
         ("throughput band", [ Set ([ "throughput_rps" ], num 300.0) ], false);
         ("throughput missing", [ Del [ "throughput_rps" ] ], false);
         ("p50 latency band", [ Set ([ "latency_ms"; "p50" ], num 3.0) ], false);
+        ("an error reply", [ Set ([ "errors" ], num 1.0) ], false);
+        ("errors missing", [ Del [ "errors" ] ], false);
+        ("simulate bytes differ across worker counts",
+         [ Set ([ "deterministic_over_the_wire" ], J.Bool false) ], false);
+        ("wire determinism missing", [ Del [ "deterministic_over_the_wire" ] ], false);
         ("hit rate under the floor", [ Set ([ "plan_cache_hit_rate" ], num 0.79) ], false);
         ("hit rate missing", [ Del [ "plan_cache_hit_rate" ] ], false);
         ("no bypasses", [ Set ([ "plan_cache_bypass" ], num 0.0) ], false);
@@ -157,6 +171,8 @@ let mutations =
         ("execute p50 band", [ Set ([ "phases"; "server.execute"; "p50_ms" ], num 3.0) ], false);
         ("queue-wait p50 band", [ Set ([ "phases"; "server.queue_wait"; "p50_ms" ], num 3.0) ], false);
         ("too few connections", [ Set ([ "connection_scale"; "connections" ], num 499.0) ], false);
+        ("connection floor missing from the baseline",
+         [ Set_base ([ "serve"; "connection_scale" ], J.Obj []) ], false);
         ("a dropped connection", [ Set ([ "connection_scale"; "dropped" ], num 1.0) ], false);
         ("a mismatched connection", [ Set ([ "connection_scale"; "mismatched" ], num 1.0) ], false);
         ("connection scale missing", [ Del [ "connection_scale" ] ], false);
@@ -204,6 +220,9 @@ let mutations =
         ("identity missing", [ Del [ "identical" ] ], false);
         ("resumed output differs", [ Set ([ "resumed_identical" ], J.Bool false) ], false);
         ("warm pass served nothing", [ Set ([ "warm_served" ], num 0.0) ], false);
+        ("warm pass served one short", [ Set ([ "warm_served" ], num 29.0) ], false);
+        ("warm pass served one too many", [ Set ([ "warm_served" ], num 31.0) ], false);
+        ("sweep replication count missing", [ Del [ "sweep_reps" ] ], false);
         ("warm pass recomputed", [ Set ([ "warm_computed" ], num 1.0) ], false);
         ("warm recompute count missing", [ Del [ "warm_computed" ] ], false);
         ("torn tail kept", [ Set ([ "torn_tail_truncated" ], num 0.0) ], false);
@@ -287,6 +306,28 @@ let test_unknown_experiment () =
   in
   Alcotest.(check bool) "no baseline entry fails" false passed
 
+(* Without a baseline, [Checks.verify] runs every check but the
+   baseline rules: how many failed. *)
+let test_driver_mode () =
+  let failures name edits =
+    let cur, _ =
+      List.fold_left (fun docs e -> apply e docs)
+        (J.of_string (List.assoc name artifacts), J.Null)
+        edits
+    in
+    Checks.verify cur;
+    Checks.report ()
+  in
+  let expect what n name edits =
+    Alcotest.(check int) (name ^ " / " ^ what) n (failures name edits)
+  in
+  List.iter (fun (name, _) -> expect "as written" 0 name []) artifacts;
+  expect "a band regression" 0 "serve" [ Set ([ "throughput_rps" ], num 1.0) ];
+  expect "fewer connections than the baseline" 0 "serve"
+    [ Set ([ "connection_scale"; "connections" ], num 40.0) ];
+  expect "an error reply" 1 "serve" [ Set ([ "errors" ], num 1.0) ];
+  expect "a lost chaos request" 1 "chaos" [ Set ([ "success_rate" ], num 0.99) ]
+
 let () =
   (match Sys.argv with
   | [| _; g |] -> gate := g
@@ -300,4 +341,5 @@ let () =
           (fun (name, _) -> Alcotest.test_case name `Quick (test_experiment name))
           artifacts
         @ [ Alcotest.test_case "unknown or unbaselined" `Quick test_unknown_experiment ] );
+      ("driver", [ Alcotest.test_case "baseline rules skipped" `Quick test_driver_mode ]);
     ]
