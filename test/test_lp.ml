@@ -1167,18 +1167,18 @@ let random_instances () =
       let n = 1 + Suu_prng.Rng.int rng 80 and m = 1 + Suu_prng.Rng.int rng 12 in
       W.independent h ~n ~m ~seed:(7000 + seed))
 
-(* [lp1_half] is at most the certified bound, halved, times (1 + tol):
-   tol = 1e-9 relative, the simplex's own tolerance, for the pricing
-   that stops at reduced costs above -1e-9.  The largest relative excess
-   of [lp1_half] over the certified half is printed. *)
-let check_certified name insts =
+(* [lp1_half ?solver] is at most the certified bound, halved, times
+   (1 + tol): tol = 1e-9 relative, the simplex's own tolerance, for the
+   pricing that stops at reduced costs above -1e-9.  The largest
+   relative excess of [lp1_half] over the certified half is printed. *)
+let check_certified ?solver name insts =
   let tol = 1e-9 and worst = ref neg_infinity in
   List.iteri
     (fun i inst ->
       let jobs = Array.init (Inst.n inst) Fun.id in
       let p = Suu_core.Lp1.problem_for_testing inst ~jobs ~target:0.5 in
       let _, cert = certified_lp1 p in
-      let half = LB.lp1_half inst and cert_half = cert /. 2.0 in
+      let half = LB.lp1_half ?solver inst and cert_half = cert /. 2.0 in
       worst := Float.max !worst ((half -. cert_half) /. cert_half);
       if not (half <= cert_half *. (1.0 +. tol)) then
         Alcotest.failf "%s instance %d (%s): lp1_half %.17g above certified %.17g"
@@ -1192,6 +1192,47 @@ let test_lp1_certified_golden () =
 
 let test_lp1_certified_random () =
   check_certified "random" (random_instances ())
+
+let mwu = Suu_core.Solver_choice.Mwu 0.1
+
+let test_lp1_certified_golden_mwu () =
+  check_certified ~solver:mwu "golden sweeps, MWU" (golden_instances ())
+
+let test_lp1_certified_random_mwu () =
+  check_certified ~solver:mwu "random, MWU" (random_instances ())
+
+(* E1's large-n rows, too large for the tableau's certificate: where
+   LP1's MWU solution was accepted (lp1.mwu.certified moved), [lp1_half]
+   is at most half MWU's own weak-duality bound, times (1 + 1e-9).  The
+   largest relative excess is printed. *)
+let test_lp1_mwu_large_n () =
+  let accepted () =
+    Suu_obs.Counter.get (Suu_obs.Registry.counter "lp1.mwu.certified")
+  in
+  let tol = 1e-9 and worst = ref neg_infinity and checked = ref 0 in
+  List.iter
+    (fun n ->
+      let inst = W.independent W.Near_one ~n ~m:16 ~seed:(101 + n) in
+      let accepted0 = accepted () in
+      let half = LB.lp1_half ~solver:mwu inst in
+      if accepted () > accepted0 then begin
+        let { Suu_lp.Mwu.lower_bound; _ } =
+          Suu_lp.Mwu.min_load_cover
+            ~a:(fun i j -> Inst.clipped_log_failure inst ~target:0.5 i j)
+            ~m:(Inst.m inst) ~n ~targets:(Array.make n 0.5) ~eps:0.1
+        in
+        let bound_half = lower_bound /. 2.0 in
+        incr checked;
+        worst := Float.max !worst ((half -. bound_half) /. bound_half);
+        if not (half <= bound_half *. (1.0 +. tol)) then
+          Alcotest.failf "n = %d: lp1_half %.17g above MWU's bound / 2 %.17g" n
+            half bound_half
+      end)
+    [ 256; 512; 1024 ];
+  Printf.printf
+    "E1 large n, MWU: %d of 3 rows accepted, largest (lp1_half - bound) / \
+     bound = %.3g\n"
+    !checked !worst
 
 (* --- the dense rows' lifetime --- *)
 
@@ -1245,9 +1286,11 @@ let test_release_on_every_result () =
 exception Alarm
 
 (* A SIGALRM handler raises [Alarm] at whichever poll point of the solve
-   the timer lands on.  The timer is tried at shorter and shorter delays
-   until one lands after the solve made dense rows and before it
-   returned; after every try no row may be left live. *)
+   the timer lands on, but only while that solve holds dense rows it
+   made: a tick before they exist re-arms the timer, and a tick after
+   the attempt's solve is over does nothing.  An attempt succeeds when
+   the alarm raised; shorter delays are tried until one does.  After
+   every attempt no row may be left live. *)
 let test_release_on_exception () =
   let p = chains_lp2 () in
   let arm delay =
@@ -1255,30 +1298,41 @@ let test_release_on_exception () =
       (Unix.setitimer Unix.ITIMER_REAL
          { Unix.it_interval = 0.0; it_value = delay })
   in
-  let attempt delay =
-    let made0, _ = dense_rows () in
-    let returned = ref false in
+  let made0 = ref 0 and delay = ref 0.0 and armed = ref false in
+  let on_alarm _ =
+    if !armed then begin
+      let made, freed = dense_rows () in
+      if made > !made0 && made > freed then begin
+        armed := false;
+        raise Alarm
+      end
+      else arm !delay
+    end
+  in
+  let attempt d =
+    made0 := fst (dense_rows ());
+    delay := d;
+    armed := true;
     let raised =
       try
-        arm delay;
+        arm d;
         ignore (S.solve p);
-        returned := true;
-        arm 0.0;
         false
       with Alarm | Fun.Finally_raised Alarm -> true
     in
+    armed := false;
     arm 0.0;
-    check_none_live (Printf.sprintf "alarm after %g s" delay);
-    raised && (not !returned) && fst (dense_rows ()) > made0
+    check_none_live (Printf.sprintf "alarm every %g s" d);
+    raised
   in
-  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Alarm)) in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle on_alarm) in
   Fun.protect
     ~finally:(fun () ->
       arm 0.0;
       Sys.set_signal Sys.sigalrm old)
     (fun () ->
       Alcotest.(check bool) "an alarm landed inside a solve" true
-        (List.exists attempt [ 0.005; 0.002; 0.001; 0.0005; 0.0002 ]))
+        (List.exists attempt [ 0.001; 0.0002; 0.00005 ]))
 
 (* Two domains solving at once each get the sequential solve's result. *)
 let test_two_domains () =
@@ -1348,6 +1402,12 @@ let () =
             test_lp1_certified_golden;
           Alcotest.test_case "lp1_half <= certified, random" `Quick
             test_lp1_certified_random;
+          Alcotest.test_case "MWU lp1_half <= certified, golden sweeps" `Quick
+            test_lp1_certified_golden_mwu;
+          Alcotest.test_case "MWU lp1_half <= certified, random" `Quick
+            test_lp1_certified_random_mwu;
+          Alcotest.test_case "MWU lp1_half <= MWU's bound, E1 large n" `Quick
+            test_lp1_mwu_large_n;
         ] );
       ( "problem",
         [
